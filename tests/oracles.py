@@ -206,3 +206,51 @@ def binomial_sigma(p: float, n: int) -> float:
 
 def expected_intersection_density(d_a: float, d_b: float) -> float:
     return d_a + d_b - 1.0
+
+
+def abstract_iso_key(ad):
+    """Isomorphism-class key of an abstract diagram, built without the
+    library's traversal codes: the least code over every outer root of the
+    map and of its mirror image, with face indices renamed in order of
+    first appearance.
+
+    A mirror image reverses every cycle through the involution and flips
+    every face sign; it keeps each face's positive boundary, which is what
+    roots the face's letters, so faces are read along their positive
+    boundaries."""
+    c = ad.complex
+    best = None
+    for mirrored in (False, True):
+        cycles = [tuple(d ^ 1 for d in reversed(cyc)) if mirrored else cyc
+                  for cyc in c.faces + (c.outer,)]
+        successor = {cyc[i]: cyc[(i + 1) % len(cyc)]
+                     for cyc in cycles for i in range(len(cyc))}
+        faces = []
+        for cyc, (idx, sign) in zip(cycles, ad.face_labels):
+            sign = -sign if mirrored else sign
+            positive = cyc if sign > 0 else tuple(d ^ 1 for d in reversed(cyc))
+            faces.append((positive, idx, sign))
+        outer = cycles[-1]
+        for root in range(len(outer)):
+            number = {outer[root]: 0}
+            queue = [outer[root]]
+            for d in queue:
+                for e in (d ^ 1, successor[d]):
+                    if e not in number:
+                        number[e] = len(number)
+                        queue.append(e)
+            vertex_number: dict[int, int] = {}
+            vertices = tuple(vertex_number.setdefault(c.dart_vertex[d], len(vertex_number))
+                             for d in queue)
+            coded = sorted((tuple(number[d] for d in positive), idx, sign)
+                           for positive, idx, sign in faces)
+            rename: dict[int, int] = {}
+            coded = tuple((darts, rename.setdefault(idx, len(rename) + 1), sign)
+                          for darts, idx, sign in coded)
+            walk = tuple(number[outer[(root + i) % len(outer)]]
+                         for i in range(len(outer)))
+            code = (len(queue), vertices, tuple(number[d ^ 1] for d in queue),
+                    coded, walk)
+            if best is None or code < best:
+                best = code
+    return best

@@ -1,0 +1,55 @@
+"""Golden outputs of the two diagram enumerations, and a cross-check between
+them: concrete diagrams forget their letters into the abstract family.
+
+The digests pin the byte-exact output of the enumerations and the JSON
+codecs, so any change to the gluing order, the canonical keys or the
+serialization shows up here."""
+
+import hashlib
+import json
+
+from freiheit.abstract_diagrams import (AbstractDistortionDiagram, abstract_to_json,
+                                        enumerate_abstract_diagrams,
+                                        underlying_abstract)
+from freiheit.cli import dispatch
+from freiheit.density import make_relator_set
+from freiheit.diagrams import enumerate_reduced_disk_diagrams
+from freiheit.words import word_from_text
+
+from oracles import abstract_iso_key
+
+DISK_RELATORS = ("aab", "bba", "abAB", "aaBB")
+
+
+def test_disk_enumeration_cli_output_is_pinned(tmp_path, capsys):
+    path = tmp_path / "relators.txt"
+    path.write_text("".join(w + "\n" for w in DISK_RELATORS))
+    assert dispatch(["diagrams", "enumerate", "--relators", str(path), "--K", "3"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["count"] == 983
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "de7f714d1d98848b6b037852fda71ad0c925418fedc03ddc6c17824633941a35"
+
+
+def test_abstract_enumeration_json_is_pinned():
+    enum = enumerate_abstract_diagrams(2, 4)
+    assert (enum.iso_count, enum.labeled_count) == (267, 786)
+    assert len(enum.representatives) == 267
+    digest = hashlib.sha256()
+    for rep in enum.representatives:
+        digest.update(abstract_to_json(AbstractDistortionDiagram(rep, 0, 0)).encode())
+    assert digest.hexdigest() == \
+        "fac99faea0979feea825ee3b0c520d3a6fa813944c0f9df1d50730871a9e4119"
+
+
+def test_concrete_diagrams_forget_into_abstract_classes():
+    relators = make_relator_set(2, 4, [word_from_text(w) for w in DISK_RELATORS])
+    classes = {abstract_iso_key(rep)
+               for rep in enumerate_abstract_diagrams(2, 4).representatives}
+    # The oracle separates every representative the enumeration returns.
+    assert len(classes) == 267
+    disks = list(enumerate_reduced_disk_diagrams(relators, 2))
+    assert len(disks) == 56
+    for d in disks:
+        ad, _ = underlying_abstract(d)
+        assert abstract_iso_key(ad) in classes
