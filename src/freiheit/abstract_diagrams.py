@@ -24,12 +24,13 @@ from itertools import product
 import math
 from typing import Iterator, Sequence
 
-from .complexes import (PlanarComplex, canonical_map_code, mirror_cycle,
-                        rotation_next)
+from .complexes import (FaceLabelledMap, PlanarComplex, canonical_map_code,
+                        glue_face, has_mirror_pair, level_search, map_from_json,
+                        map_to_data, polygon)
 from .diagrams import VanKampenDiagram
 from .errors import DomainError, FeasibilityError, NotFillableError
 from .stallings import LabeledGraph, is_readable
-from .words import Word
+from .words import Word, enumerate_cyclically_reduced
 
 MAX_ABSTRACT_FACES = 2
 MAX_ABSTRACT_LENGTH = 6
@@ -37,7 +38,7 @@ FILLING_PRODUCT_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
-class AbstractDiagram:
+class AbstractDiagram(FaceLabelledMap):
     """face_labels[i] = (abstract index >= 1, sign)."""
 
     complex: PlanarComplex
@@ -53,10 +54,6 @@ class AbstractDiagram:
                     f"faces labeled {idx} have unequal boundary lengths")
             lengths.setdefault(idx, len(cycle))
 
-    @property
-    def num_faces(self) -> int:
-        return len(self.face_labels)
-
     def indices(self) -> list[int]:
         return sorted({idx for idx, _ in self.face_labels})
 
@@ -68,14 +65,6 @@ class AbstractDiagram:
 
     def max_length(self) -> int:
         return max(self.lengths().values())
-
-    def positive_boundary(self, face_pos: int) -> tuple[int, ...]:
-        cycle = self.complex.faces[face_pos]
-        _, sign = self.face_labels[face_pos]
-        return cycle if sign > 0 else mirror_cycle(cycle)
-
-    def boundary_length(self) -> int:
-        return len(self.complex.outer)
 
 
 @dataclass(frozen=True)
@@ -389,26 +378,6 @@ def fill(ad: AbstractDiagram, relator_words: Sequence[Word]) -> VanKampenDiagram
 # Fillings enumeration.
 
 
-def _cyc_words_of_length(m: int, length: int) -> list[Word]:
-    letters = list(range(-m, 0)) + list(range(1, m + 1))
-    out: list[Word] = []
-
-    def rec(prefix: list[int]):
-        if len(prefix) == length:
-            if length == 1 or prefix[0] != -prefix[-1]:
-                out.append(Word(tuple(prefix)))
-            return
-        for x in letters:
-            if prefix and x == -prefix[-1]:
-                continue
-            prefix.append(x)
-            rec(prefix)
-            prefix.pop()
-
-    rec([])
-    return out
-
-
 def fillings_with_boundary(ad: AbstractDiagram, m: int,
                            *, limit: int = FILLING_PRODUCT_LIMIT
                            ) -> list[tuple[tuple[Word, ...], tuple[int, ...]]]:
@@ -424,7 +393,8 @@ def fillings_with_boundary(ad: AbstractDiagram, m: int,
     indices = ad.indices()
     if indices != list(range(1, len(indices) + 1)):
         raise DomainError("abstract indices must be 1..k")
-    pools = {idx: _cyc_words_of_length(m, lengths[idx]) for idx in indices}
+    pools = {idx: [w for w in enumerate_cyclically_reduced(m, lengths[idx])
+                   if len(w) == lengths[idx]] for idx in indices}
     estimate = math.prod(len(pool) for pool in pools.values())
     if estimate > limit:
         raise FeasibilityError(
@@ -507,28 +477,13 @@ def filling_bound(add: AbstractDistortionDiagram, m: int, r: int,
 
 
 def _one_face_abstract(length: int, sign: int = 1) -> AbstractDiagram:
-    dart_vertex = []
-    for i in range(length):
-        dart_vertex += [i, (i + 1) % length]
-    cycle = tuple(2 * i for i in range(length))
-    outer = tuple((2 * i) ^ 1 for i in reversed(range(length)))
-    c = PlanarComplex(length, tuple(dart_vertex), (cycle,), outer)
-    return AbstractDiagram(c, ((1, sign),))
+    return AbstractDiagram(polygon(length), ((1, sign),))
 
 
 def abstract_is_reduced(ad: AbstractDiagram) -> bool:
-    by_idx: dict[int, list[int]] = {}
-    for fpos, (idx, _) in enumerate(ad.face_labels):
-        by_idx.setdefault(idx, []).append(fpos)
-    for members in by_idx.values():
-        boundaries = [{d: j for j, d in enumerate(ad.positive_boundary(f))}
-                      for f in members]
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                for dart, ja in boundaries[a].items():
-                    if boundaries[b].get(dart) == ja:
-                        return False
-    return True
+    """No mirror pair, positions compared whole: an abstract relator has no
+    period shorter than its length."""
+    return not has_mirror_pair(ad, ad.lengths().__getitem__)
 
 
 def _abstract_fillable_shaped(ad: AbstractDiagram) -> bool:
@@ -539,20 +494,22 @@ def _abstract_fillable_shaped(ad: AbstractDiagram) -> bool:
         return False
 
 
-def _abstract_keys(ad: AbstractDiagram):
-    infos = [((idx, sign), len(cycle))
-             for (idx, sign), cycle in zip(ad.face_labels, ad.complex.faces)]
-    mirror_infos = [((idx, -sign), period) for (idx, sign), period in infos]
-    iso = canonical_map_code(ad.complex, infos, mirror_face_infos=mirror_infos,
-                             relabel_first_use=True)
-    labeled = canonical_map_code(ad.complex, infos, use_mirror=False)
-    return iso, labeled
+def _face_infos(ad: AbstractDiagram) -> list:
+    return [(label, len(cycle)) for label, cycle in zip(ad.face_labels, ad.complex.faces)]
+
+
+def _labeled_key(ad: AbstractDiagram):
+    """Invariant under outer re-rooting only."""
+    return canonical_map_code(ad.complex, _face_infos(ad), use_mirror=False)
+
+
+def _iso_key(ad: AbstractDiagram):
+    """Invariant under outer re-rooting, mirror and first-use renaming."""
+    return canonical_map_code(ad.complex, _face_infos(ad), relabel_first_use=True)
 
 
 def _abstract_glue_candidates(ad: AbstractDiagram, maxlen: int) -> Iterator[AbstractDiagram]:
-    c = ad.complex
-    outer = c.outer
-    n = len(outer)
+    n = len(ad.complex.outer)
     lengths = ad.lengths()
     k = len(lengths)
     for length in range(1, maxlen + 1):
@@ -561,42 +518,10 @@ def _abstract_glue_candidates(ad: AbstractDiagram, maxlen: int) -> Iterator[Abst
         label_choices += [(k + 1, 1), (k + 1, -1)]
         for a in range(n):
             for s in range(1, min(length - 1, n) + 1):
-                arc = tuple(outer[(a + i) % n] for i in range(s))
                 for omega in range(length):
+                    glued = glue_face(ad.complex, a, s, length, omega)
                     for label in label_choices:
-                        yield _build_abstract_glued(ad, label, length, arc, a, s, omega)
-
-
-def _build_abstract_glued(ad: AbstractDiagram, label: tuple[int, int], length: int,
-                          arc: tuple[int, ...], a: int, s: int, omega: int
-                          ) -> AbstractDiagram:
-    c = ad.complex
-    outer = c.outer
-    n = len(outer)
-    fresh_count = length - s
-    nd = c.num_darts
-    nv = c.num_vertices
-    dart_vertex = list(c.dart_vertex)
-    v_start = c.head(arc[-1])
-    v_end = c.tail(arc[0])
-    fresh = []
-    prev = v_start
-    for j in range(fresh_count):
-        head = v_end if j == fresh_count - 1 else nv
-        if head == nv:
-            nv += 1
-        dart_vertex += [prev, head]
-        fresh.append(nd + 2 * j)
-        prev = head
-    glued_cycle = arc + tuple(fresh)
-    kk = (length - omega) % length
-    stored_cycle = glued_cycle[kk:] + glued_cycle[:kk]
-    rest = tuple(outer[(a + s + i) % n] for i in range(n - s))
-    new_outer = tuple((f ^ 1) for f in reversed(fresh)) + rest
-    new_complex = PlanarComplex(nv, tuple(dart_vertex), c.faces + (stored_cycle,),
-                                new_outer)
-    idx, sign = label
-    return AbstractDiagram(new_complex, ad.face_labels + ((idx, sign),))
+                        yield AbstractDiagram(glued, ad.face_labels + (label,))
 
 
 @dataclass(frozen=True)
@@ -620,39 +545,23 @@ def enumerate_abstract_diagrams(max_faces: int, maxlen: int) -> AbstractEnumerat
     if maxlen > MAX_ABSTRACT_LENGTH:
         raise FeasibilityError(
             f"abstract enumeration capped at face length {MAX_ABSTRACT_LENGTH}")
+    seeds = (_one_face_abstract(length, sign)
+             for length in range(1, maxlen + 1) for sign in (1, -1))
+
+    def candidates(ad: AbstractDiagram) -> Iterator[AbstractDiagram]:
+        return (cand for cand in _abstract_glue_candidates(ad, maxlen)
+                if abstract_is_reduced(cand) and _abstract_fillable_shaped(cand))
+
     reps: list[AbstractDiagram] = []
     iso_seen: set = set()
-    labeled_seen: set = set()
-    frontier: list[AbstractDiagram] = []
-    for length in range(1, maxlen + 1):
-        for sign in (1, -1):
-            ad = _one_face_abstract(length, sign)
-            iso, labeled = _abstract_keys(ad)
-            if labeled in labeled_seen:
-                continue
-            labeled_seen.add(labeled)
-            frontier.append(ad)
-            if iso not in iso_seen:
-                iso_seen.add(iso)
-                reps.append(ad)
-    for _level in range(2, max_faces + 1):
-        nxt = []
-        for ad in frontier:
-            for cand in _abstract_glue_candidates(ad, maxlen):
-                if not abstract_is_reduced(cand):
-                    continue
-                if not _abstract_fillable_shaped(cand):
-                    continue
-                iso, labeled = _abstract_keys(cand)
-                if labeled in labeled_seen:
-                    continue
-                labeled_seen.add(labeled)
-                nxt.append(cand)
-                if iso not in iso_seen:
-                    iso_seen.add(iso)
-                    reps.append(cand)
-        frontier = nxt
-    return AbstractEnumeration(tuple(reps), len(iso_seen), len(labeled_seen))
+    labeled_count = 0
+    for ad in level_search(seeds, candidates, _labeled_key, max_faces):
+        labeled_count += 1
+        iso = _iso_key(ad)
+        if iso not in iso_seen:
+            iso_seen.add(iso)
+            reps.append(ad)
+    return AbstractEnumeration(tuple(reps), len(iso_seen), labeled_count)
 
 
 def enumerate_abstract_distortion_diagrams(max_faces: int, maxlen: int
@@ -673,42 +582,21 @@ def enumerate_abstract_distortion_diagrams(max_faces: int, maxlen: int
 
 
 def abstract_to_json(add: AbstractDistortionDiagram) -> str:
-    ad = add.base
-    c = ad.complex
-    nxt = rotation_next(c)
-    data = {
-        "type": "abstract_diagram",
-        "num_vertices": c.num_vertices,
-        "darts": [
-            {"id": i, "inverse": i ^ 1, "vertex": c.dart_vertex[i],
-             "next_at_vertex": nxt[i]}
-            for i in range(c.num_darts)
-        ],
-        "faces": [
-            {"id": i, "darts": list(cycle), "relator": ad.face_labels[i][0],
-             "sign": ad.face_labels[i][1]}
-            for i, cycle in enumerate(c.faces)
-        ],
-        "outer_face": {"id": len(c.faces), "darts": list(c.outer)},
-        "p": {"start": add.p_start, "length": add.p_length},
-    }
+    data = map_to_data("abstract_diagram", add.base.complex, add.base.face_labels)
+    data["p"] = {"start": add.p_start, "length": add.p_length}
     return json.dumps(data, indent=1)
 
 
-def abstract_from_json(text: str) -> AbstractDistortionDiagram:
-    data = json.loads(text)
-    darts = sorted(data["darts"], key=lambda rec: rec["id"])
-    if [rec["id"] for rec in darts] != list(range(len(darts))):
-        raise DomainError("dart ids must be 0..2E-1")
-    for rec in darts:
-        if rec["inverse"] != rec["id"] ^ 1:
-            raise DomainError("dart pairing must be 2i <-> 2i+1")
-    dart_vertex = tuple(rec["vertex"] for rec in darts)
-    faces = tuple(tuple(f["darts"]) for f in sorted(data["faces"], key=lambda f: f["id"]))
-    labels = tuple((f["relator"], f["sign"])
-                   for f in sorted(data["faces"], key=lambda f: f["id"]))
-    outer = tuple(data["outer_face"]["darts"])
-    c = PlanarComplex(data["num_vertices"], dart_vertex, faces, outer)
+def _build_distortion(c: PlanarComplex, face_labels, data, _darts
+                      ) -> AbstractDistortionDiagram:
     p = data.get("p", {"start": 0, "length": 0})
-    return AbstractDistortionDiagram(AbstractDiagram(c, labels),
+    if type(p["start"]) is not int or type(p["length"]) is not int:
+        raise DomainError("p start and length must be integers")
+    return AbstractDistortionDiagram(AbstractDiagram(c, face_labels),
                                      p["start"], p["length"])
+
+
+def abstract_from_json(text: str) -> AbstractDistortionDiagram:
+    """Raises DomainError unless the text holds a well-formed abstract
+    distortion diagram on a planar complex."""
+    return map_from_json(text, _build_distortion)

@@ -9,12 +9,22 @@ permutation, so the vertex rotation system is derived rather than stored.
 For a connected map the stored data describes a planar, simply connected
 complex exactly when Euler's formula V - E + F = 2 holds with the outer face
 counted and the derived rotation orbits match the declared vertices.
+
+Concrete and abstract van Kampen diagrams are labelling layers over this
+module: both give every inner face a signed index (index >= 1, sign +-1;
+a face with sign -1 is read along its mirrored cycle), and concrete
+diagrams add a letter per dart.  The planar-map machinery they share lives
+here: the one-face polygon, gluing a face along a boundary arc, the
+level-by-level search with canonical-key deduplication, the mirror-pair
+test, canonical codes and the map half of the JSON codec.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -40,11 +50,13 @@ class PlanarComplex:
     def tail(self, d: int) -> int:
         return self.dart_vertex[d]
 
-    def degree(self, v: int) -> int:
-        return sum(1 for t in self.dart_vertex if t == v)
-
     def all_cycles(self) -> tuple[tuple[int, ...], ...]:
         return self.faces + (self.outer,)
+
+    @cached_property
+    def phi(self) -> list[int] | None:
+        """The face permutation, built once per map."""
+        return face_permutation(self)
 
 
 @dataclass(frozen=True)
@@ -74,7 +86,7 @@ def check_complex(c: PlanarComplex) -> ComplexReport:
         return ComplexReport(False, "involution", "dart tail out of range")
     if any(len(cycle) == 0 for cycle in c.all_cycles()):
         return ComplexReport(False, "involution", "empty face cycle")
-    phi = face_permutation(c)
+    phi = c.phi
     if phi is None:
         return ComplexReport(False, "involution",
                              "darts are not partitioned by the face cycles")
@@ -117,11 +129,6 @@ def check_complex(c: PlanarComplex) -> ComplexReport:
     return ComplexReport(True)
 
 
-def face_has_backtrack(cycle: Sequence[int]) -> bool:
-    k = len(cycle)
-    return any(cycle[(i + 1) % k] == (cycle[i] ^ 1) for i in range(k))
-
-
 def mirror_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
     return tuple((d ^ 1) for d in reversed(cycle))
 
@@ -138,10 +145,130 @@ def mirror_complex(c: PlanarComplex) -> PlanarComplex:
 
 def rotation_next(c: PlanarComplex) -> list[int]:
     """sigma = phi o alpha: the next dart counterclockwise at each tail vertex."""
-    phi = face_permutation(c)
+    phi = c.phi
     if phi is None:
         raise DomainError("complex darts are not partitioned by face cycles")
     return [phi[d ^ 1] for d in range(c.num_darts)]
+
+
+class FaceLabelledMap:
+    """The reading shared by concrete and abstract diagrams: a ``complex``
+    whose inner faces carry ``face_labels``, one (index >= 1, sign) each."""
+
+    @property
+    def num_faces(self) -> int:
+        return len(self.face_labels)
+
+    def boundary_length(self) -> int:
+        return len(self.complex.outer)
+
+    def positive_boundary(self, face_pos: int) -> tuple[int, ...]:
+        """The face's darts in reading order: a face with sign -1 is read
+        along its mirrored cycle."""
+        cycle = self.complex.faces[face_pos]
+        return cycle if self.face_labels[face_pos][1] > 0 else mirror_cycle(cycle)
+
+
+# ---------------------------------------------------------------------------
+# Construction: the one-face polygon and gluing a face along a boundary arc.
+
+
+def polygon(length: int) -> PlanarComplex:
+    """One face bounded by ``length`` edges; dart 2i is its i-th side and
+    the outer walk runs the other way round."""
+    dart_vertex = []
+    for i in range(length):
+        dart_vertex += [i, (i + 1) % length]
+    cycle = tuple(2 * i for i in range(length))
+    outer = tuple((2 * i) ^ 1 for i in reversed(range(length)))
+    return PlanarComplex(length, tuple(dart_vertex), (cycle,), outer)
+
+
+def glue_face(c: PlanarComplex, start: int, arc_length: int, length: int,
+              omega: int) -> PlanarComplex:
+    """Glue a new ``length``-gon along the outer arc of ``arc_length`` darts
+    from outer position ``start``.
+
+    The new face reads the arc and then ``length - arc_length`` fresh darts
+    (the j-th appended as dart ``num_darts + 2j``), stored rotated so that
+    the arc begins at position ``omega`` of its cycle; the fresh part is
+    embedded without self-identifications and replaces the arc in the outer
+    walk.
+    """
+    outer = c.outer
+    n = len(outer)
+    arc = tuple(outer[(start + i) % n] for i in range(arc_length))
+    fresh_count = length - arc_length
+    nd = c.num_darts
+    nv = c.num_vertices
+    dart_vertex = list(c.dart_vertex)
+    prev = c.head(arc[-1])
+    fresh = []
+    for j in range(fresh_count):
+        if j == fresh_count - 1:
+            head = c.tail(arc[0])
+        else:
+            head = nv
+            nv += 1
+        dart_vertex += [prev, head]
+        fresh.append(nd + 2 * j)
+        prev = head
+    glued_cycle = arc + tuple(fresh)
+    k = (length - omega) % length
+    rest = tuple(outer[(start + arc_length + i) % n] for i in range(n - arc_length))
+    return PlanarComplex(nv, tuple(dart_vertex),
+                         c.faces + (glued_cycle[k:] + glued_cycle[:k],),
+                         tuple((f ^ 1) for f in reversed(fresh)) + rest)
+
+
+def level_search(seeds: Iterable, candidates: Callable[[object], Iterable],
+                 key: Callable[[object], object], max_faces: int) -> Iterator:
+    """Grow one-face seeds a face per level up to ``max_faces`` faces.
+
+    Yields every seed and every candidate, taken from ``candidates(x)`` for
+    each ``x`` of the previous level, whose ``key`` has not been seen; the
+    new ones form the next level.
+    """
+    seen = set()
+    frontier = []
+    for x in seeds:
+        k = key(x)
+        if k not in seen:
+            seen.add(k)
+            frontier.append(x)
+            yield x
+    for _level in range(2, max_faces + 1):
+        nxt = []
+        for x in frontier:
+            for cand in candidates(x):
+                k = key(cand)
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append(cand)
+                    yield cand
+        frontier = nxt
+
+
+def has_mirror_pair(d: FaceLabelledMap, period: Callable[[int], int]) -> bool:
+    """True iff two faces with one index share a dart at the same position
+    of their positive boundaries, positions compared modulo
+    ``period(index)``: the faces are glued mirror-wise and cancel."""
+    by_index: dict[int, list[int]] = {}
+    for i, (idx, _) in enumerate(d.face_labels):
+        by_index.setdefault(idx, []).append(i)
+    for idx, members in by_index.items():
+        if len(members) < 2:
+            continue
+        p = period(idx)
+        positions = [{dart: j for j, dart in enumerate(d.positive_boundary(i))}
+                     for i in members]
+        for a in range(len(members)):
+            for b in range(a + 1, len(members)):
+                for dart, ja in positions[a].items():
+                    jb = positions[b].get(dart)
+                    if jb is not None and (ja - jb) % p == 0:
+                        return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -150,27 +277,20 @@ def rotation_next(c: PlanarComplex) -> list[int]:
 # face-root rotations where the caller grants that freedom).
 
 
-def _rotations(cycle: tuple[int, ...], step: int) -> Iterator[tuple[int, ...]]:
-    k = len(cycle)
-    for off in range(0, k, step):
-        yield cycle[off:] + cycle[:off]
-
-
 def map_code(c: PlanarComplex,
              face_infos: Sequence[tuple],
              start_idx: int,
              dart_labels: Sequence[int] | None = None,
-             p: tuple[int, int] | None = None,
              relabel_first_use: bool = False):
     """Serialize the rooted map.
 
     ``face_infos`` holds one (label, period) pair per inner face: ``label``
-    is an arbitrary comparable tag and ``period`` the rotation step under
-    which the face cycle may be re-rooted without changing the object.
-    With ``relabel_first_use`` the first components of face labels are
-    renamed 1..k in order of first appearance (abstract-diagram isomorphism).
+    is the face's signed index (index, sign) and ``period`` the rotation
+    step under which the face cycle may be re-rooted without changing the
+    object.  With ``relabel_first_use`` the indices are renamed 1..k in
+    order of first appearance (abstract-diagram isomorphism).
     """
-    phi = face_permutation(c)
+    phi = c.phi
     if phi is None:
         raise DomainError("cannot encode: darts not partitioned")
     start = c.outer[start_idx]
@@ -199,7 +319,8 @@ def map_code(c: PlanarComplex,
 
     faces_part = []
     for cycle, (label, period) in zip(c.faces, face_infos):
-        best = min(tuple(order[d] for d in rot) for rot in _rotations(cycle, period))
+        best = min(tuple(order[d] for d in cycle[off:] + cycle[:off])
+                   for off in range(0, len(cycle), period))
         faces_part.append((best, label))
     faces_part.sort()
     if relabel_first_use:
@@ -219,41 +340,88 @@ def map_code(c: PlanarComplex,
     if dart_labels is not None:
         label_part = tuple(dart_labels[queue[i]] for i in range(len(queue)))
 
-    p_part = None
-    if p is not None:
-        p_start, p_len = p
-        p_part = (((p_start - start_idx) % n) if p_len else 0, p_len)
-
     return (c.num_darts, tuple(vert_part), alpha_part, tuple(faces_part),
-            outer_part, label_part, p_part)
+            outer_part, label_part)
 
 
 def canonical_map_code(c: PlanarComplex,
                        face_infos: Sequence[tuple],
                        dart_labels: Sequence[int] | None = None,
-                       p: tuple[int, int] | None = None,
-                       mirror_face_infos: Sequence[tuple] | None = None,
                        relabel_first_use: bool = False,
                        use_mirror: bool = True):
-    """Minimum code over outer roots and (optionally) the mirror map.
-
-    ``mirror_face_infos`` supplies the face labels of the reflected object
-    (signs flip there); ``p`` is carried through the reflection.
-    """
-    variants = [(c, face_infos, p)]
+    """Minimum code over outer roots and (optionally) the mirror map, whose
+    faces carry the signs of ``face_infos`` flipped."""
+    variants = [(c, face_infos)]
     if use_mirror:
-        mc = mirror_complex(c)
-        n = len(c.outer)
-        mp = None
-        if p is not None:
-            p_start, p_len = p
-            mp = (((n - p_start - p_len) % n) if p_len else 0, p_len)
-        variants.append((mc, mirror_face_infos if mirror_face_infos is not None
-                         else face_infos, mp))
-    best = None
-    for cc, infos, pp in variants:
-        for start_idx in range(len(cc.outer)):
-            code = map_code(cc, infos, start_idx, dart_labels, pp, relabel_first_use)
-            if best is None or code < best:
-                best = code
-    return best
+        variants.append((mirror_complex(c), [((idx, -sign), period)
+                                             for (idx, sign), period in face_infos]))
+    return min(map_code(cc, infos, start_idx, dart_labels, relabel_first_use)
+               for cc, infos in variants for start_idx in range(len(cc.outer)))
+
+
+# ---------------------------------------------------------------------------
+# JSON: the map half of the diagram formats.
+
+
+def map_to_data(kind: str, c: PlanarComplex,
+                face_labels: Sequence[tuple[int, int]]) -> dict:
+    """The JSON object of a map with signed face indices; layers add their
+    own fields (dart letters, a boundary subpath) before dumping it."""
+    nxt = rotation_next(c)
+    return {
+        "type": kind,
+        "num_vertices": c.num_vertices,
+        "darts": [
+            {"id": i, "inverse": i ^ 1, "vertex": c.dart_vertex[i],
+             "next_at_vertex": nxt[i]}
+            for i in range(c.num_darts)
+        ],
+        "faces": [
+            {"id": i, "darts": list(cycle), "relator": idx, "sign": sign}
+            for i, (cycle, (idx, sign)) in enumerate(zip(c.faces, face_labels))
+        ],
+        "outer_face": {"id": len(c.faces), "darts": list(c.outer)},
+    }
+
+
+def map_from_json(text: str, build: Callable):
+    """Decode a map written by ``map_to_data`` and return
+    ``build(complex, face_labels, data, darts)``, ``darts`` being the dart
+    records in id order.
+
+    Files are a trust boundary: the map must pass ``check_complex`` and its
+    stored rotation must be the one the faces derive; a malformed document,
+    a missing key, a wrong type or a value ``build`` rejects all raise
+    DomainError.
+    """
+    try:
+        data = json.loads(text)
+        darts = sorted(data["darts"], key=lambda rec: rec["id"])
+        if [rec["id"] for rec in darts] != list(range(len(darts))):
+            raise DomainError("dart ids must be 0..2E-1")
+        if any(rec["inverse"] != rec["id"] ^ 1 for rec in darts):
+            raise DomainError("dart pairing must be 2i <-> 2i+1")
+        faces = sorted(data["faces"], key=lambda f: f["id"])
+        cycles = tuple(tuple(f["darts"]) for f in faces)
+        face_labels = tuple((f["relator"], f["sign"]) for f in faces)
+        c = PlanarComplex(data["num_vertices"],
+                          tuple(rec["vertex"] for rec in darts), cycles,
+                          tuple(data["outer_face"]["darts"]))
+        numbers = [c.num_vertices, *c.dart_vertex,
+                   *(d for cycle in c.all_cycles() for d in cycle),
+                   *(x for label in face_labels for x in label)]
+        if any(type(x) is not int for x in numbers):
+            raise DomainError("vertices, darts and face labels must be integers")
+        if any(idx < 1 or sign not in (1, -1) for idx, sign in face_labels):
+            raise DomainError("face labels must be (index >= 1, sign +-1)")
+        report = check_complex(c)
+        if not report.ok:
+            raise DomainError(f"not a planar complex ({report.violation}): "
+                              f"{report.detail}")
+        if [rec["next_at_vertex"] for rec in darts] != rotation_next(c):
+            raise DomainError("next_at_vertex disagrees with the face cycles")
+        return build(c, face_labels, data, darts)
+    except DomainError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed diagram JSON: {exc!r}") from exc

@@ -20,14 +20,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Iterator, Sequence
 
-from .complexes import (PlanarComplex, canonical_map_code, check_complex,
-                        mirror_cycle, rotation_next)
+from .complexes import (ComplexReport, FaceLabelledMap, PlanarComplex,
+                        canonical_map_code, check_complex, glue_face,
+                        has_mirror_pair, level_search, map_from_json,
+                        map_to_data, polygon)
 from .density import RelatorSet
 from .errors import DomainError, FeasibilityError
 from .stallings import LabeledGraph
-from .words import Word, as_word, canonical_cyclic, cyclic_reduce
+from .words import Word, as_word, canonical_cyclic, cyclic_reduce_letters
 from .words import letter_to_char, char_to_letter, min_cyclic_rotation
 
 MAX_DIAGRAM_FACES = 3
@@ -35,24 +38,12 @@ DEFAULT_CANDIDATE_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
-class VanKampenDiagram:
+class VanKampenDiagram(FaceLabelledMap):
     """face_labels[i] = (relator_index, sign); relator_index is 1-based."""
 
     complex: PlanarComplex
     dart_labels: tuple[int, ...]
     face_labels: tuple[tuple[int, int], ...]
-
-    @property
-    def num_faces(self) -> int:
-        return len(self.complex.faces)
-
-    def boundary_length(self) -> int:
-        return len(self.complex.outer)
-
-    def positive_boundary(self, face_idx: int) -> tuple[int, ...]:
-        cycle = self.complex.faces[face_idx]
-        _, sign = self.face_labels[face_idx]
-        return cycle if sign > 0 else mirror_cycle(cycle)
 
     def dart_word(self, darts: Sequence[int]) -> Word:
         return Word(tuple(self.dart_labels[d] for d in darts))
@@ -75,39 +66,32 @@ class DistortionDiagram:
         return self.diagram.dart_word(self.p_darts())
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violation: str | None = None
-    detail: str = ""
-
-
-def validate(d: VanKampenDiagram, relators: RelatorSet) -> ValidationReport:
+def validate(d: VanKampenDiagram, relators: RelatorSet) -> ComplexReport:
     """Planarity (Euler), connectivity, involution consistency and
     face/relator label agreement; reports the first violation found."""
     c = d.complex
     if len(d.dart_labels) != c.num_darts:
-        return ValidationReport(False, "involution", "label array length mismatch")
+        return ComplexReport(False, "involution", "label array length mismatch")
     for e in range(c.num_edges):
         if d.dart_labels[2 * e] != -d.dart_labels[2 * e + 1]:
-            return ValidationReport(False, "involution",
-                                    f"edge {e} labels are not mutually inverse")
+            return ComplexReport(False, "involution",
+                                 f"edge {e} labels are not mutually inverse")
     rep = check_complex(c)
     if not rep.ok:
-        return ValidationReport(False, rep.violation, rep.detail)
+        return rep
     if len(d.face_labels) != len(c.faces):
-        return ValidationReport(False, "face-label", "face label count mismatch")
+        return ComplexReport(False, "face-label", "face label count mismatch")
     for i, cycle in enumerate(c.faces):
         idx, sign = d.face_labels[i]
         if not 1 <= idx <= len(relators.relators) or sign not in (1, -1):
-            return ValidationReport(False, "face-label", f"face {i}: bad label {d.face_labels[i]}")
+            return ComplexReport(False, "face-label", f"face {i}: bad label {d.face_labels[i]}")
         rel = relators.relators[idx - 1]
         want = rel.letters if sign > 0 else rel.inverse().letters
         got = tuple(d.dart_labels[x] for x in cycle)
         if got != want:
-            return ValidationReport(False, "face-label",
-                                    f"face {i} reads {got}, expected {want}")
-    return ValidationReport(True)
+            return ComplexReport(False, "face-label",
+                                 f"face {i} reads {got}, expected {want}")
+    return ComplexReport(True)
 
 
 def boundary_word(d: VanKampenDiagram) -> Word:
@@ -125,25 +109,9 @@ def _word_period(letters: tuple[int, ...]) -> int:
 
 def is_reduced(d: VanKampenDiagram, relators: RelatorSet) -> bool:
     """True iff no two faces with one relator are glued mirror-wise along an
-    edge at the same boundary position."""
-    by_relator: dict[int, list[int]] = {}
-    for i, (idx, _) in enumerate(d.face_labels):
-        by_relator.setdefault(idx, []).append(i)
-    for idx, members in by_relator.items():
-        if len(members) < 2:
-            continue
-        word = relators.relators[idx - 1].letters
-        period = _word_period(word)
-        positions: list[dict[int, int]] = []
-        for i in members:
-            positions.append({dart: j for j, dart in enumerate(d.positive_boundary(i))})
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                for dart, ja in positions[a].items():
-                    jb = positions[b].get(dart)
-                    if jb is not None and (ja - jb) % period == 0:
-                        return False
-    return True
+    edge at the same boundary position, up to the relator's period."""
+    return not has_mirror_pair(
+        d, lambda idx: _word_period(relators.relators[idx - 1].letters))
 
 
 def isoperimetric_ratio(d: VanKampenDiagram, maxlen: int) -> float:
@@ -160,38 +128,24 @@ def isoperimetric_ratio(d: VanKampenDiagram, maxlen: int) -> float:
 def one_face_diagram(relators: RelatorSet, relator_index: int, sign: int = 1) -> VanKampenDiagram:
     rel = relators.relators[relator_index - 1]
     word = rel.letters if sign > 0 else rel.inverse().letters
-    n = len(word)
-    dart_vertex = []
     labels = []
-    for i in range(n):
-        dart_vertex += [i, (i + 1) % n]
-        labels += [word[i], -word[i]]
-    cycle = tuple(2 * i for i in range(n))
-    outer = tuple((2 * i) ^ 1 for i in reversed(range(n)))
-    c = PlanarComplex(n, tuple(dart_vertex), (cycle,), outer)
-    return VanKampenDiagram(c, tuple(labels), ((relator_index, sign),))
+    for x in word:
+        labels += [x, -x]
+    return VanKampenDiagram(polygon(len(word)), tuple(labels),
+                            ((relator_index, sign),))
 
 
 def diagram_canonical_key(d: VanKampenDiagram, relators: RelatorSet):
-    infos = []
-    mirror_infos = []
-    for i, cycle in enumerate(d.complex.faces):
-        idx, sign = d.face_labels[i]
-        rel = relators.relators[idx - 1].letters
-        word = rel if sign > 0 else tuple(-x for x in reversed(rel))
-        period = _word_period(word)
-        infos.append(((idx, sign), period))
-        mirror_infos.append(((idx, -sign), period))
-    return canonical_map_code(d.complex, infos, dart_labels=d.dart_labels,
-                              mirror_face_infos=mirror_infos)
+    # A word and its inverse have one period.
+    infos = [((idx, sign), _word_period(relators.relators[idx - 1].letters))
+             for idx, sign in d.face_labels]
+    return canonical_map_code(d.complex, infos, dart_labels=d.dart_labels)
 
 
 def _glue_candidates(d: VanKampenDiagram, relators: RelatorSet) -> Iterator[VanKampenDiagram]:
     """All diagrams obtained by gluing one face along an arc of the boundary."""
-    c = d.complex
-    outer = c.outer
+    outer = d.complex.outer
     n = len(outer)
-    nd = c.num_darts
     for idx in range(1, len(relators.relators) + 1):
         rel = relators.relators[idx - 1]
         for sign in (1, -1):
@@ -200,59 +154,26 @@ def _glue_candidates(d: VanKampenDiagram, relators: RelatorSet) -> Iterator[VanK
             doubled_word = word + word
             for a in range(n):
                 for s in range(1, min(L - 1, n) + 1):
-                    arc = tuple(outer[(a + i) % n] for i in range(s))
-                    arc_word = tuple(d.dart_labels[x] for x in arc)
+                    arc_word = tuple(d.dart_labels[outer[(a + i) % n]] for i in range(s))
                     for omega in range(L):
-                        if doubled_word[omega:omega + s] != arc_word:
-                            continue
-                        yield _build_glued(d, idx, sign, word, arc, a, s, omega)
+                        if doubled_word[omega:omega + s] == arc_word:
+                            yield _glue_word(d, idx, sign, word, a, s, omega)
 
 
-def _build_glued(d: VanKampenDiagram, idx: int, sign: int, word: tuple[int, ...],
-                 arc: tuple[int, ...], a: int, s: int, omega: int) -> VanKampenDiagram:
-    c = d.complex
-    outer = c.outer
-    n = len(outer)
+def _glue_word(d: VanKampenDiagram, idx: int, sign: int, word: tuple[int, ...],
+               a: int, s: int, omega: int) -> VanKampenDiagram:
+    """``glue_face`` with the face reading ``word`` from position omega on;
+    its fresh darts read the rest of the word."""
     L = len(word)
-    fresh_count = L - s
-    nd = c.num_darts
-    nv = c.num_vertices
-
-    dart_vertex = list(c.dart_vertex)
     labels = list(d.dart_labels)
-    rotated = word[omega:] + word[:omega]
-
-    v_start = c.head(arc[-1])
-    v_end = c.tail(arc[0])
-    fresh = []
-    prev = v_start
-    for j in range(fresh_count):
-        tail = prev
-        head = v_end if j == fresh_count - 1 else nv
-        if head == nv:
-            nv += 1
-        dart_id = nd + 2 * j
-        dart_vertex += [tail, head]
-        letter = rotated[s + j]
-        labels += [letter, -letter]
-        fresh.append(dart_id)
-        prev = head
-
-    glued_cycle = arc + tuple(fresh)
-    k = (L - omega) % L
-    stored_cycle = glued_cycle[k:] + glued_cycle[:k]
-
-    rest = tuple(outer[(a + s + i) % n] for i in range(n - s))
-    new_outer = tuple((f ^ 1) for f in reversed(fresh)) + rest
-
-    new_complex = PlanarComplex(nv, tuple(dart_vertex),
-                                c.faces + (stored_cycle,), new_outer)
-    return VanKampenDiagram(new_complex, tuple(labels),
+    for j in range(s, L):
+        x = word[(omega + j) % L]
+        labels += [x, -x]
+    return VanKampenDiagram(glue_face(d.complex, a, s, L, omega), tuple(labels),
                             d.face_labels + ((idx, sign),))
 
 
-def enumerate_reduced_disk_diagrams(relators: RelatorSet, max_faces: int,
-                                    *, candidate_limit: int = DEFAULT_CANDIDATE_LIMIT
+def enumerate_reduced_disk_diagrams(relators: RelatorSet, max_faces: int
                                     ) -> Iterator[VanKampenDiagram]:
     """Every reduced disk diagram with <= max_faces faces built by successive
     arc gluings, one per isomorphism class.
@@ -269,35 +190,23 @@ def enumerate_reduced_disk_diagrams(relators: RelatorSet, max_faces: int,
     total = sum(len(r) for r in relators.relators)
     lmax = max((len(r) for r in relators.relators), default=1)
     estimate = (2 * total) * (2 * total * (max_faces * lmax) ** 2) ** (max_faces - 1)
-    candidates = 0
-    seen = set()
-    frontier: list[VanKampenDiagram] = []
-    for idx in range(1, len(relators.relators) + 1):
-        for sign in (1, -1):
-            diag = one_face_diagram(relators, idx, sign)
-            key = diagram_canonical_key(diag, relators)
-            if key not in seen:
-                seen.add(key)
-                frontier.append(diag)
-                yield diag
-    for _level in range(2, max_faces + 1):
-        nxt: list[VanKampenDiagram] = []
-        for diag in frontier:
-            for cand in _glue_candidates(diag, relators):
-                candidates += 1
-                if candidates > candidate_limit:
-                    raise FeasibilityError(
-                        f"disk diagram enumeration exceeded {candidate_limit} "
-                        f"candidates (upfront estimate {estimate:.3g})",
-                        estimate=estimate)
-                if not is_reduced(cand, relators):
-                    continue
-                key = diagram_canonical_key(cand, relators)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(cand)
-                    yield cand
-        frontier = nxt
+    built = count(1)
+
+    def reduced_candidates(diag: VanKampenDiagram) -> Iterator[VanKampenDiagram]:
+        for cand in _glue_candidates(diag, relators):
+            if next(built) > DEFAULT_CANDIDATE_LIMIT:
+                raise FeasibilityError(
+                    f"disk diagram enumeration exceeded {DEFAULT_CANDIDATE_LIMIT} "
+                    f"candidates (upfront estimate {estimate:.3g})",
+                    estimate=estimate)
+            if is_reduced(cand, relators):
+                yield cand
+
+    seeds = (one_face_diagram(relators, idx, sign)
+             for idx in range(1, len(relators.relators) + 1) for sign in (1, -1))
+    yield from level_search(seeds, reduced_candidates,
+                            lambda diag: diagram_canonical_key(diag, relators),
+                            max_faces)
 
 
 # ---------------------------------------------------------------------------
@@ -321,24 +230,6 @@ class TrivialityVerdict:
     witness: tuple[RewriteStep, ...] | None
     steps_used: int
     budget_exhausted: bool
-
-
-def default_budget(relators: RelatorSet) -> dict:
-    return {"max_length": 3 * relators.maxlen, "max_steps": 1_000_000}
-
-
-def _cyclic_reduce_raw(letters) -> tuple[int, ...]:
-    out: list[int] = []
-    for x in letters:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    i, j = 0, len(out)
-    while j - i >= 2 and out[i] == -out[j - 1]:
-        i += 1
-        j -= 1
-    return tuple(out[i:j])
 
 
 def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
@@ -365,7 +256,7 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
         oriented.append((ridx, False, rel.letters))
         oriented.append((ridx, True, rel.inverse().letters))
 
-    start = min_cyclic_rotation(cyclic_reduce(word).letters)
+    start = min_cyclic_rotation(word.letters)
     if not start:
         return TrivialityVerdict("trivial", (), 0, False)
 
@@ -402,7 +293,7 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
                         tail = rdoubled[rot + overlap: rot + Lr]
                         replacement = tuple(-x for x in reversed(tail))
                         new_state = min_cyclic_rotation(
-                            _cyclic_reduce_raw(remainder + replacement))
+                            cyclic_reduce_letters(remainder + replacement))
                         if len(new_state) > max_length:
                             clipped = True
                             continue
@@ -426,7 +317,7 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
 
 def replay_witness(relators: RelatorSet, w: Word, witness: Sequence[RewriteStep]) -> bool:
     """Re-derive each step of a triviality witness; True iff it reaches ()."""
-    state = min_cyclic_rotation(cyclic_reduce(w).letters)
+    state = min_cyclic_rotation(cyclic_reduce_letters(as_word(w).letters))
     for step in witness:
         if step.before != state:
             return False
@@ -440,7 +331,7 @@ def replay_witness(relators: RelatorSet, w: Word, witness: Sequence[RewriteStep]
         remainder = doubled[step.position + step.overlap: step.position + len(state)]
         tail = rdoubled[step.rotation + step.overlap: step.rotation + len(rword)]
         new_linear = remainder + tuple(-x for x in reversed(tail))
-        state = min_cyclic_rotation(cyclic_reduce(Word(new_linear)).letters)
+        state = min_cyclic_rotation(cyclic_reduce_letters(new_linear))
         if state != step.after:
             return False
     return state == ()
@@ -513,40 +404,14 @@ def certify_bilipschitz(relators: RelatorSet, graph: LabeledGraph, max_faces: in
 
 
 def diagram_to_json(d: VanKampenDiagram) -> str:
-    c = d.complex
-    nxt = rotation_next(c)
-    data = {
-        "type": "diagram",
-        "num_vertices": c.num_vertices,
-        "darts": [
-            {"id": i, "inverse": i ^ 1, "vertex": c.dart_vertex[i],
-             "next_at_vertex": nxt[i], "label": letter_to_char(d.dart_labels[i])}
-            for i in range(c.num_darts)
-        ],
-        "faces": [
-            {"id": i, "darts": list(cycle), "relator": d.face_labels[i][0],
-             "sign": d.face_labels[i][1]}
-            for i, cycle in enumerate(c.faces)
-        ],
-        "outer_face": {"id": len(c.faces), "darts": list(c.outer)},
-    }
+    data = map_to_data("diagram", d.complex, d.face_labels)
+    for rec, x in zip(data["darts"], d.dart_labels):
+        rec["label"] = letter_to_char(x)
     return json.dumps(data, indent=1)
 
 
 def diagram_from_json(text: str) -> VanKampenDiagram:
-    data = json.loads(text)
-    darts = sorted(data["darts"], key=lambda rec: rec["id"])
-    ids = [rec["id"] for rec in darts]
-    if ids != list(range(len(ids))):
-        raise DomainError("dart ids must be 0..2E-1")
-    for rec in darts:
-        if rec["inverse"] != rec["id"] ^ 1:
-            raise DomainError("dart pairing must be 2i <-> 2i+1")
-    dart_vertex = tuple(rec["vertex"] for rec in darts)
-    labels = tuple(char_to_letter(rec["label"]) for rec in darts)
-    faces = tuple(tuple(f["darts"]) for f in sorted(data["faces"], key=lambda f: f["id"]))
-    face_labels = tuple((f["relator"], f["sign"])
-                        for f in sorted(data["faces"], key=lambda f: f["id"]))
-    outer = tuple(data["outer_face"]["darts"])
-    c = PlanarComplex(data["num_vertices"], dart_vertex, faces, outer)
-    return VanKampenDiagram(c, labels, face_labels)
+    """Raises DomainError unless the text holds a well-formed diagram on a
+    planar complex; the labels are checked against relators by ``validate``."""
+    return map_from_json(text, lambda c, face_labels, _data, darts: VanKampenDiagram(
+        c, tuple(char_to_letter(rec["label"]) for rec in darts), face_labels))

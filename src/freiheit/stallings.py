@@ -73,9 +73,6 @@ class LabeledGraph:
     def degree(self, v: int) -> int:
         return len(self._out[v])
 
-    def out_letters(self, v: int) -> list[int]:
-        return [self._dart_label[d] for d in self._out[v]]
-
     def out_map(self) -> dict[tuple[int, int], int] | None:
         """(vertex, letter) -> head vertex, or None if not label-deterministic."""
         out: dict[tuple[int, int], int] = {}

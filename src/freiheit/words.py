@@ -128,14 +128,29 @@ def free_reduce(w: Word | Iterable[int], m: int | None = None) -> Word:
     return Word(tuple(out))
 
 
-def cyclic_reduce(w: Word | Iterable[int], m: int | None = None) -> Word:
-    """Freely reduce, then strip mutually inverse first/last letters."""
-    r = free_reduce(w, m).letters
-    i, j = 0, len(r)
-    while j - i >= 2 and r[i] == -r[j - 1]:
+def cyclic_reduce_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The cyclic reduction kernel on trusted letters, without validation:
+    freely reduce, then strip mutually inverse first/last letters."""
+    out: list[int] = []
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    i, j = 0, len(out)
+    while j - i >= 2 and out[i] == -out[j - 1]:
         i += 1
         j -= 1
-    return Word(r[i:j])
+    return tuple(out[i:j])
+
+
+def cyclic_reduce(w: Word | Iterable[int], m: int | None = None) -> Word:
+    """Freely reduce, then strip mutually inverse first/last letters."""
+    letters = w.letters if isinstance(w, Word) else tuple(w)
+    _check_letters(letters)
+    if m is not None:
+        validate_word(letters, m)
+    return Word(cyclic_reduce_letters(letters))
 
 
 def count_reduced_exact(m: int, length: int) -> int:
@@ -152,10 +167,6 @@ def count_reduced_exact(m: int, length: int) -> int:
 # ---------------------------------------------------------------------------
 # Counting tables.  Letters are indexed 0..2m-1 in ascending signed order
 # (-m..-1, 1..m); the inverse of index j is 2m-1-j.
-
-
-def _letter_index(x: int, m: int) -> int:
-    return x + m if x < 0 else x + m - 1
 
 
 def _index_letter(j: int, m: int) -> int:

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from freiheit.abstract_diagrams import (AbstractDiagram, AbstractDistortionDiagram,
-                                        _build_abstract_glued, _one_face_abstract)
-from freiheit.complexes import PlanarComplex, check_complex
+                                        _one_face_abstract)
+from freiheit.complexes import PlanarComplex, check_complex, glue_face
 
 
 def three_face_example() -> AbstractDistortionDiagram:
@@ -44,9 +44,8 @@ def two_square_pair(sign: int, arc_pos: int, rotation: int) -> AbstractDiagram:
     pattern) exactly when ``rotation == 3 - arc_pos``.
     """
     base = _one_face_abstract(4)
-    outer = base.complex.outer
-    arc = (outer[arc_pos],)
-    ad = _build_abstract_glued(base, (1, sign), 4, arc, arc_pos, 1, rotation)
+    ad = AbstractDiagram(glue_face(base.complex, arc_pos, 1, 4, rotation),
+                         base.face_labels + ((1, sign),))
     assert check_complex(ad.complex).ok
     return ad
 

@@ -196,6 +196,21 @@ def test_abstract_json_round_trip():
     assert classify(add2).classes == classify(add).classes
 
 
+def test_abstract_json_rejects_malformed_input():
+    import json
+
+    data = json.loads(abstract_to_json(three_face_example()))
+    edits = [lambda d: d.pop("faces"),                         # missing key
+             lambda d: d["p"].update(length=1.5),              # wrong type
+             lambda d: d["faces"][0].update(relator=0),        # bad face label
+             lambda d: d.update(num_vertices=d["num_vertices"] + 1)]  # not Euler
+    for edit in edits:
+        broken = json.loads(json.dumps(data))
+        edit(broken)
+        with pytest.raises(DomainError):
+            abstract_from_json(json.dumps(broken))
+
+
 def test_lens_counterexample_to_literal_inequalities():
     # Two bigons over one abstract relator glued along an edge: reduced,
     # fillable (by any word xx), yet the alpha-weighted inequality fails

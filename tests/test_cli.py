@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from freiheit.cli import dispatch, validate_config
 from freiheit.stallings import graph_from_text
 
@@ -122,6 +124,28 @@ def test_abstract_fillings(tmp_path, capsys):
                        "--maxlen", "2", "--graph", str(graph))
     assert code == 0
     assert json.loads(out)["count"] == 12
+
+
+def _triangle_with(edit):
+    from freiheit.abstract_diagrams import AbstractDistortionDiagram, \
+        _one_face_abstract, abstract_to_json
+
+    data = json.loads(abstract_to_json(
+        AbstractDistortionDiagram(_one_face_abstract(3), 0, 0)))
+    edit(data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data["faces"][0].update(darts=[0, 2, 99]),
+    lambda data: data["outer_face"].update(darts=[0, 2, 4]),
+], ids=["face-names-a-missing-dart", "outer-walk-reuses-face-darts"])
+def test_abstract_classify_rejects_a_map_that_is_not_a_complex(tmp_path, capsys, edit):
+    path = tmp_path / "bad.json"
+    path.write_text(_triangle_with(edit))
+    code, out, err = run(capsys, "abstract", "classify", "--in", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("domain error:")
 
 
 def test_sweep_reproducible_with_manifest(tmp_path, capsys):

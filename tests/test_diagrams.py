@@ -169,6 +169,24 @@ def test_json_roundtrip():
         assert diagram_canonical_key(d2, SMALL) == diagram_canonical_key(d, SMALL)
 
 
+def test_json_decoder_rejects_malformed_maps():
+    import json
+
+    data = json.loads(diagram_to_json(one_face_diagram(COMMUTATOR, 1, 1)))
+    edits = [lambda d: d["darts"][0].pop("label"),            # missing key
+             lambda d: d["darts"][0].update(vertex="0"),       # wrong type
+             lambda d: d["faces"][0].update(darts=[2, 4, 6]),  # not a complex
+             lambda d: d["faces"][0].update(sign=0),           # bad face label
+             lambda d: d["darts"][0].update(next_at_vertex=0)]  # wrong rotation
+    for edit in edits:
+        broken = json.loads(json.dumps(data))
+        edit(broken)
+        with pytest.raises(DomainError):
+            diagram_from_json(json.dumps(broken))
+    with pytest.raises(DomainError):
+        diagram_from_json("{")
+
+
 def test_enumeration_deterministic():
     keys1 = [diagram_canonical_key(d, SMALL)
              for d in enumerate_reduced_disk_diagrams(SMALL, 2)]
@@ -180,7 +198,7 @@ def test_enumeration_deterministic():
 def test_two_face_inverse_pair_boundary_collapses():
     # A face reading r glued to a face reading r^-1 along all but one edge:
     # the raw boundary has length 2 and freely reduces to the empty word.
-    from freiheit.diagrams import _build_glued
+    from freiheit.diagrams import _glue_word
 
     base = one_face_diagram(COMMUTATOR, 1, 1)
     rel = COMMUTATOR.relators[0]
@@ -193,8 +211,8 @@ def test_two_face_inverse_pair_boundary_collapses():
         doubled = inverse_word + inverse_word
         for omega in range(4):
             if doubled[omega:omega + 3] == arc_word:
-                collapsing.append(_build_glued(base, 1, -1, inverse_word, arc,
-                                               a, 3, omega))
+                collapsing.append(_glue_word(base, 1, -1, inverse_word,
+                                             a, 3, omega))
     assert collapsing
     for d in collapsing:
         assert validate(d, COMMUTATOR).ok
