@@ -7,13 +7,12 @@ Two permutation-invariant models over a finite universe E:
 * UniformCount: a uniformly chosen subset of exactly floor(|E|^d) elements,
   defined for d in [0, 1].
 
-For small explicit universes the Bernoulli model flips one coin per element.
-The relator universe B_l is far too large to enumerate for interesting l, so
-there the subset size is drawn from a normal approximation of
-Binomial(|E|, p) (Poisson for small means) and that many distinct elements
-are then drawn uniformly by index; conditioned on its size a Bernoulli
-subset is exactly a uniform subset of that size, so only the size law is
-approximate.
+Both are sampled by index, so the universe is never enumerated. A Bernoulli
+subset's size is drawn exactly, by counting geometric waiting times between
+successive members (Devroye, Non-Uniform Random Variate Generation, X.4),
+and that many distinct indices are then drawn uniformly: conditioned on its
+size, a Bernoulli subset is a uniform subset of that size. The cost is
+O(|A|), whatever |E|.
 
 The density of a subset A of E is log_|E|(|A|), with -inf for the empty set.
 """
@@ -30,7 +29,6 @@ from .words import Word, count_cyclically_reduced_upto, word_tables
 
 ModelKind = Literal["bernoulli", "count"]
 
-EXACT_FLIP_LIMIT = 100_000
 MATERIALIZE_LIMIT = 200_000
 
 
@@ -109,42 +107,29 @@ def floor_power(n: int, d: float) -> int:
 
 
 def bernoulli_subset(elements: Sequence, d: float, seed_or_rng) -> list:
-    """Exact Bernoulli sampling over an explicit universe: one coin per element."""
-    rng = as_rng(seed_or_rng)
-    p = inclusion_probability(len(elements), d)
-    return [e for e in elements if rng.random() < p]
-
-
-def _approx_binomial(n: int, p: float, rng) -> int:
-    """Size of a Bernoulli(p) subset of n elements, approximated by its law.
-
-    Poisson (Knuth's product method, exact for the Poisson law) when the mean
-    is small, normal approximation otherwise; clamped to [0, n].
-    """
-    mean = n * p if n < 1 << 52 else math.exp(math.log(n) + math.log(p))
-    if mean < 50.0:
-        limit = math.exp(-mean)
-        k, prod = 0, rng.random()
-        while prod > limit:
-            k += 1
-            prod *= rng.random()
-        return min(k, n)
-    sigma = math.sqrt(mean * max(0.0, 1.0 - p))
-    k = round(rng.gauss(mean, sigma))
-    return max(0, min(n, k))
+    """A Bernoulli subset of an explicit universe, in the universe's order."""
+    return [elements[i] for i in bernoulli_index_subset(len(elements), d, seed_or_rng)]
 
 
 def bernoulli_index_subset(universe_size: int, d: float, seed_or_rng) -> list[int]:
     """Bernoulli subset of range(universe_size), returned as a sorted index list.
 
-    Exact per-element flips up to EXACT_FLIP_LIMIT; beyond that the size is
-    drawn from the approximate binomial law and the members uniformly.
+    The waiting times give only the size: float skips lose unit resolution
+    once universe_size > 2^53, while rng.sample draws big-int indices exactly.
     """
     rng = as_rng(seed_or_rng)
     p = inclusion_probability(universe_size, d)
-    if universe_size <= EXACT_FLIP_LIMIT:
-        return [i for i in range(universe_size) if rng.random() < p]
-    k = _approx_binomial(universe_size, p, rng)
+    if p >= 1.0:
+        return list(range(universe_size))
+    log_q = math.log1p(-p)
+    random, log = rng.random, math.log
+    k, i = 0, -1
+    while True:
+        # Geometric(p) gap on {1, 2, ...}; 1 - random() lies in (0, 1].
+        i += int(log(1.0 - random()) / log_q) + 1
+        if i >= universe_size:
+            break
+        k += 1
     return sorted(rng.sample(range(universe_size), k))
 
 
@@ -252,11 +237,6 @@ def intersection_experiment(d_a: float, d_b: float, m: int, lengths: Iterable[in
     return rows
 
 
-def relator_words_from_indices(m: int, maxlen: int, indices: Iterable[int]) -> list[Word]:
-    tables = word_tables(m, maxlen)
-    return [tables.unrank(i) for i in indices]
-
-
 __all__ = [
     "DensityModel", "RelatorSet", "IntersectionRow", "ModelKind",
     "make_relator_set", "inclusion_probability", "floor_power",
@@ -264,5 +244,5 @@ __all__ = [
     "uniform_count_subset", "uniform_count_index_subset",
     "density_estimate", "densable_window_flag",
     "sample_relator_indices", "sample_relator_set", "expected_relator_count",
-    "intersection_experiment", "relator_words_from_indices",
+    "intersection_experiment",
 ]

@@ -12,11 +12,10 @@ Desk-scale surrogates:
 * freeness probe: bounded word-problem search over loop words of a graph.
 
 When the expected relator count is too large to materialize, trials are
-simulated exactly on the relevant sub-universes: a Bernoulli subset
-restricted to a fixed class is Bernoulli on that class, so the number of
-qualifying relators is binomial with an exactly computed class size (the
-binomial is drawn by Poisson/normal approximation, the same approximation
-the sampler itself uses).  Witnesses on that path are resampled
+simulated on the relevant sub-universes: a Bernoulli subset meets a class of
+C elements with probability 1 - (1 - p)^C, and the class sizes are counted
+exactly by dynamic programming, so each per-generator event is drawn with
+its exact probability.  Witnesses on that path are resampled
 representatives of the qualifying class, not members of a materialized set.
 """
 
@@ -24,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
-from .density import (DensityModel, RelatorSet, _approx_binomial,
-                      expected_relator_count, make_relator_set, sample_relator_set)
+from .density import (DensityModel, RelatorSet, expected_relator_count,
+                      inclusion_probability, make_relator_set, sample_relator_set)
 from .diagrams import TrivialityVerdict, bounded_triviality
 from .errors import DomainError
 from .seeds import rng_for
@@ -83,6 +83,7 @@ def fillability_crossover(K: int, m: int, r: int, d: float,
 # Exact class-size counters (transfer-matrix DP on cyclically reduced strings).
 
 
+@lru_cache(maxsize=None)
 def count_collapse_class(m: int, r: int, gen: int, maxlen: int) -> int:
     """Cyclically reduced words of length <= maxlen containing exactly one
     letter +-gen and otherwise only letters of absolute value <= r.
@@ -115,6 +116,7 @@ def count_collapse_class(m: int, r: int, gen: int, maxlen: int) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
 def count_triviality_pairs(m: int, gen: int, maxlen: int) -> int:
     """Words w in B_(maxlen-1) such that x_gen * w is also cyclically
     reduced of length <= maxlen (the exact-concatenation pair class)."""
@@ -430,9 +432,14 @@ def _sample_collapse_witness(m: int, r: int, gen: int, maxlen: int, rng) -> Coll
 def run_trial(m: int, r: int, maxlen: int, d: float, kind: str, rng,
               budgets: SweepBudgets = SweepBudgets()) -> TrialResult:
     """One sampled presentation, probed; falls back to the exact
-    sub-universe simulation when materializing the set is infeasible."""
+    sub-universe simulation when materializing the set is infeasible.
+
+    On that fast path both models draw each class event with the Bernoulli
+    probability and report the expected relator count |B_maxlen|^d: the
+    count model's per-element rate floor(n^d)/n is the Bernoulli p = n^(d-1)
+    up to the floor, and its inclusions are treated as independent.
+    """
     expected = expected_relator_count(m, maxlen, d)
-    n = count_cyclically_reduced_upto(m, maxlen)
     if expected <= budgets.materialize_limit:
         model = DensityModel(kind, d, 0)
         relators = sample_relator_set(m, maxlen, model, rng,
@@ -450,41 +457,22 @@ def run_trial(m: int, r: int, maxlen: int, d: float, kind: str, rng,
         return TrialResult(collapse.success, trivial.all_trivial, free,
                            float(len(relators)), False, collapse)
 
-    if kind == "count":
-        size = float(expected)
-    else:
-        size = float(_approx_binomial(n, math.exp((d - 1.0) * math.log(n)), rng))
-
-    def class_hits(class_size: int, power: int) -> int:
-        if class_size <= 0:
-            return 0
-        if kind == "bernoulli":
-            log_p = power * (d - 1.0) * math.log(n)
-            return _approx_binomial(class_size, math.exp(log_p), rng)
-        # uniform count: hypergeometric-like; binomial approximation
-        frac = math.exp(power * (math.log(max(size, 1e-300)) - math.log(n)))
-        return _approx_binomial(class_size, min(1.0, frac), rng)
-
+    n = count_cyclically_reduced_upto(m, maxlen)
+    p = inclusion_probability(n, d)
     witnesses: dict[int, CollapseWitness | None] = {}
-    collapse_ok = True
-    for gen in range(r + 1, m + 1):
-        hits = class_hits(count_collapse_class(m, r, gen, maxlen), 1)
-        if hits >= 1:
-            witnesses[gen] = _sample_collapse_witness(m, r, gen, maxlen, rng)
-        else:
-            witnesses[gen] = None
-            collapse_ok = False
-    trivial_ok = True
-    for gen in range(1, m + 1):
-        pair_hits = class_hits(count_triviality_pairs(m, gen, maxlen), 2)
-        single = class_hits(1, 1)
-        if pair_hits + single < 1:
-            trivial_ok = False
-            break
+    for gen, prob in collapse_success_probability(m, r, maxlen, d).items():
+        witnesses[gen] = (_sample_collapse_witness(m, r, gen, maxlen, rng)
+                          if rng.random() < prob else None)
+    collapse_ok = all(w is not None for w in witnesses.values())
+    # A pair (w, x_gen w) both sampled, or the bare relator x_gen.
+    trivial_ok = all(
+        rng.random() < 1.0 - (1.0 - _class_success_probability(
+            count_triviality_pairs(m, gen, maxlen), n, d, 2)) * (1.0 - p)
+        for gen in range(1, m + 1))
     subs = ({g: w.substitution for g, w in witnesses.items()}
             if collapse_ok else None)
     collapse_res = CollapseResult(subs, witnesses, sampled_witnesses=True)
-    return TrialResult(collapse_ok, trivial_ok, None, size, True, collapse_res)
+    return TrialResult(collapse_ok, trivial_ok, None, expected, True, collapse_res)
 
 
 SWEEP_COLUMNS = ("m", "r", "l", "d", "trials", "collapse_freq", "trivial_freq",

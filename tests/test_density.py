@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_left
 from itertools import combinations
 
 import pytest
@@ -41,6 +42,53 @@ def test_relator_set_invariants():
 def test_bernoulli_full_at_density_one():
     universe = list(range(10))
     assert bernoulli_subset(universe, 1.0, 1) == universe
+    assert bernoulli_index_subset(797_184, 1.0, 3) == list(range(797_184))
+
+
+def _binomial_chi2(sizes, n, p, bins=20):
+    """Chi-squared statistic of observed sizes against Binomial(n, p), over
+    bins of about equal exact probability; the tails join the end bins."""
+    mean, sd = n * p, math.sqrt(n * p * (1 - p))
+    uppers, probs, mass = [], [], 0.0
+    for k in range(max(0, int(mean - 9 * sd)), int(mean + 9 * sd) + 1):
+        mass += math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                         + k * math.log(p) + (n - k) * math.log1p(-p))
+        if mass >= 1.0 / bins:
+            uppers.append(k)
+            probs.append(mass)
+            mass = 0.0
+    uppers[-1] = n
+    probs[-1] = 1.0 - sum(probs[:-1])
+    observed = [0] * len(probs)
+    for size in sizes:
+        observed[bisect_left(uppers, size)] += 1
+    t = len(sizes)
+    stat = sum((o - t * q) ** 2 / (t * q) for o, q in zip(observed, probs))
+    return stat, len(probs) - 1
+
+
+@pytest.mark.parametrize("m, maxlen, d", [(2, 10, 0.7), (2, 12, 0.6)])
+def test_bernoulli_size_law_is_exact_binomial(m, maxlen, d):
+    # |B_10| = 88,592 and |B_12| = 797,184 at m = 2, with inclusion
+    # probabilities of about 3.3% and 0.44%.
+    n = count_cyclically_reduced_upto(m, maxlen)
+    p = inclusion_probability(n, d)
+    rng = random.Random(2024)
+    sizes = []
+    for _ in range(600):
+        sub = bernoulli_index_subset(n, d, rng)
+        sizes.append(len(sub))
+        assert all(a < b for a, b in zip(sub, sub[1:]))
+        assert 0 <= sub[0] and sub[-1] < n
+    stat, df = _binomial_chi2(sizes, n, p)
+    assert stat < chi2_critical(df, 0.001)
+
+
+def test_bernoulli_subset_maps_the_index_sampler():
+    elements = [f"e{i}" for i in range(5000)]
+    indices = bernoulli_index_subset(len(elements), 0.6, random.Random(8))
+    assert indices
+    assert bernoulli_subset(elements, 0.6, random.Random(8)) == [elements[i] for i in indices]
 
 
 def test_bernoulli_mean_size():

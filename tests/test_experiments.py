@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from itertools import product
@@ -221,6 +222,47 @@ def test_collapse_probability_oracle_matches_monte_carlo():
     p = probs[3]
     sigma = math.sqrt(p * (1 - p) / trials)
     assert abs(hits / trials - p) <= 4 * sigma + 0.02
+
+
+DIFFERENTIAL_TRIALS = 150
+
+
+@functools.lru_cache(maxsize=None)
+def _path_frequencies(d: float, budgets: SweepBudgets) -> tuple[float, float]:
+    """Collapse and triviality frequencies of run_trial at m=2, r=1, l=10."""
+    collapse = trivial = 0
+    for t in range(DIFFERENTIAL_TRIALS):
+        res = run_trial(2, 1, 10, d, "bernoulli", random.Random(t), budgets)
+        assert res.fast_path == (budgets.materialize_limit == 1)
+        collapse += res.collapse
+        trivial += res.trivial
+    return collapse / DIFFERENTIAL_TRIALS, trivial / DIFFERENTIAL_TRIALS
+
+
+MATERIALIZED, FAST = SweepBudgets(), SweepBudgets(materialize_limit=1)
+
+
+@pytest.mark.parametrize("d", [0.45, 0.6])
+def test_collapse_agrees_across_paths_and_with_oracle(d):
+    p = collapse_success_probability(2, 1, 10, d)[2]
+    sigma = math.sqrt(p * (1 - p) / DIFFERENTIAL_TRIALS)
+    materialized = _path_frequencies(d, MATERIALIZED)[0]
+    fast = _path_frequencies(d, FAST)[0]
+    assert abs(materialized - p) <= 3 * sigma
+    assert abs(fast - p) <= 3 * sigma
+    assert abs(materialized - fast) <= 3 * math.sqrt(2) * sigma
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: the fast path draws pairs (w, x_i w) as exact "
+    "concatenations, while triviality_probe matches them up to rotation"))
+@pytest.mark.parametrize("d", [0.45, 0.6])
+def test_triviality_agrees_across_paths(d):
+    materialized = _path_frequencies(d, MATERIALIZED)[1]
+    fast = _path_frequencies(d, FAST)[1]
+    pooled = (materialized + fast) / 2
+    sigma = math.sqrt(pooled * (1 - pooled) / DIFFERENTIAL_TRIALS)
+    assert abs(materialized - fast) <= 3 * math.sqrt(2) * sigma
 
 
 def test_config_validation():

@@ -1,9 +1,11 @@
 """Golden outputs of the two diagram enumerations, and a cross-check between
-them: concrete diagrams forget their letters into the abstract family.
+them: concrete diagrams forget their letters into the abstract family; and
+golden outputs of the sampled CLI commands for fixed seeds.
 
 The digests pin the byte-exact output of the enumerations and the JSON
 codecs, so any change to the gluing order, the canonical keys or the
-serialization shows up here."""
+serialization shows up here. The sampled digests pin the random streams: a
+change that alters them must say so and re-pin."""
 
 import hashlib
 import json
@@ -53,3 +55,27 @@ def test_concrete_diagrams_forget_into_abstract_classes():
     for d in disks:
         ad, _ = underlying_abstract(d)
         assert abstract_iso_key(ad) in classes
+
+
+def test_density_sample_cli_output_is_pinned(capsys):
+    argv = ["--seed", "7", "density", "sample", "--model", "bernoulli",
+            "--d", "0.4", "--m", "2", "--maxlen", "10"]
+    assert dispatch(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# model=bernoulli d=0.4 m=2 maxlen=10 size=84\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "9eb1ae5804817c25e95febc87cc91873e78fdb947d7e3931eb1840fb6244c089"
+
+
+def test_sweep_cli_output_is_pinned(tmp_path, capsys):
+    # |B_8| = 9856 at m = 2: |B_8|^0.3 ~ 16 relators are materialized, while
+    # |B_8|^0.6 ~ 249 exceeds the limit and runs on the fast path.
+    config = {"m": 2, "r": 1, "lengths": [8], "densities": [0.3, 0.6], "trials": 20,
+              "seed": 5, "budgets": {"materialize_limit": 100}}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    assert dispatch(["experiments", "sweep", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[2].endswith(",249.0120805278597,5")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "5c40d5420eb817eba813d863f8d37434767ee3a7137fa6f5ad5dc9cb4634f948"
