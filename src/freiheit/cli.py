@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 domain error, 2 usage error, 3 feasibility guard.
+Exit codes: 0 success, 1 domain error or unreadable file, 2 usage error,
+3 feasibility guard.
 Every file written via --out gets a sibling ``<out>.manifest.json`` with the
 command, argument vector, master seed, version, input digests and the output
 digest; re-running the recorded command reproduces the output byte for byte.
@@ -10,14 +11,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import sys
 import time
+from pathlib import Path
 
 from . import __version__
-from .density import DensityModel, make_relator_set, intersection_experiment, sample_relator_set
+from .density import (MODEL_KINDS, DensityModel, intersection_experiment,
+                      make_relator_set, sample_relator_set)
 from .diagrams import (diagram_to_json, enumerate_reduced_disk_diagrams,
                        certify_bilipschitz)
 from .abstract_diagrams import (abstract_from_json, classify, count_inequalities,
@@ -41,23 +45,21 @@ def _seed(args) -> int:
     return args.seed
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
 def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _sha256_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _read_relators(path: str, m: int | None = None):
-    words = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            words.append(word_from_text(line))
+    lines = [line.strip() for line in Path(path).read_text().splitlines()]
+    words = [word_from_text(line) for line in lines if line and not line.startswith("#")]
     inferred = max((max(abs(x) for x in w.letters) for w in words if w.letters),
                    default=2)
     maxlen = max((len(w) for w in words), default=1)
@@ -117,30 +119,26 @@ def _cmd_density_sample(args) -> int:
 
 
 def _cmd_density_intersect(args) -> int:
-    lengths = [int(x) for x in args.lengths.split(",")]
-    rows = intersection_experiment(args.da, args.db, args.m, lengths,
+    rows = intersection_experiment(args.da, args.db, args.m, args.lengths,
                                    args.trials, _seed(args), args.model)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["l", "d_A", "d_B", "trial", "size_A", "size_B",
                      "size_intersection", "density_estimate"])
-    for row in rows:
-        writer.writerow([row.maxlen, row.d_a, row.d_b, row.trial, row.size_a,
-                         row.size_b, row.size_intersection, row.density_est])
+    writer.writerows([row.maxlen, row.d_a, row.d_b, row.trial, row.size_a, row.size_b,
+                      row.size_intersection, row.density_est] for row in rows)
     _emit(args, buf.getvalue(), [])
     return 0
 
 
 def _cmd_stallings_fold(args) -> int:
-    with open(getattr(args, "in")) as fh:
-        g = graph_from_text(fh.read())
+    g = graph_from_text(Path(getattr(args, "in")).read_text())
     _emit(args, graph_to_text(fold(g)), [getattr(args, "in")])
     return 0
 
 
 def _cmd_stallings_readable(args) -> int:
-    with open(getattr(args, "in")) as fh:
-        g = graph_from_text(fh.read())
+    g = graph_from_text(Path(getattr(args, "in")).read_text())
     counts = readable_words(g, args.L)
     _emit(args, json.dumps({"length": args.L, "paths": counts.paths,
                             "words": counts.words}) + "\n", [getattr(args, "in")])
@@ -166,8 +164,7 @@ def _cmd_diagrams_enumerate(args) -> int:
 
 def _cmd_diagrams_certify(args) -> int:
     relators = _read_relators(args.relators, args.m)
-    with open(args.graph) as fh:
-        graph = graph_from_text(fh.read())
+    graph = graph_from_text(Path(args.graph).read_text())
     report = certify_bilipschitz(relators, graph, args.K, args.lam)
     _emit(args, json.dumps({
         "holds": report.holds, "lambda": report.lam,
@@ -178,8 +175,7 @@ def _cmd_diagrams_certify(args) -> int:
 
 
 def _cmd_abstract_classify(args) -> int:
-    with open(getattr(args, "in")) as fh:
-        add = abstract_from_json(fh.read())
+    add = abstract_from_json(Path(getattr(args, "in")).read_text())
     cl = classify(add)
     report = count_inequalities(add)
     segments = {str(i): [[list(l) for l in seg.letters] for seg in
@@ -198,10 +194,8 @@ def _cmd_abstract_classify(args) -> int:
 
 
 def _cmd_abstract_fillings(args) -> int:
-    with open(getattr(args, "in")) as fh:
-        add = abstract_from_json(fh.read())
-    with open(args.graph) as fh:
-        graph = graph_from_text(fh.read())
+    add = abstract_from_json(Path(getattr(args, "in")).read_text())
+    graph = graph_from_text(Path(args.graph).read_text())
     fillings = enumerate_fillings(add, args.m, args.maxlen, graph)
     _emit(args, json.dumps({
         "count": len(fillings),
@@ -211,71 +205,45 @@ def _cmd_abstract_fillings(args) -> int:
 
 
 def _cmd_abstract_bound(args) -> int:
-    with open(getattr(args, "in")) as fh:
-        add = abstract_from_json(fh.read())
+    add = abstract_from_json(Path(getattr(args, "in")).read_text())
     value = filling_bound(add, args.m, args.r, args.graph_size)
     _emit(args, json.dumps({"log_bound": value}) + "\n", [getattr(args, "in")])
     return 0
 
 
-def validate_config(path: str) -> tuple[TransitionConfig | None, list[str]]:
-    """Parse and validate a sweep config, collecting every violation."""
-    errors: list[str] = []
+def read_config(path: str) -> TransitionConfig:
+    """Read a sweep config: a JSON object whose keys are the fields of
+    TransitionConfig ("model" for ``kind``), with ``budgets`` an object whose
+    keys are the fields of SweepBudgets.  Those constructors check the values."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        return None, [f"cannot read config: {exc}"]
-    m = data.get("m")
-    r = data.get("r")
-    if not isinstance(m, int) or m < 2:
-        errors.append(f"m must be an integer >= 2, got {m!r}")
-    if not isinstance(r, int) or r < 1:
-        errors.append(f"r must be an integer >= 1, got {r!r}")
-    elif isinstance(m, int) and not r <= m - 1:
-        errors.append(f"r must satisfy 1 <= r <= m-1 (freeness range), got r={r}, m={m}")
-    lengths = data.get("lengths", [])
-    if not lengths or any(not isinstance(l, int) or l < 1 for l in lengths):
-        errors.append(f"lengths must be a nonempty list of integers >= 1, got {lengths!r}")
-    densities = data.get("densities", [])
-    if any(not isinstance(d, (int, float)) or not 0 <= d <= 1 for d in densities):
-        errors.append(f"densities must lie in [0, 1], got {densities!r}")
-    trials = data.get("trials", 1)
-    if not isinstance(trials, int) or trials < 1:
-        errors.append(f"trials must be an integer >= 1, got {trials!r}")
-    kind = data.get("model", "bernoulli")
-    if kind not in ("bernoulli", "count"):
-        errors.append(f"model must be 'bernoulli' or 'count', got {kind!r}")
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int):
-        errors.append(f"seed must be an integer, got {seed!r}")
-    budgets = data.get("budgets", {})
-    known = {"materialize_limit", "freeness_word_length", "freeness_max_steps",
-             "freeness_relator_limit"}
-    unknown = set(budgets) - known
-    if unknown:
-        errors.append(f"unknown budget keys: {sorted(unknown)}")
-    if errors:
-        return None, errors
-    return TransitionConfig(m, r, tuple(lengths), tuple(densities), trials,
-                            kind, seed, SweepBudgets(**budgets)), []
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"config is not JSON: {exc}") from None
+    if not isinstance(data, dict) or not isinstance(data.get("budgets", {}), dict):
+        raise DomainError("a sweep config and its budgets must be JSON objects")
+    budgets = data.pop("budgets", {})
+    fields = {"model" if f.name == "kind" else f.name: f
+              for f in dataclasses.fields(TransitionConfig)}
+    budget_keys = {f.name for f in dataclasses.fields(SweepBudgets)}
+    unknown = sorted(set(data) - set(fields)) + [f"budgets.{key}"
+                                                 for key in sorted(set(budgets) - budget_keys)]
+    missing = [key for key, f in fields.items()
+               if f.default is dataclasses.MISSING and key not in data]
+    if unknown or missing:
+        raise DomainError(f"invalid sweep config: unknown keys {unknown}, missing keys {missing}")
+    return TransitionConfig(**{fields[key].name: value for key, value in data.items()},
+                            budgets=SweepBudgets(**budgets))
 
 
 def _cmd_experiments_sweep(args) -> int:
-    cfg, errors = validate_config(args.config)
-    if errors:
-        for err in errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return 1
+    cfg = read_config(args.config)
     if args.seed is not None:
-        cfg = TransitionConfig(cfg.m, cfg.r, cfg.lengths, cfg.densities,
-                               cfg.trials, cfg.kind, args.seed, cfg.budgets)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     rows = transition_sweep(cfg, jobs=args.jobs)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(SWEEP_COLUMNS), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     args.seed = cfg.seed
     _emit(args, buf.getvalue(), [args.config])
     return 0
@@ -340,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     density = sub.add_parser("density").add_subparsers(dest="op", required=True)
     p = density.add_parser("sample")
-    p.add_argument("--model", choices=("bernoulli", "count"), required=True)
+    p.add_argument("--model", choices=MODEL_KINDS, required=True)
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--maxlen", type=int, required=True)
@@ -349,10 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--da", type=float, required=True)
     p.add_argument("--db", type=float, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--lengths", type=str, required=True,
+    p.add_argument("--lengths", type=_int_list, required=True,
                    help="comma-separated word lengths")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--model", choices=("bernoulli", "count"), default="bernoulli")
+    p.add_argument("--model", choices=MODEL_KINDS, default="bernoulli")
     p.set_defaults(func=_cmd_density_intersect)
 
     stal = sub.add_parser("stallings").add_subparsers(dest="op", required=True)
@@ -437,6 +405,9 @@ def dispatch(argv=None) -> int:
     except FeasibilityError as exc:
         print(f"feasibility guard: {exc}", file=sys.stderr)
         return 3
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence, get_args
 
 from .errors import DomainError, FeasibilityError
-from .seeds import as_rng
+from .seeds import as_rng, rng_for
 from .words import Word, count_cyclically_reduced_upto, word_tables
 
 ModelKind = Literal["bernoulli", "count"]
+MODEL_KINDS: tuple[ModelKind, ...] = get_args(ModelKind)
 
 MATERIALIZE_LIMIT = 200_000
 
@@ -41,12 +42,24 @@ class DensityModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("bernoulli", "count"):
-            raise DomainError(f"unknown model kind {self.kind!r}")
-        if not 0.0 <= self.d <= 1.0:
-            raise DomainError(f"density must be in [0, 1], got {self.d}")
-        if self.kind == "bernoulli" and self.d <= 0.0:
-            raise DomainError("the Bernoulli model requires d > 0")
+        problems = model_problems(self.kind, [self.d])
+        if problems:
+            raise DomainError("; ".join(problems))
+
+
+def model_problems(kind, densities: Sequence) -> list[str]:
+    """Every reason why ``kind`` at each of ``densities`` is not a density
+    model: the kind must be one of MODEL_KINDS and each density a number in
+    [0, 1], nonzero for the Bernoulli model."""
+    problems = ([] if kind in MODEL_KINDS else
+                [f"model kind must be one of {MODEL_KINDS}, got {kind!r}"])
+    for d in densities:
+        if (not isinstance(d, (int, float)) or isinstance(d, bool)
+                or not 0.0 <= d <= 1.0):
+            problems.append(f"density must be a number in [0, 1], got {d!r}")
+        elif kind == "bernoulli" and d == 0:
+            problems.append("the Bernoulli model requires d > 0")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -216,20 +229,15 @@ def intersection_experiment(d_a: float, d_b: float, m: int, lengths: Iterable[in
     When d_a + d_b > 1 the intersection densities trend to d_a + d_b - 1;
     when d_a + d_b < 1 the intersection is almost always empty.
     """
-    from .seeds import rng_for
-
+    model_a, model_b = DensityModel(kind, d_a, seed), DensityModel(kind, d_b, seed)
     rows = []
     for li, maxlen in enumerate(lengths):
         n = count_cyclically_reduced_upto(m, maxlen)
         for t in range(trials):
-            rng_a = rng_for(seed, "intersection", li, t, "A")
-            rng_b = rng_for(seed, "intersection", li, t, "B")
-            if kind == "bernoulli":
-                a = bernoulli_index_subset(n, d_a, rng_a)
-                b = bernoulli_index_subset(n, d_b, rng_b)
-            else:
-                a = uniform_count_index_subset(n, d_a, rng_a)
-                b = uniform_count_index_subset(n, d_b, rng_b)
+            a = sample_relator_indices(m, maxlen, model_a,
+                                       rng_for(seed, "intersection", li, t, "A"))
+            b = sample_relator_indices(m, maxlen, model_b,
+                                       rng_for(seed, "intersection", li, t, "B"))
             inter = set(a) & set(b)
             rows.append(IntersectionRow(
                 maxlen, d_a, d_b, t, len(a), len(b), len(inter),
@@ -238,7 +246,7 @@ def intersection_experiment(d_a: float, d_b: float, m: int, lengths: Iterable[in
 
 
 __all__ = [
-    "DensityModel", "RelatorSet", "IntersectionRow", "ModelKind",
+    "DensityModel", "RelatorSet", "IntersectionRow", "ModelKind", "MODEL_KINDS",
     "make_relator_set", "inclusion_probability", "floor_power",
     "bernoulli_subset", "bernoulli_index_subset",
     "uniform_count_subset", "uniform_count_index_subset",

@@ -22,12 +22,13 @@ representatives of the qualifying class, not members of a materialized set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
-from .density import (DensityModel, RelatorSet, expected_relator_count,
-                      inclusion_probability, make_relator_set, sample_relator_set)
+from .density import (DensityModel, ModelKind, RelatorSet, expected_relator_count,
+                      inclusion_probability, make_relator_set, model_problems,
+                      sample_relator_set)
 from .diagrams import TrivialityVerdict, bounded_triviality
 from .errors import DomainError
 from .seeds import rng_for
@@ -375,38 +376,69 @@ def freeness_probe(relators: RelatorSet, graph: LabeledGraph,
 # Trials and the sweep harness.
 
 
+FREENESS_RELATOR_LIMIT = 400  # the freeness probe skips larger relator sets
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_problems(obj, minimums: dict[str, int]) -> list[str]:
+    return [f"{name} must be an integer >= {low}, got {getattr(obj, name)!r}"
+            for name, low in minimums.items()
+            if not _is_int(getattr(obj, name)) or getattr(obj, name) < low]
+
+
+def _raise_problems(what: str, problems: list[str]) -> None:
+    if problems:
+        raise DomainError(f"invalid {what}: " + "; ".join(problems))
+
+
 @dataclass(frozen=True)
 class SweepBudgets:
     materialize_limit: int = 50_000
     freeness_word_length: int = 0  # 0 disables the freeness probe
     freeness_max_steps: int = 200
-    freeness_relator_limit: int = 400
+
+    def __post_init__(self):
+        _raise_problems("sweep budgets", _int_problems(self, {f.name: 0 for f in fields(self)}))
 
 
 @dataclass(frozen=True)
 class TransitionConfig:
+    """A sweep over the (length, density) grid, validated as a whole: every
+    violated rule is named in one DomainError.  Empty densities give an
+    empty sweep."""
+
     m: int
     r: int
     lengths: tuple[int, ...]
-    densities: tuple[float, ...]
-    trials: int
-    kind: str = "bernoulli"
+    densities: tuple[float, ...] = ()
+    trials: int = 1
+    kind: ModelKind = "bernoulli"
     seed: int = 0
     budgets: SweepBudgets = SweepBudgets()
 
     def __post_init__(self):
-        if self.m < 2:
-            raise DomainError(f"m must be >= 2, got {self.m}")
-        if not 1 <= self.r <= self.m - 1:
-            raise DomainError(f"r must satisfy 1 <= r <= m-1, got r={self.r}, m={self.m}")
-        if any(l < 1 for l in self.lengths):
-            raise DomainError("lengths must be >= 1")
-        if any(not 0.0 <= d <= 1.0 for d in self.densities):
-            raise DomainError("densities must lie in [0, 1]")
-        if self.trials < 1:
-            raise DomainError("trials must be >= 1")
-        if self.kind not in ("bernoulli", "count"):
-            raise DomainError(f"unknown model kind {self.kind!r}")
+        problems = _int_problems(self, {"m": 2, "r": 1, "trials": 1})
+        if _is_int(self.m) and _is_int(self.r) and self.r >= max(1, self.m):
+            problems.append(f"r must be <= m-1 (freeness range), got r={self.r}, m={self.m}")
+        if (not isinstance(self.lengths, (list, tuple)) or not self.lengths
+                or not all(_is_int(l) and l >= 1 for l in self.lengths)):
+            problems.append(f"lengths must be a nonempty list of integers >= 1, "
+                            f"got {self.lengths!r}")
+        densities = self.densities
+        if not isinstance(densities, (list, tuple)):
+            problems.append(f"densities must be a list, got {densities!r}")
+            densities = ()
+        problems += model_problems(self.kind, densities)
+        if not _is_int(self.seed):
+            problems.append(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.budgets, SweepBudgets):
+            problems.append(f"budgets must be SweepBudgets, got {self.budgets!r}")
+        _raise_problems("sweep config", problems)
+        object.__setattr__(self, "lengths", tuple(self.lengths))
+        object.__setattr__(self, "densities", tuple(self.densities))
 
 
 @dataclass(frozen=True)
@@ -448,7 +480,7 @@ def run_trial(m: int, r: int, maxlen: int, d: float, kind: str, rng,
         trivial = triviality_probe(relators)
         free = None
         if (budgets.freeness_word_length > 0
-                and len(relators) <= budgets.freeness_relator_limit):
+                and len(relators) <= FREENESS_RELATOR_LIMIT):
             graph = wedge_of_words([Word((i,)) for i in range(1, r + 1)])
             report = freeness_probe(relators, graph, {
                 "word_length": budgets.freeness_word_length,

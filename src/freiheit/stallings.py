@@ -61,9 +61,6 @@ class LabeledGraph:
     def darts_at(self, v: int) -> list[int]:
         return self._out[v]
 
-    def dart_tail(self, d: int) -> int:
-        return self._dart_tail[d]
-
     def dart_head(self, d: int) -> int:
         return self._dart_head[d]
 
@@ -112,23 +109,27 @@ def is_reduced_graph(g: LabeledGraph) -> bool:
     return all(g.degree(v) != 1 for v in range(g.num_vertices))
 
 
-def wedge_of_words(ws: Sequence[Word | Iterable[int]], base_label: None = None) -> LabeledGraph:
+def wedge_of_words(ws: Sequence[Word | Iterable[int]]) -> LabeledGraph:
     """One base vertex with one simple labeled cycle per word."""
-    words = [as_word(w) for w in ws]
+    words = [as_word(w).letters for w in ws]
     if any(len(w) == 0 for w in words):
         raise DomainError("wedge words must be nonempty")
+    return LabeledGraph(*_subdivided_arcs(1, [(0, 0)] * len(words), words), base=0)
+
+
+def _subdivided_arcs(n: int, ends: Sequence[tuple[int, int]],
+                     words: Sequence[tuple[int, ...]]) -> tuple[int, list]:
+    """Vertex count and edges after each arc (u, w) of a graph on n vertices
+    becomes a path from u to w spelling its word, through new vertices."""
     edges: list[tuple[int, int, int]] = []
-    n = 1
-    for w in words:
-        prev = 0
-        for i, x in enumerate(w.letters):
-            if i == len(w) - 1:
-                edges.append((prev, 0, x))
-            else:
-                edges.append((prev, n, x))
-                prev = n
-                n += 1
-    return LabeledGraph(n, edges, base=0)
+    for (u, w), word in zip(ends, words):
+        prev = u
+        for x in word[:-1]:
+            edges.append((prev, n, x))
+            prev = n
+            n += 1
+        edges.append((prev, w, word[-1]))
+    return n, edges
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +234,12 @@ def canonical_code(g: LabeledGraph):
     """
     if not is_connected(g):
         raise DomainError("canonical code requires a connected graph")
-    out: dict[tuple[int, int], int] = {}
-    for d in range(2 * g.num_edges):
-        key = (g.dart_tail(d), g.dart_label(d))
-        if key in out:
-            raise DomainError("canonical code requires a label-deterministic graph")
-        out[key] = g.dart_head(d)
+    out = g.out_map()
+    if out is None:
+        raise DomainError("canonical code requires a label-deterministic graph")
     by_vertex: dict[int, list[int]] = {v: [] for v in range(g.num_vertices)}
-    for (v, letter) in out:
+    for (v, letter) in sorted(out):
         by_vertex[v].append(letter)
-    for v in by_vertex:
-        by_vertex[v].sort()
 
     best = None
     for start in range(g.num_vertices):
@@ -583,18 +579,7 @@ def _graph_from_arc_words(ttype: TopologicalType,
     for labels in out_labels.values():
         if len(labels) != len(set(labels)):
             return None
-    edges: list[tuple[int, int, int]] = []
-    n = v
-    for (u, w), word in zip(ttype.edge_multiset, arc_words):
-        prev = u
-        for i, x in enumerate(word):
-            if i == len(word) - 1:
-                edges.append((prev, w, x))
-            else:
-                edges.append((prev, n, x))
-                prev = n
-                n += 1
-    return LabeledGraph(n, edges, base=0)
+    return LabeledGraph(*_subdivided_arcs(v, ttype.edge_multiset, arc_words), base=0)
 
 
 def enumerate_reduced_graphs(m: int, max_edges: int, max_betti: int,
@@ -627,11 +612,7 @@ def enumerate_reduced_graphs(m: int, max_edges: int, max_betti: int,
                 continue
             cycles.add(canonical_cyclic(word).letters)
         for word in sorted(cycles):
-            prev = 0
-            edges = []
-            for i, x in enumerate(word):
-                edges.append((i, (i + 1) % n, x))
-            g = LabeledGraph(max(n, 1), edges, base=0)
+            g = LabeledGraph(n, [(i, (i + 1) % n, x) for i, x in enumerate(word)], base=0)
             code = canonical_code(g)
             if code not in seen:
                 seen.add(code)
@@ -685,15 +666,22 @@ def graph_from_text(text: str) -> LabeledGraph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "V":
-            num = int(parts[1])
-        elif parts[0] == "B":
-            base = int(parts[1])
-        elif parts[0] == "E":
-            edges.append((int(parts[1]), int(parts[2]), char_to_letter(parts[3])))
-        else:
+        tag, *parts = line.split()
+        arity = {"V": 1, "B": 1, "E": 3}.get(tag)
+        if arity is None:
             raise DomainError(f"unrecognized graph line: {line!r}")
+        if len(parts) != arity:
+            raise DomainError(f"graph line {line!r} needs {arity} fields after {tag}")
+        try:
+            ints = [int(x) for x in parts[:2]]
+        except ValueError:
+            raise DomainError(f"graph line {line!r} has a non-integer field") from None
+        if tag == "V":
+            num = ints[0]
+        elif tag == "B":
+            base = ints[0]
+        else:
+            edges.append((ints[0], ints[1], char_to_letter(parts[2])))
     if num is None:
         raise DomainError("graph text missing 'V n' line")
     return LabeledGraph(num, edges, base=base)

@@ -328,9 +328,9 @@ def letter_to_char(x: int) -> str:
 
 
 def char_to_letter(ch: str) -> int:
-    if "a" <= ch <= "z":
+    if len(ch) == 1 and "a" <= ch <= "z":
         return ord(ch) - ord("a") + 1
-    if "A" <= ch <= "Z":
+    if len(ch) == 1 and "A" <= ch <= "Z":
         return -(ord(ch) - ord("A") + 1)
     raise MalformedWordError(f"invalid word character {ch!r}")
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from freiheit.cli import dispatch, validate_config
+from freiheit.cli import dispatch, read_config
+from freiheit.errors import DomainError
 from freiheit.stallings import graph_from_text
 
 
@@ -183,14 +184,86 @@ def test_validate_config_collects_all_errors(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"m": 1, "r": 0, "lengths": [], "densities": [2.0],
                                "trials": 0, "model": "weird", "seed": "x"}))
-    parsed, errors = validate_config(str(cfg))
-    assert parsed is None
-    assert len(errors) >= 6
+    with pytest.raises(DomainError) as info:
+        read_config(str(cfg))
+    message = str(info.value)
+    for named in ("m must be an integer >= 2, got 1",
+                  "r must be an integer >= 1, got 0",
+                  "lengths must be a nonempty list of integers >= 1, got []",
+                  "density must be a number in [0, 1], got 2.0",
+                  "trials must be an integer >= 1, got 0",
+                  "model kind must be one of ('bernoulli', 'count'), got 'weird'",
+                  "seed must be an integer, got 'x'"):
+        assert named in message
+
+
+GOOD_CONFIG = {"m": 2, "r": 1, "lengths": [6], "densities": [0.3], "trials": 2}
+
+
+@pytest.mark.parametrize("config, named", [
+    ([1, 2], ["must be JSON objects"]),
+    (dict(GOOD_CONFIG, seeed=5), ["unknown keys ['seeed']"]),
+    ({"r": 1, "lengths": [6]}, ["missing keys ['m']"]),
+    (dict(GOOD_CONFIG, budgets={"materialize_limit": "big"}),
+     ["materialize_limit must be an integer >= 0, got 'big'"]),
+    (dict(GOOD_CONFIG, budgets={"materialize_limit": -1}),
+     ["materialize_limit must be an integer >= 0, got -1"]),
+    (dict(GOOD_CONFIG, budgets=5), ["must be JSON objects"]),
+    (dict(GOOD_CONFIG, lengths=[True], trials=True),
+     ["lengths must be a nonempty list of integers >= 1, got [True]",
+      "trials must be an integer >= 1, got True"]),
+    (dict(GOOD_CONFIG, lengths=6), ["lengths must be a nonempty list"]),
+    (dict(GOOD_CONFIG, densities=[0.3, 0]),
+     ["invalid sweep config: the Bernoulli model requires d > 0"]),
+], ids=["not-an-object", "misspelled-key", "missing-key", "budget-not-an-int",
+        "negative-budget", "budgets-not-an-object", "bools-as-ints",
+        "lengths-not-a-list", "bernoulli-density-zero"])
+def test_sweep_rejects_malformed_config(tmp_path, capsys, config, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    csv_path = tmp_path / "sweep.csv"
+    code, out, err = run(capsys, "--out", str(csv_path), "experiments", "sweep",
+                         "--config", str(path))
+    assert code == 1 and out == "" and not csv_path.exists()
+    assert err.startswith("domain error:") and len(err.splitlines()) == 1
+    for fragment in named:
+        assert fragment in err
+
+
+@pytest.mark.parametrize("text", ["V x\n", "V 2\nE 0 1\n", "V 1\nE 0 0 ab\n"],
+                         ids=["non-integer-field", "short-edge-line", "two-letter-label"])
+def test_stallings_fold_rejects_malformed_graph_file(tmp_path, capsys, text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "stallings", "fold", "--in", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("domain error:") and len(err.splitlines()) == 1
+
+
+def test_unreadable_files_exit_cleanly(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe\x00a\n")
+    for argv in (["diagrams", "enumerate", "--relators", missing, "--K", "1"],
+                 ["diagrams", "enumerate", "--relators", str(binary), "--K", "1"],
+                 ["experiments", "sweep", "--config", missing]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("file error:") and len(err.splitlines()) == 1
+
+
+def test_density_intersect_rejects_count_density_above_one(capsys):
+    code, out, err = run(capsys, "density", "intersect", "--model", "count", "--da", "1.5",
+                         "--db", "0.5", "--m", "2", "--lengths", "6", "--trials", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("domain error: density must be a number in [0, 1], got 1.5")
 
 
 def test_exit_codes(capsys, tmp_path):
     # usage error
     assert dispatch(["words", "enumerate", "--frobnicate"]) == 2
+    assert dispatch(["density", "intersect", "--da", "0.7", "--db", "0.7", "--m", "2",
+                     "--lengths", "10,1x"]) == 2
     capsys.readouterr()
     # feasibility guard
     assert dispatch(["words", "enumerate", "--m", "5", "--maxlen", "30"]) == 3
