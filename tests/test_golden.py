@@ -79,3 +79,13 @@ def test_sweep_cli_output_is_pinned(tmp_path, capsys):
     assert out.splitlines()[2].endswith(",249.0120805278597,5")
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "5c40d5420eb817eba813d863f8d37434767ee3a7137fa6f5ad5dc9cb4634f948"
+
+
+def test_words_sample_cli_output_is_pinned(capsys):
+    # The README's line: five uniform draws from B_12, one rng stream.
+    argv = ["--seed", "7", "words", "sample", "--m", "2", "--maxlen", "12", "--count", "5"]
+    assert dispatch(argv) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "AbAABaBAbAbA"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "1eca07d57d63a42d953e78c7dfc5ae80cfae162ce452fab17e2c33208b4081b3"
