@@ -5,7 +5,7 @@ d_r = min(1/2, 1 - log_{2m-1}(2r-1))."""
 
 __version__ = "0.1.0"
 
-from .words import (Alphabet, Word, free_reduce, cyclic_reduce,
+from .words import (Word, free_reduce, cyclic_reduce,
                     count_reduced_exact, count_cyclically_reduced_exact,
                     count_cyclically_reduced_upto, enumerate_cyclically_reduced,
                     sample_cyclically_reduced, word_at_index,

@@ -86,6 +86,15 @@ class RelatorSet:
                 raise DomainError(f"duplicate relator {w.text()}")
             seen.add(w.letters)
 
+    @classmethod
+    def _trusted(cls, m: int, maxlen: int, relators: tuple[Word, ...],
+                 provenance: DensityModel | None) -> "RelatorSet":
+        """A RelatorSet over words the caller built valid and distinct, made
+        without __post_init__'s checks: the sampler's path."""
+        self = object.__new__(cls)
+        vars(self).update(m=m, maxlen=maxlen, relators=relators, provenance=provenance)
+        return self
+
     def __len__(self) -> int:
         return len(self.relators)
 
@@ -203,10 +212,10 @@ def sample_relator_set(m: int, maxlen: int, model: DensityModel, seed_or_rng,
             f"limit {materialize_limit}; use the statistical trial path",
             estimate=expected,
         )
-    tables = word_tables(m, maxlen)
+    unrank = word_tables(m, maxlen).unrank
     indices = sample_relator_indices(m, maxlen, model, seed_or_rng)
-    words = tuple(tables.unrank(i) for i in indices)
-    return RelatorSet(m, maxlen, words, model)
+    # Distinct indices unrank to distinct cyclically reduced words of B_maxlen.
+    return RelatorSet._trusted(m, maxlen, tuple(map(unrank, indices)), model)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,17 @@ Counting is exact: the number of reduced words of length L is
 2m(2m-1)^(L-1), while cyclically reduced words are counted per length by a
 dynamic program keyed on (first letter, current last letter).  The same
 tables drive exactly-uniform sampling and unranking, so huge universes can
-be addressed by integer index without being enumerated.
+be addressed by integer index without being enumerated.  At the first draw
+they are turned into small descent tables: for each first letter, number
+of letters left and last letter, the candidate next letters with the
+running count of words before each.  A letter is then one bisect over
+those bounds; the tables hold O(m^3 maxlen) integers, none per word.  Words
+built by the samplers are valid by construction and skip the letter
+check; ``Word`` and the text and file readers keep it.
+
+``min_cyclic_rotation``, the canonical rotation used as a dictionary key
+by the probes, compares only the rotations that start at the least
+letter, as slices of the doubled word.
 
 Text form: generators spell as ``a``..``z`` and inverses as ``A``..``Z``,
 e.g. ``aBa`` is x1 x2^-1 x1.
@@ -17,9 +27,10 @@ e.g. ``aBa`` is x1 x2^-1 x1.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .errors import DomainError, FeasibilityError, MalformedWordError
@@ -82,23 +93,15 @@ class Word:
 
 EMPTY_WORD = Word(())
 
+_set_letters = Word.letters.__set__
 
-@dataclass(frozen=True, slots=True)
-class Alphabet:
-    """The symmetrized generating set; m >= 2 generators."""
 
-    m: int
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise DomainError(f"need at least 2 generators, got m={self.m}")
-
-    def letters(self) -> tuple[int, ...]:
-        m = self.m
-        return tuple(range(-m, 0)) + tuple(range(1, m + 1))
-
-    def validate(self, w: Word | Iterable[int]) -> None:
-        validate_word(w, self.m)
+def _trusted_word(letters: tuple[int, ...]) -> Word:
+    """A Word over letters the caller built valid, made without checking
+    them again: the samplers' path."""
+    w = object.__new__(Word)
+    _set_letters(w, letters)
+    return w
 
 
 def validate_word(w: Word | Iterable[int], m: int) -> None:
@@ -185,12 +188,10 @@ class _WordTables:
         self.maxlen = maxlen
         n = 2 * m
         inv = [n - 1 - j for j in range(n)]
-        self.inv = inv
 
         # back[a][rem][c]: completions of a reduced word with first letter a
         # and current last letter c by rem more letters, final letter != inv(a).
         self.back: list[list[list[int]]] = []
-        self.row_total: list[list[int]] = []
         for a in range(n):
             rows = [[1 if c != inv[a] else 0 for c in range(n)]]
             for _ in range(1, maxlen):
@@ -198,7 +199,6 @@ class _WordTables:
                 tot = sum(prev)
                 rows.append([tot - prev[inv[c]] for c in range(n)])
             self.back.append(rows)
-            self.row_total.append([sum(row) for row in rows])
 
         # Cyclically reduced count per exact length (empty word excluded).
         self.count_by_len = [0] * (maxlen + 1)
@@ -206,58 +206,82 @@ class _WordTables:
             self.count_by_len[length] = sum(
                 self.back[a][length - 1][a] for a in range(n)
             )
-        self.cumulative = [0] * (maxlen + 1)
-        for length in range(1, maxlen + 1):
-            self.cumulative[length] = self.cumulative[length - 1] + self.count_by_len[length]
+        self.cumulative = list(accumulate(self.count_by_len))
         self.total = self.cumulative[maxlen]
 
-    def _first_letter(self, length: int, offset: int) -> tuple[int, int]:
-        rem = length - 1
-        for c in range(2 * self.m):
-            w = self.back[c][rem][c]
-            if offset < w:
-                return c, offset
-            offset -= w
-        raise AssertionError("offset exceeded first-letter weights")
+    @cached_property
+    def _steps(self):
+        """The descent tables, built at the first sample or unrank.
 
-    def _next_letter(self, first: int, last: int, rem: int, offset: int) -> tuple[int, int]:
-        banned = self.inv[last]
-        row = self.back[first][rem]
-        for c in range(2 * self.m):
-            if c == banned:
-                continue
-            if offset < row[c]:
-                return c, offset
-            offset -= row[c]
-        raise AssertionError("offset exceeded next-letter weights")
+        A step is a pair (bounds, letters): the candidate signed letters in
+        ascending order and, for each, the number of words that precede its
+        branch; the bounds end with the step's total, so a letter is one
+        bisect over them. ``first[L]`` is the step for the first letter of a
+        word of length L. ``later[a][rem][x]`` is the step after letter x in
+        a word that starts with a and has rem letters left after this one;
+        it leaves out the inverse of x and letters with no completion.
+        ``later`` and its innermost lists are indexed by signed letter: they
+        have 2m + 1 entries, and a negative letter reads its entry from the
+        end."""
+        n, back = 2 * self.m, self.back
+        letter = [_index_letter(j, self.m) for j in range(n)]
+
+        def step(weights: list[int]) -> tuple[list[int], tuple[int, ...]]:
+            kept = [c for c in range(n) if weights[c]]
+            return (list(accumulate((weights[c] for c in kept), initial=0)),
+                    tuple(letter[c] for c in kept))
+
+        def by_letter(values: list) -> list:
+            out = [None] * (n + 1)
+            for j, value in enumerate(values):
+                out[letter[j]] = value
+            return out
+
+        first = [None] + [step([back[c][length - 1][c] for c in range(n)])
+                          for length in range(1, self.maxlen + 1)]
+        later = by_letter([
+            [by_letter([step([0 if c == n - 1 - x else back[a][rem][c] for c in range(n)])
+                        for x in range(n)])
+             for rem in range(self.maxlen - 1)]
+            for a in range(n)])
+        return first, later
 
     def sample(self, rng) -> Word:
-        """Draw a uniform element of B_maxlen."""
+        """Draw a uniform element of B_maxlen: a length, then each letter in
+        proportion to its completions."""
         target = rng.randrange(self.total)
-        length = bisect.bisect_right(self.cumulative, target)
-        first, _ = self._first_letter(length, rng.randrange(self.count_by_len[length]))
-        out = [first]
-        for pos in range(1, length):
-            rem = length - pos - 1
-            last = out[-1]
-            total = self.row_total[first][rem] - self.back[first][rem][self.inv[last]]
-            c, _ = self._next_letter(first, last, rem, rng.randrange(total))
-            out.append(c)
-        return Word(tuple(_index_letter(c, self.m) for c in out))
+        length = bisect_right(self.cumulative, target)
+        first, later = self._steps
+        bounds, letters = first[length]
+        x = letters[bisect_right(bounds, rng.randrange(bounds[-1])) - 1]
+        out = [x]
+        steps = later[x]
+        for rem in range(length - 2, -1, -1):
+            bounds, letters = steps[rem][x]
+            x = letters[bisect_right(bounds, rng.randrange(bounds[-1])) - 1]
+            out.append(x)
+        return _trusted_word(tuple(out))
 
     def unrank(self, index: int) -> Word:
         """The index-th word in length-then-lex order, 0 <= index < total."""
         if not 0 <= index < self.total:
             raise DomainError(f"index {index} out of range [0, {self.total})")
-        length = bisect.bisect_right(self.cumulative, index)
+        length = bisect_right(self.cumulative, index)
         offset = index - self.cumulative[length - 1]
-        first, offset = self._first_letter(length, offset)
-        out = [first]
-        for pos in range(1, length):
-            rem = length - pos - 1
-            c, offset = self._next_letter(first, out[-1], rem, offset)
-            out.append(c)
-        return Word(tuple(_index_letter(c, self.m) for c in out))
+        first, later = self._steps
+        bounds, letters = first[length]
+        i = bisect_right(bounds, offset) - 1
+        offset -= bounds[i]
+        x = letters[i]
+        out = [x]
+        steps = later[x]
+        for rem in range(length - 2, -1, -1):
+            bounds, letters = steps[rem][x]
+            i = bisect_right(bounds, offset) - 1
+            offset -= bounds[i]
+            x = letters[i]
+            out.append(x)
+        return _trusted_word(tuple(out))
 
 
 @lru_cache(maxsize=64)
@@ -353,27 +377,26 @@ def word_from_text(s: str, m: int | None = None) -> Word:
 
 
 def min_cyclic_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least rotation (Booth's algorithm, linear time)."""
+    """Lexicographically least rotation.
+
+    The least rotation starts at an occurrence of the least letter, so only
+    those rotations are compared, as slices of the doubled word. That is
+    O(n k) for k occurrences, quadratic on a power of one letter, but the
+    scans and comparisons run in C and beat a linear-time Python loop
+    (Booth's algorithm) on the short words sampled here."""
     n = len(letters)
-    if n == 0:
+    if n < 2:
         return letters
-    s = letters + letters
-    fail = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return s[k:k + n]
+    least = min(letters)
+    doubled = letters + letters
+    start = letters.index(least)
+    best = doubled[start:start + n]
+    for _ in range(letters.count(least) - 1):
+        start = letters.index(least, start + 1)
+        rotation = doubled[start:start + n]
+        if rotation < best:
+            best = rotation
+    return best
 
 
 def canonical_cyclic(w: Word | Iterable[int]) -> Word:

@@ -229,6 +229,25 @@ def test_sample_relator_set():
         sample_relator_set(3, 40, DensityModel("bernoulli", 0.9, 0), 1)
 
 
+@pytest.mark.parametrize("m, maxlen, kind, d, seed", [
+    (2, 12, "bernoulli", 0.75, 3),
+    (2, 8, "bernoulli", 1.0, 0),
+    (3, 8, "bernoulli", 0.2, 7),
+    (3, 12, "count", 0.45, 11),
+    (4, 6, "count", 0.6, 2),
+])
+def test_sampled_relator_set_passes_the_validating_constructor(m, maxlen, kind, d, seed):
+    # The sampler builds its words and its set without checks; the public
+    # constructors, which check everything, must accept the same output.
+    model = DensityModel(kind, d, seed)
+    rel = sample_relator_set(m, maxlen, model, seed)
+    checked = RelatorSet(m, maxlen, tuple(Word(w.letters) for w in rel.relators), model)
+    assert checked == rel and len(rel) > 0
+    assert all(type(x) is int for w in rel.relators for x in w.letters)
+    assert [w.letters for w in rel.relators] == \
+        sorted((w.letters for w in rel.relators), key=lambda t: (len(t), t))
+
+
 def test_expected_relator_count():
     n = count_cyclically_reduced_upto(2, 8)
     assert abs(expected_relator_count(2, 8, 0.5) - n ** 0.5) < 1e-6

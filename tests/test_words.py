@@ -108,10 +108,26 @@ def test_enumeration_guard():
 
 
 def test_unrank_matches_enumeration():
-    for i, w in enumerate(enumerate_cyclically_reduced(2, 4)):
-        assert word_at_index(2, 4, i) == w
-    with pytest.raises(DomainError):
-        word_at_index(2, 2, count_cyclically_reduced_upto(2, 2))
+    for m, maxlen in [(2, 4), (2, 8), (3, 5)]:
+        count = 0
+        for i, w in enumerate(enumerate_cyclically_reduced(m, maxlen)):
+            assert word_at_index(m, maxlen, i) == w
+            count += 1
+        assert count == count_cyclically_reduced_upto(m, maxlen)
+        with pytest.raises(DomainError):
+            word_at_index(m, maxlen, count)
+        with pytest.raises(DomainError):
+            word_at_index(m, maxlen, -1)
+
+
+def test_unrank_length_blocks_start_and_end_at_constant_words():
+    # In length-then-lex order each length block of B_20 (m = 3) runs from
+    # x3^-L to x3^L.
+    tables = word_tables(3, 20)
+    for length in range(1, 21):
+        lo, hi = tables.cumulative[length - 1], tables.cumulative[length] - 1
+        assert word_at_index(3, 20, lo).letters == (-3,) * length
+        assert word_at_index(3, 20, hi).letters == (3,) * length
 
 
 def test_asymptotic_count_exponent():
@@ -191,13 +207,43 @@ def test_canonical_cyclic():
     assert min_cyclic_rotation((2, 1, 2, 1)) == (1, 2, 1, 2)
 
 
-@given(st.lists(letters_strategy, max_size=14).map(tuple))
-@settings(max_examples=300, deadline=None)
-def test_min_cyclic_rotation_matches_naive(letters):
+def _naive_min_rotation(letters):
     n = len(letters)
     doubled = letters + letters
-    naive = min((doubled[i:i + n] for i in range(n)), default=())
-    assert min_cyclic_rotation(letters) == naive
+    return min((doubled[i:i + n] for i in range(n)), default=())
+
+
+@given(st.lists(letters_strategy, max_size=150).map(tuple))
+@settings(max_examples=300, deadline=None)
+def test_min_cyclic_rotation_matches_naive(letters):
+    assert min_cyclic_rotation(letters) == _naive_min_rotation(letters)
+
+
+# Powers of short words: every occurrence of the least letter starts a
+# candidate rotation, and many candidates tie.
+periodic_strategy = st.tuples(st.lists(letters_strategy, min_size=1, max_size=6),
+                              st.integers(min_value=1, max_value=40),
+                              st.integers(min_value=0, max_value=239))
+
+
+@given(periodic_strategy)
+@settings(max_examples=300, deadline=None)
+def test_min_cyclic_rotation_of_periodic_words(case):
+    period, power, shift = case
+    word = tuple(period) * power
+    shift %= len(word)
+    word = word[shift:] + word[:shift]
+    assert min_cyclic_rotation(word) == _naive_min_rotation(word)
+
+
+def test_min_cyclic_rotation_of_near_periodic_words():
+    # Many occurrences of the least letter: the rotations they start tie, or
+    # the least of them does not start at the first occurrence.
+    assert min_cyclic_rotation((1, 2, 1, 1)) == (1, 1, 1, 2)
+    for n in range(40):
+        for letters in [(1,) * n, (-2, 1) * n, (1, 2) * n + (1, 1),
+                        (1,) * n + (2,) + (1,) * (n + 1), (2, -1, -1) * n + (2, -1)]:
+            assert min_cyclic_rotation(letters) == _naive_min_rotation(letters)
 
 
 def test_tables_total_matches_stream():
