@@ -14,14 +14,26 @@ and that many distinct indices are then drawn uniformly: conditioned on its
 size, a Bernoulli subset is a uniform subset of that size. The cost is
 O(|A|), whatever |E|.
 
+A sampled relator set holds the sorted index list and unranks its words
+lazily: the first access to a relator unranks every relator before it, in
+order, and the words are kept. The probes read the relators shortest first
+and stop once they have their witnesses, so a trial unranks only the prefix
+its probes read.
+
+floor(|E|^d) is exact: where d = p/q in lowest terms has a denominator small
+enough for |E|^d to be an integer, it is the integer q-th root of |E|^p;
+elsewhere |E|^d is irrational and its float estimate is floored.
+
 The density of a subset A of E is log_|E|(|A|), with -inf for the empty set.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence, get_args
+from fractions import Fraction
+from typing import Callable, Iterable, Literal, get_args
 
 from .errors import DomainError, FeasibilityError
 from .seeds import as_rng, rng_for
@@ -64,15 +76,21 @@ def model_problems(kind, densities: Sequence) -> list[str]:
 
 @dataclass(frozen=True)
 class RelatorSet:
-    """A deduplicated set of nonempty cyclically reduced words of length <= maxlen."""
+    """A set of nonempty cyclically reduced words of length <= maxlen, held
+    in strictly increasing length-then-lex order (so without duplicates).
+
+    The probes rely on that order: a relator's shorter partners precede it.
+    ``relators`` is a tuple, or for a sampled set a sequence that unranks
+    its words on first access and compares and hashes equal to their tuple.
+    """
 
     m: int
     maxlen: int
-    relators: tuple[Word, ...]
+    relators: Sequence[Word]
     provenance: DensityModel | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        seen = set()
+        prev = None
         for w in self.relators:
             if not w.letters:
                 raise DomainError("relators must be nonempty")
@@ -82,15 +100,16 @@ class RelatorSet:
                 raise DomainError(f"relator {w.text()} is not cyclically reduced")
             if max(abs(x) for x in w.letters) > self.m:
                 raise DomainError(f"relator {w.text()} uses letters beyond m={self.m}")
-            if w.letters in seen:
-                raise DomainError(f"duplicate relator {w.text()}")
-            seen.add(w.letters)
+            if prev is not None and (len(prev), prev.letters) >= (len(w), w.letters):
+                raise DomainError(f"relator {w.text()} does not follow {prev.text()} in "
+                                  "strictly increasing length-then-lex order")
+            prev = w
 
     @classmethod
-    def _trusted(cls, m: int, maxlen: int, relators: tuple[Word, ...],
+    def _trusted(cls, m: int, maxlen: int, relators: Sequence[Word],
                  provenance: DensityModel | None) -> "RelatorSet":
-        """A RelatorSet over words the caller built valid and distinct, made
-        without __post_init__'s checks: the sampler's path."""
+        """A RelatorSet over words the caller built valid, distinct and in
+        order, made without __post_init__'s checks: the sampler's path."""
         self = object.__new__(cls)
         vars(self).update(m=m, maxlen=maxlen, relators=relators, provenance=provenance)
         return self
@@ -100,6 +119,56 @@ class RelatorSet:
 
     def __iter__(self):
         return iter(self.relators)
+
+
+class _SampledWords(Sequence):
+    """The words at sorted indices of B_maxlen, unranked on first access.
+
+    Reading the word at position i unranks every word before it that is
+    not yet unranked, in order, and keeps them all; so does iteration, one
+    word at a time. Equality and hash are those of the tuple of the words,
+    which reading them all builds."""
+
+    __slots__ = ("_indices", "_unrank", "_words")
+
+    def __init__(self, indices: list[int], unrank: Callable[[int], Word]):
+        self._indices = indices
+        self._unrank = unrank
+        self._words: list[Word] = []
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(len(self._indices))[i])
+        n = len(self._indices)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("relator index out of range")
+        words = self._words
+        if i >= len(words):
+            words.extend(map(self._unrank, self._indices[len(words):i + 1]))
+        return words[i]
+
+    def __iter__(self):
+        words, indices, unrank = self._words, self._indices, self._unrank
+        for k in range(len(indices)):
+            if k == len(words):
+                words.append(unrank(indices[k]))
+            yield words[k]
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _SampledWords)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def make_relator_set(m: int, maxlen: int, words: Iterable[Word | tuple[int, ...]],
@@ -119,12 +188,31 @@ def inclusion_probability(universe_size: int, d: float) -> float:
     return math.exp((d - 1.0) * math.log(universe_size))
 
 
+def _integer_root(x: int, q: int) -> int:
+    """floor(x^(1/q)) for integers x >= 0 and q >= 1, by Newton's method on
+    integers from an upper bound, where the iteration decreases to it."""
+    if q == 1 or x < 2:
+        return x
+    if q == 2:
+        return math.isqrt(x)
+    root = 1 << -(-x.bit_length() // q)  # 2^ceil(bits / q) > x^(1/q)
+    while True:
+        step = ((q - 1) * root + x // root ** (q - 1)) // q
+        if step >= root:
+            return root
+        root = step
+
+
 def floor_power(n: int, d: float) -> int:
-    """floor(n^d) for a possibly huge integer n; exact at d in {0, 1}."""
-    if d == 0.0:
-        return 1
-    if d == 1.0:
-        return n
+    """floor(n^d) for a possibly huge integer n >= 1 and d in [0, 1].
+
+    For d = p/q in lowest terms, n^d is an integer only if n is a perfect
+    q-th power, which needs q < log2(n); there floor(n^d) is the exact
+    integer q-th root of n^p. Elsewhere n^d is irrational and the float
+    estimate is floored."""
+    exact = Fraction(d)
+    if exact.denominator < max(2, n.bit_length()):
+        return _integer_root(n ** exact.numerator, exact.denominator)
     return min(n, math.floor(math.exp(d * math.log(n))))
 
 
@@ -204,7 +292,8 @@ def expected_relator_count(m: int, maxlen: int, d: float) -> float:
 
 def sample_relator_set(m: int, maxlen: int, model: DensityModel, seed_or_rng,
                        *, materialize_limit: int = MATERIALIZE_LIMIT) -> RelatorSet:
-    """Materialize a sampled relator set; guarded against huge expected sizes."""
+    """A sampled relator set, guarded against huge expected sizes; its
+    words are unranked from the sorted indices on first access."""
     expected = expected_relator_count(m, maxlen, model.d)
     if expected > materialize_limit:
         raise FeasibilityError(
@@ -212,10 +301,11 @@ def sample_relator_set(m: int, maxlen: int, model: DensityModel, seed_or_rng,
             f"limit {materialize_limit}; use the statistical trial path",
             estimate=expected,
         )
-    unrank = word_tables(m, maxlen).unrank
     indices = sample_relator_indices(m, maxlen, model, seed_or_rng)
-    # Distinct indices unrank to distinct cyclically reduced words of B_maxlen.
-    return RelatorSet._trusted(m, maxlen, tuple(map(unrank, indices)), model)
+    # Sorted distinct indices unrank to cyclically reduced words of B_maxlen
+    # in strictly increasing length-then-lex order.
+    return RelatorSet._trusted(
+        m, maxlen, _SampledWords(indices, word_tables(m, maxlen).unrank), model)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,16 @@ Desk-scale surrogates:
 * triviality probe: scan for pairs (w, x_i w) both sampled, per generator;
 * freeness probe: bounded word-problem search over loop words of a graph.
 
+The collapse and triviality probes read the relators in the set's
+length-then-lex order and stop once every generator has a witness, so on a
+sampled set, whose words are unranked on first access, they unrank only the
+prefix they read. The triviality probe needs one pass: the partner w of a
+relator R = x_i w (up to rotation) is one letter shorter, so it precedes R
+and has been seen by the time R is read. It finds w among the relators seen
+so far by a rotation-invariant integer key, a weighted sum over the cyclic
+bigrams of a word, and deleting x_i from R changes R's key by three table
+lookups; only a key hit computes canonical rotations, to confirm the match.
+
 When the expected relator count is too large to materialize, trials are
 simulated on the relevant sub-universes: a Bernoulli subset meets a class of
 C elements with probability 1 - (1 - p)^C, and the class sizes are counted
@@ -22,6 +32,7 @@ representatives of the qualifying class, not members of a materialized set.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
@@ -167,7 +178,7 @@ def collapse_success_probability(m: int, r: int, maxlen: int, d: float) -> dict[
 
 
 # ---------------------------------------------------------------------------
-# Probes on materialized relator sets.
+# Probes on relator sets.
 
 
 @dataclass(frozen=True)
@@ -242,36 +253,75 @@ class TrivialityEvidence:
         return any(w is not None for w in self.witnesses.values())
 
 
+@lru_cache(maxsize=None)
+def _bigram_weights(m: int) -> list[list[int]]:
+    """Fixed pseudo-random 40-bit weights per bigram (a, b) of signed letters,
+    indexed like ``weights[a][b]``: a negative letter reads from the end.
+    Sums of up to 2^20 of them stay below 2^60."""
+    rng = random.Random(m)
+    return [[rng.getrandbits(40) for _ in range(2 * m + 1)] for _ in range(2 * m + 1)]
+
+
+def _cyclic_bigram_key(letters: tuple[int, ...], weights: list[list[int]]) -> int:
+    """The sum of the weights of the cyclic bigrams of ``letters``: the same
+    for every rotation, since rotating keeps the multiset of bigrams."""
+    key = 0
+    prev = letters[-1]
+    for x in letters:
+        key += weights[prev][x]
+        prev = x
+    return key
+
+
 def triviality_probe(relators: RelatorSet) -> TrivialityEvidence:
     """For each generator x_i, search for a pair (w, x_i w), both in the
-    relator set up to cyclic rotation; a bare relator x_i also counts."""
+    relator set up to cyclic rotation; a bare relator x_i also counts.
+
+    One pass in relator order, which stops once every generator has a
+    witness. A partner of R is a rotation of R with one letter deleted, so
+    it is shorter than R and precedes it in the set's length-then-lex
+    order: checking R's candidates against the relators before it, and
+    adding R afterwards, finds the same first R as a lookup over the whole
+    set. Relators are looked up by the key of their cyclic bigrams, a
+    rotation-invariant integer; deleting x_i between letters u and v
+    changes the key by dropping the bigrams (u, x_i) and (x_i, v) and adding
+    (u, v), so a candidate's key costs three lookups. Keys can collide, so
+    a hit is confirmed by canonical rotations, and the partner is the first
+    relator in the bucket with the candidate's canonical rotation, as it
+    would be in a lookup by canonical rotation."""
     m = relators.m
-    by_rotation: dict[tuple[int, ...], tuple[Word, int]] = {}
-    for rel in relators.relators:
-        canon = min_cyclic_rotation(rel.letters)
-        by_rotation.setdefault(canon, (rel, 0))
+    weights = _bigram_weights(m)
+    by_key: dict[int, list[Word]] = {}
     witnesses: dict[int, TrivialityWitness | None] = {i: None for i in range(1, m + 1)}
     missing = set(witnesses)
     for rel in relators.relators:
-        if not missing:
-            break
         letters = rel.letters
         k = len(letters)
+        key = _cyclic_bigram_key(letters, weights)
         for pos in range(k):
             gen = letters[pos]
             if gen <= 0 or gen not in missing:
                 continue
-            w = letters[pos + 1:] + letters[:pos]
-            if not w:
+            if k == 1:
                 witnesses[gen] = TrivialityWitness(gen, rel, pos, None, 0)
                 missing.discard(gen)
                 continue
-            hit = by_rotation.get(min_cyclic_rotation(w))
-            if hit is not None:
-                partner, _ = hit
-                shift = _rotation_offset(partner.letters, w)
-                witnesses[gen] = TrivialityWitness(gen, rel, pos, partner, shift)
-                missing.discard(gen)
+            prev, nxt = letters[pos - 1], letters[pos + 1 - k]
+            bucket = by_key.get(key - weights[prev][gen] - weights[gen][nxt]
+                                + weights[prev][nxt])
+            if bucket is None:
+                continue
+            w = letters[pos + 1:] + letters[:pos]
+            canon = min_cyclic_rotation(w)
+            for partner in bucket:
+                if min_cyclic_rotation(partner.letters) == canon:
+                    shift = _rotation_offset(partner.letters, w)
+                    witnesses[gen] = TrivialityWitness(gen, rel, pos, partner, shift)
+                    missing.discard(gen)
+                    break
+        if not missing:
+            break
+        by_key.setdefault(key, []).append(rel)
     return TrivialityEvidence(witnesses)
 
 

@@ -3,7 +3,8 @@
 Everything here is deliberately written with different algorithms from the
 production code: stack reduction instead of pointer scanning, exhaustive
 search instead of transfer matrices, union-find folding instead of the
-worklist, whole-word comparison instead of period arithmetic.
+worklist, whole-word comparison instead of period arithmetic, a lookup of
+every relator by canonical rotation instead of one pass with bigram keys.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from itertools import product
 
+from freiheit.experiments import TrivialityEvidence, TrivialityWitness
 from freiheit.stallings import LabeledGraph
 
 
@@ -254,3 +256,32 @@ def abstract_iso_key(ad):
             if best is None or code < best:
                 best = code
     return best
+
+
+def canonical_triviality_probe(relators) -> TrivialityEvidence:
+    """The triviality probe as a lookup over the whole set: canonicalize
+    every relator first (the first relator of each rotation class keeps the
+    entry), then scan the relators in order for x_i w with w in the lookup.
+    Canonical rotations are the least of all rotations, built one by one."""
+    def least_rotation(letters):
+        return min(letters[s:] + letters[:s] for s in range(len(letters)))
+
+    lookup = {}
+    for rel in relators.relators:
+        lookup.setdefault(least_rotation(rel.letters), rel)
+    witnesses = {i: None for i in range(1, relators.m + 1)}
+    for rel in relators.relators:
+        letters = rel.letters
+        for pos, gen in enumerate(letters):
+            if gen <= 0 or witnesses[gen] is not None:
+                continue
+            w = letters[pos + 1:] + letters[:pos]
+            if not w:
+                witnesses[gen] = TrivialityWitness(gen, rel, pos, None, 0)
+                continue
+            partner = lookup.get(least_rotation(w))
+            if partner is not None:
+                shift = next(s for s in range(len(w))
+                             if partner.letters[s:] + partner.letters[:s] == w)
+                witnesses[gen] = TrivialityWitness(gen, rel, pos, partner, shift)
+    return TrivialityEvidence(witnesses)

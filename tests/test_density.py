@@ -10,10 +10,11 @@ from freiheit.density import (DensityModel, RelatorSet, bernoulli_index_subset,
                               bernoulli_subset, densable_window_flag,
                               density_estimate, expected_relator_count, floor_power,
                               inclusion_probability, intersection_experiment,
-                              make_relator_set, sample_relator_set,
-                              uniform_count_index_subset, uniform_count_subset)
+                              make_relator_set, sample_relator_indices,
+                              sample_relator_set, uniform_count_index_subset,
+                              uniform_count_subset)
 from freiheit.errors import DomainError, FeasibilityError
-from freiheit.words import Word, count_cyclically_reduced_upto
+from freiheit.words import Word, _WordTables, count_cyclically_reduced_upto, word_at_index
 
 from oracles import chi2_critical
 
@@ -37,6 +38,21 @@ def test_relator_set_invariants():
         RelatorSet(2, 3, (Word((1, 2, 1, 2)),))  # too long
     with pytest.raises(DomainError):
         RelatorSet(2, 3, (Word((3,)),))  # letter out of range
+
+
+def test_relator_set_requires_strict_length_then_lex_order():
+    RelatorSet(2, 3, (Word((-2,)), Word((1,)), Word((-1, -1)), Word((1, 2)),
+                      Word((-2, -2, 1))))
+    for words in [((1, 2), (1,)),              # longer before shorter
+                  ((2,), (1,)),                # same length, lex order reversed
+                  ((1, 2), (-1, -2)),          # -1 < 1: signed letters compare as ints
+                  ((1, 2), (1, 2)),            # a duplicate is not strictly increasing
+                  ((1,), (2, 1, 2), (1, 1))]:
+        with pytest.raises(DomainError, match="length-then-lex order"):
+            RelatorSet(2, 3, tuple(Word(w) for w in words))
+    # make_relator_set sorts and deduplicates whatever order it is given.
+    rel = make_relator_set(2, 3, [Word(w) for w in ((2, 1, 2), (1,), (1, 1), (1,))])
+    assert [w.letters for w in rel.relators] == [(1,), (1, 1), (2, 1, 2)]
 
 
 def test_bernoulli_full_at_density_one():
@@ -137,6 +153,25 @@ def test_floor_power():
     assert floor_power(10 ** 6, 0.0) == 1
     big = 5 ** 40
     assert floor_power(big, 1.0) == big
+    # Integer values of n^d that the float estimate exp(d log n) floors one
+    # too low: |B_2| = 16 at m = 2 gives 8 relators at d = 0.75, not 7.
+    assert floor_power(count_cyclically_reduced_upto(2, 2), 0.75) == 8
+    assert len(uniform_count_subset(range(25), 0.5, 1)) == 5
+    assert len(uniform_count_index_subset(64, 0.5, 1)) == 8
+    assert floor_power(big, 0.5) == 5 ** 20
+    assert floor_power(big, 0.75) == 5 ** 30
+    n = count_cyclically_reduced_upto(4, 24)
+    assert floor_power(n, 0.75) == math.isqrt(math.isqrt(n ** 3))
+    for root in (2, 3, 10, 99, 10 ** 20 + 1):
+        for q, d in ((4, 0.25), (8, 0.125), (8, 0.375)):
+            p = round(d * q)
+            assert floor_power(root ** q, d) == root ** p
+            assert floor_power(root ** q - 1, d) == root ** p - 1
+    # Against integer square roots: floor(n^(1/4)) = isqrt(isqrt(n)).
+    for n in list(range(1, 30_000)) + [k * k + e for k in range(200, 400) for e in (-1, 0, 1)]:
+        assert floor_power(n, 0.5) == math.isqrt(n)
+        assert floor_power(n, 0.25) == math.isqrt(math.isqrt(n))
+        assert floor_power(n, 0.75) == math.isqrt(math.isqrt(n ** 3))
 
 
 def test_uniform_count_exact_sizes():
@@ -246,6 +281,57 @@ def test_sampled_relator_set_passes_the_validating_constructor(m, maxlen, kind, 
     assert all(type(x) is int for w in rel.relators for x in w.letters)
     assert [w.letters for w in rel.relators] == \
         sorted((w.letters for w in rel.relators), key=lambda t: (len(t), t))
+
+
+def _counted_unrank(monkeypatch) -> list[int]:
+    """Count the calls of the word tables' unrank from now on."""
+    calls = []
+    unrank = _WordTables.unrank
+
+    def counted(self, index):
+        calls.append(index)
+        return unrank(self, index)
+
+    monkeypatch.setattr(_WordTables, "unrank", counted)
+    return calls
+
+
+def test_sampled_words_behave_as_their_tuple(monkeypatch):
+    model = DensityModel("bernoulli", 0.6, 0)
+    indices = sample_relator_indices(2, 8, model, 5)
+    eager = tuple(word_at_index(2, 8, i) for i in indices)
+    n = len(eager)
+    assert n > 40
+    calls = _counted_unrank(monkeypatch)
+
+    def fresh():
+        return sample_relator_set(2, 8, model, 5).relators
+
+    lazy = fresh()
+    assert len(lazy) == n and calls == []
+    assert lazy[4] == eager[4] and calls == indices[:5]  # the prefix, in order
+    assert lazy[2] == eager[2] and len(calls) == 5       # memoized
+    assert lazy[-1] == eager[-1] and lazy[-n] == eager[0] and calls == indices
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            lazy[bad]
+    lazy = fresh()
+    assert lazy[3:9] == eager[3:9] and lazy[::-7] == eager[::-7]
+    assert lazy[9:3] == () and lazy[-4:] == eager[-4:]
+    # Interleaved iterators share the words unranked so far.
+    lazy = fresh()
+    calls.clear()
+    a, b = iter(lazy), iter(lazy)
+    firsts = [next(a) for _ in range(10)]
+    assert firsts == list(eager[:10]) and len(calls) == 10
+    merged = [(next(b), y) for y in a]
+    assert merged == list(zip(eager, eager[10:])) and len(calls) == n
+    # Equality and hash are those of the tuple of the words.
+    lazy = fresh()
+    assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+    assert lazy == fresh() and lazy != eager[:-1] and lazy != list(eager)
+    assert sample_relator_set(2, 8, model, 5) == RelatorSet(2, 8, eager)
+    assert hash(sample_relator_set(2, 8, model, 5)) == hash(RelatorSet(2, 8, eager))
 
 
 def test_expected_relator_count():

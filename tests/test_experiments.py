@@ -5,7 +5,8 @@ from itertools import product
 
 import pytest
 
-from freiheit.density import DensityModel, make_relator_set, sample_relator_set
+from freiheit import experiments
+from freiheit.density import DensityModel, RelatorSet, make_relator_set, sample_relator_set
 from freiheit.errors import DomainError
 from freiheit.experiments import (CollapseResult, SweepBudgets, TransitionConfig,
                                   collapse_probe, collapse_success_probability,
@@ -14,8 +15,11 @@ from freiheit.experiments import (CollapseResult, SweepBudgets, TransitionConfig
                                   fillability_crossover, freeness_probe,
                                   rewrite_presentation, run_trial,
                                   transition_sweep, triviality_probe)
+from freiheit.seeds import rng_for
 from freiheit.stallings import LabeledGraph
-from freiheit.words import Word
+from freiheit.words import Word, _WordTables, enumerate_cyclically_reduced
+
+from oracles import canonical_triviality_probe
 
 
 def test_critical_density_r1_is_half():
@@ -148,6 +152,105 @@ def test_triviality_probe_bare_generator():
     assert ev.witnesses[1] is not None and ev.witnesses[1].partner is None
 
 
+def _planted_relator_sets(seed: int, count: int):
+    """Random sorted relator sets at small m and l: a Bernoulli choice from
+    B_l, plus rotations of chosen members (several relators of one rotation
+    class) and rotations of x_i w for chosen members w (pairs)."""
+    rng = random.Random(seed)
+    universes = {(m, l): list(enumerate_cyclically_reduced(m, l))
+                 for m, l in [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4)]}
+    for _ in range(count):
+        (m, maxlen), universe = rng.choice(sorted(universes.items()))
+        p = rng.choice([0.01, 0.03, 0.1, 0.3])
+        words = [w for w in universe if rng.random() < p]
+        for w in rng.sample(words, min(4, len(words))):
+            words.append(w.rotate(rng.randrange(len(w))))
+            if len(w) < maxlen:
+                gen = rng.randrange(1, m + 1)
+                pair = Word((gen,) + w.rotate(rng.randrange(len(w))).letters)
+                if pair.is_cyclically_reduced():
+                    words.append(pair.rotate(rng.randrange(len(pair))))
+        yield make_relator_set(m, maxlen, words)
+
+
+def _coverage(rel, ev) -> set[str]:
+    """The cases of the probe that a relator set and its evidence exercise."""
+    seen = set()
+    classes = {}
+    for w in rel.relators:
+        classes.setdefault(min(w.rotate(s).letters for s in range(len(w))), []).append(w)
+        if len(w) <= 2:
+            seen.add(f"length-{len(w)} relator")
+        k = len(w)
+        if any(x > 0 and k > 2 and w[i - 1] == -w[(i + 1) % k] for i, x in enumerate(w)):
+            seen.add("remainder not cyclically reduced")
+    for wit in ev.witnesses.values():
+        if wit is None:
+            continue
+        if wit.partner is None:
+            seen.add("bare generator")
+            continue
+        seen.add("pair")
+        cls = min(wit.partner.rotate(s).letters for s in range(len(wit.partner)))
+        if len(classes[cls]) > 1:
+            seen.add("partner among rotations of one another")
+        if wit.partner_rotation:
+            seen.add("rotated partner")
+    return seen
+
+
+@pytest.mark.parametrize("weights", ["pseudo-random", "constant"])
+def test_triviality_probe_matches_the_canonical_lookup(weights, monkeypatch):
+    # Every witness, partners and shifts included, equals the one found by
+    # canonicalizing the whole set first. With constant bigram weights every
+    # relator of the candidate's length is a key hit, so only the
+    # confirmation by canonical rotation tells them apart.
+    if weights == "constant":
+        monkeypatch.setattr(experiments, "_bigram_weights",
+                            lambda m: [[1] * (2 * m + 1)] * (2 * m + 1))
+    seen = set()
+    for rel in _planted_relator_sets(2024, 600):
+        ev = triviality_probe(rel)
+        assert ev == canonical_triviality_probe(rel), rel.relators
+        seen |= _coverage(rel, ev)
+    assert seen == {"length-1 relator", "length-2 relator", "remainder not cyclically reduced",
+                    "bare generator", "pair", "partner among rotations of one another",
+                    "rotated partner"}
+
+
+def test_triviality_probe_matches_the_canonical_lookup_on_sampled_sets():
+    for t, (m, maxlen, d) in enumerate([(2, 8, 0.6), (2, 10, 0.5), (3, 6, 0.6), (3, 8, 0.45)]
+                                       * 5):
+        rel = sample_relator_set(m, maxlen, DensityModel("bernoulli", d, 0),
+                                 rng_for(17, "probe", t))
+        assert triviality_probe(rel) == canonical_triviality_probe(rel)
+
+
+def test_trial_unranks_only_the_relators_its_probes_read(monkeypatch):
+    calls = 0
+    unrank = _WordTables.unrank
+
+    def counted(self, index):
+        nonlocal calls
+        calls += 1
+        return unrank(self, index)
+
+    monkeypatch.setattr(_WordTables, "unrank", counted)
+    lazy = run_trial(2, 1, 12, 0.75, "bernoulli", rng_for(5, "early stop"))
+    assert lazy.collapse and lazy.trivial and not lazy.fast_path
+    assert lazy.relator_count > 20_000 and calls < lazy.relator_count / 20
+
+    def eager_sample(*args, **kwargs):
+        rel = sample_relator_set(*args, **kwargs)
+        return RelatorSet(rel.m, rel.maxlen, tuple(rel.relators), rel.provenance)
+
+    monkeypatch.setattr(experiments, "sample_relator_set", eager_sample)
+    calls = 0
+    eager = run_trial(2, 1, 12, 0.75, "bernoulli", rng_for(5, "early stop"))
+    assert calls == eager.relator_count
+    assert eager == lazy
+
+
 def test_rewrite_presentation_examples():
     rel = make_relator_set(3, 3, [Word((3, 1, 2))])
     out = rewrite_presentation(rel, {3: Word((-2, -1))})
@@ -254,7 +357,7 @@ def test_collapse_agrees_across_paths_and_with_oracle(d):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 2: the fast path draws pairs (w, x_i w) as exact "
+    "ROADMAP item 1: the fast path draws pairs (w, x_i w) as exact "
     "concatenations, while triviality_probe matches them up to rotation"))
 @pytest.mark.parametrize("d", [0.45, 0.6])
 def test_triviality_agrees_across_paths(d):
