@@ -1,6 +1,7 @@
 """Golden outputs of the two diagram enumerations, and a cross-check between
-them: concrete diagrams forget their letters into the abstract family; and
-golden outputs of the sampled CLI commands for fixed seeds.
+them: concrete diagrams forget their letters into the abstract family;
+golden outputs of the sampled CLI commands for fixed seeds; and the
+freeness probe's reports on sampled sets.
 
 The digests pin the byte-exact output of the enumerations and the JSON
 codecs, so any change to the gluing order, the canonical keys or the
@@ -9,14 +10,18 @@ change that alters them must say so and re-pin."""
 
 import hashlib
 import json
+import random
 
+from freiheit import experiments
 from freiheit.abstract_diagrams import (AbstractDistortionDiagram, abstract_to_json,
                                         enumerate_abstract_diagrams,
                                         underlying_abstract)
 from freiheit.cli import dispatch
-from freiheit.density import make_relator_set
+from freiheit.density import DensityModel, make_relator_set, sample_relator_set
 from freiheit.diagrams import enumerate_reduced_disk_diagrams
-from freiheit.words import word_from_text
+from freiheit.experiments import freeness_probe
+from freiheit.stallings import fold, wedge_of_words
+from freiheit.words import Word, word_from_text
 
 from oracles import abstract_iso_key
 
@@ -89,3 +94,31 @@ def test_words_sample_cli_output_is_pinned(capsys):
     assert out.splitlines()[0] == "AbAABaBAbAbA"
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "1eca07d57d63a42d953e78c7dfc5ae80cfae162ce452fab17e2c33208b4081b3"
+
+
+def test_freeness_probe_reports_are_pinned(monkeypatch):
+    # The sets and budget of test_freeness_probe_sampled_low_density. The
+    # reports' repr pins each outcome and count; the bounded word problem's
+    # verdicts, recorded on their way to the probe, pin its 4,080 searches
+    # (a report with no collapse keeps none of them).
+    search = experiments.bounded_triviality
+    verdicts = hashlib.sha256()
+
+    def recorded(*args):
+        verdict = search(*args)
+        verdicts.update(repr(verdict).encode())
+        return verdict
+
+    monkeypatch.setattr(experiments, "bounded_triviality", recorded)
+    graph = fold(wedge_of_words([Word((1,)), Word((2,))]))
+    reports = hashlib.sha256()
+    for t in range(40):
+        rel = sample_relator_set(3, 10, DensityModel("bernoulli", 0.15, 0),
+                                 random.Random(4000 + t))
+        report = freeness_probe(rel, graph,
+                                {"word_length": 5, "max_steps": 30, "max_states": 400})
+        reports.update(repr(report).encode())
+    assert reports.hexdigest() == \
+        "a1e288a5c20aee0bf2740d3bddfecb423c62f60fbda86d122fb9ea9d07440b3b"
+    assert verdicts.hexdigest() == \
+        "ab864ed18cc842b37becdd7c8fae0703e82af12dba2be164df9683fa0c150f27"
