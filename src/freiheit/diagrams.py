@@ -232,6 +232,29 @@ class TrivialityVerdict:
     budget_exhausted: bool
 
 
+def _rewrite_rules(relators: RelatorSet) -> list:
+    """The rewrite rules of a relator set, built at its first search and
+    kept in the instance's ``__dict__`` (outside its fields, so equality,
+    hash and repr do not see them).
+
+    One rule per rotation of each relator and of its inverse, in the
+    search's order: ``(relator index, inverted, rotation, first letter,
+    rotated word, its inverse)``. A match of the first ``overlap`` letters
+    is replaced by ``inverse[:len - overlap]``, the inverse of the rest."""
+    rules = vars(relators).get("_rewrite_rules")
+    if rules is None:
+        rules = []
+        for ridx, rel in enumerate(relators.relators, start=1):
+            for inverted, word in ((False, rel.letters), (True, rel.inverse().letters)):
+                doubled = word + word
+                for rot in range(len(word)):
+                    rotated = doubled[rot:rot + len(word)]
+                    rules.append((ridx, inverted, rot, rotated[0], rotated,
+                                  tuple(-x for x in reversed(rotated))))
+        vars(relators)["_rewrite_rules"] = rules
+    return rules
+
+
 def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
                        budget: dict | None = None) -> TrivialityVerdict:
     """Breadth-first search for a rewrite path from w to the empty word.
@@ -240,6 +263,14 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     form).  A rewrite replaces a match u of a rotation prefix of a relator
     (or inverse relator) by the inverse of the remainder.  ``trivial`` comes
     with a replayable witness; ``unknown`` is never a proof of nontriviality.
+
+    The rewrite rules (``_rewrite_rules``) are built once per relator set.
+    A state maps each letter to its positions in increasing order, so a
+    rule visits only the positions that hold its first letter; successors
+    come in rule, position, overlap order.  The kept part of the state and
+    the replacement are both reduced, so a successor cancels only at their
+    junction and around the wrap.  Budgets: ``max_steps`` states expanded,
+    ``max_states`` successors built, ``max_length`` letters per state.
     """
     word = as_word(w)
     if not word.is_cyclically_reduced():
@@ -251,16 +282,14 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     # cap the number of states ever built, not just those expanded.
     max_states = budget.get("max_states", max(2000, 10 * max_steps))
 
-    oriented: list[tuple[int, bool, tuple[int, ...]]] = []
-    for ridx, rel in enumerate(relators.relators, start=1):
-        oriented.append((ridx, False, rel.letters))
-        oriented.append((ridx, True, rel.inverse().letters))
-
     start = min_cyclic_rotation(word.letters)
     if not start:
         return TrivialityVerdict("trivial", (), 0, False)
+    rules = _rewrite_rules(relators)
 
-    parents: dict[tuple[int, ...], RewriteStep | None] = {start: None}
+    # parents[state] is (before, relator index, inverted, rotation,
+    # position, overlap) of the step that first built it.
+    parents: dict[tuple[int, ...], tuple | None] = {start: None}
     queue = [start]
     qi = 0
     steps = 0
@@ -270,48 +299,67 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
         state = queue[qi]
         qi += 1
         steps += 1
-        if steps > max_steps:
-            return TrivialityVerdict("unknown", None, steps - 1, True)
-        if built > max_states:
+        if steps > max_steps or built > max_states:
             return TrivialityVerdict("unknown", None, steps - 1, True)
         k = len(state)
         doubled = state + state
-        for ridx, invflag, rword in oriented:
-            Lr = len(rword)
-            rdoubled = rword + rword
-            for rot in range(Lr):
-                for pos in range(k):
-                    q = 0
-                    limit = min(Lr, k)
-                    while q < limit and rdoubled[rot + q] == doubled[pos + q]:
-                        q += 1
-                    for overlap in range(1, q + 1):
-                        if built > max_states:
-                            break
-                        built += 1
-                        remainder = doubled[pos + overlap: pos + k]
-                        tail = rdoubled[rot + overlap: rot + Lr]
-                        replacement = tuple(-x for x in reversed(tail))
-                        new_state = min_cyclic_rotation(
-                            cyclic_reduce_letters(remainder + replacement))
-                        if len(new_state) > max_length:
-                            clipped = True
-                            continue
-                        if new_state in parents:
-                            continue
-                        step = RewriteStep(state, new_state, ridx, invflag, rot,
-                                           pos, overlap)
-                        parents[new_state] = step
+        where: dict[int, list[int]] = {}
+        for pos, x in enumerate(state):
+            if x in where:
+                where[x].append(pos)
+            else:
+                where[x] = [pos]
+        for ridx, invflag, rot, first, rotated, inverse in rules:
+            positions = where.get(first)
+            if positions is None:
+                continue
+            Lr = len(rotated)
+            limit = min(Lr, k)
+            for pos in positions:
+                q = 1
+                while q < limit and rotated[q] == doubled[pos + q]:
+                    q += 1
+                # The kept part ends with the letter before the match and the
+                # replacement starts with the inverse of the rotated word's
+                # last letter: they cancel when those two letters are equal.
+                junction = state[pos - 1] == rotated[-1]
+                for overlap in range(1, q + 1):
+                    built += 1
+                    kept = doubled[pos + overlap: pos + k]
+                    replacement = inverse[:Lr - overlap]
+                    if junction and kept and replacement:
+                        i, j = len(kept) - 1, 1
+                        while i and j < len(replacement) and kept[i - 1] == -replacement[j]:
+                            i -= 1
+                            j += 1
+                        linear = kept[:i] + replacement[j:]
+                    else:
+                        linear = kept + replacement
+                    if linear and linear[0] == -linear[-1]:
+                        i, j = 1, len(linear) - 1
+                        while j - i >= 2 and linear[i] == -linear[j - 1]:
+                            i += 1
+                            j -= 1
+                        linear = linear[i:j]
+                    new_state = min_cyclic_rotation(linear)
+                    if len(new_state) > max_length:
+                        clipped = True
+                    elif new_state not in parents:
+                        parents[new_state] = (state, ridx, invflag, rot, pos, overlap)
                         if not new_state:
                             witness = []
                             cur: tuple[int, ...] = new_state
                             while parents[cur] is not None:
-                                st = parents[cur]
-                                witness.append(st)
-                                cur = st.before
+                                before, *step = parents[cur]
+                                witness.append(RewriteStep(before, cur, *step))
+                                cur = before
                             return TrivialityVerdict(
                                 "trivial", tuple(reversed(witness)), steps, False)
                         queue.append(new_state)
+                    if built > max_states:
+                        # The rest of the state goes unexpanded.
+                        return TrivialityVerdict("unknown", None, steps,
+                                                 clipped or qi < len(queue))
     return TrivialityVerdict("unknown", None, steps, clipped)
 
 

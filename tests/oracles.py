@@ -4,16 +4,22 @@ Everything here is deliberately written with different algorithms from the
 production code: stack reduction instead of pointer scanning, exhaustive
 search instead of transfer matrices, union-find folding instead of the
 worklist, whole-word comparison instead of period arithmetic, a lookup of
-every relator by canonical rotation instead of one pass with bigram keys.
+every relator by canonical rotation instead of one pass with bigram keys,
+every rewrite rule at every position instead of a letter index.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
+from typing import Iterable
 
+from freiheit.density import RelatorSet
+from freiheit.diagrams import RewriteStep, TrivialityVerdict
+from freiheit.errors import DomainError
 from freiheit.experiments import TrivialityEvidence, TrivialityWitness
 from freiheit.stallings import LabeledGraph
+from freiheit.words import Word, as_word, cyclic_reduce_letters, min_cyclic_rotation
 
 
 def stack_reduce(letters) -> tuple[int, ...]:
@@ -285,3 +291,91 @@ def canonical_triviality_probe(relators) -> TrivialityEvidence:
                              if partner.letters[s:] + partner.letters[:s] == w)
                 witnesses[gen] = TrivialityWitness(gen, rel, pos, partner, shift)
     return TrivialityEvidence(witnesses)
+
+
+def scan_bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
+                            budget: dict | None = None) -> TrivialityVerdict:
+    """The bounded word problem as it was before the rewrite rules and the
+    letter index, copied verbatim: every oriented relator at every rotation
+    is tried at every position of a state, and each successor is reduced
+    by the full stack reduction.
+
+    Breadth-first search for a rewrite path from w to the empty word.
+
+    States are cyclic words (canonical rotation of the cyclically reduced
+    form).  A rewrite replaces a match u of a rotation prefix of a relator
+    (or inverse relator) by the inverse of the remainder.  ``trivial`` comes
+    with a replayable witness; ``unknown`` is never a proof of nontriviality.
+    """
+    word = as_word(w)
+    if not word.is_cyclically_reduced():
+        raise DomainError("bounded_triviality expects a cyclically reduced word")
+    budget = dict(budget or {})
+    max_length = budget.get("max_length", 3 * relators.maxlen)
+    max_steps = budget.get("max_steps", 1_000_000)
+    # Constructing successor states dominates the cost, so small budgets also
+    # cap the number of states ever built, not just those expanded.
+    max_states = budget.get("max_states", max(2000, 10 * max_steps))
+
+    oriented: list[tuple[int, bool, tuple[int, ...]]] = []
+    for ridx, rel in enumerate(relators.relators, start=1):
+        oriented.append((ridx, False, rel.letters))
+        oriented.append((ridx, True, rel.inverse().letters))
+
+    start = min_cyclic_rotation(word.letters)
+    if not start:
+        return TrivialityVerdict("trivial", (), 0, False)
+
+    parents: dict[tuple[int, ...], RewriteStep | None] = {start: None}
+    queue = [start]
+    qi = 0
+    steps = 0
+    built = 0
+    clipped = False
+    while qi < len(queue):
+        state = queue[qi]
+        qi += 1
+        steps += 1
+        if steps > max_steps:
+            return TrivialityVerdict("unknown", None, steps - 1, True)
+        if built > max_states:
+            return TrivialityVerdict("unknown", None, steps - 1, True)
+        k = len(state)
+        doubled = state + state
+        for ridx, invflag, rword in oriented:
+            Lr = len(rword)
+            rdoubled = rword + rword
+            for rot in range(Lr):
+                for pos in range(k):
+                    q = 0
+                    limit = min(Lr, k)
+                    while q < limit and rdoubled[rot + q] == doubled[pos + q]:
+                        q += 1
+                    for overlap in range(1, q + 1):
+                        if built > max_states:
+                            break
+                        built += 1
+                        remainder = doubled[pos + overlap: pos + k]
+                        tail = rdoubled[rot + overlap: rot + Lr]
+                        replacement = tuple(-x for x in reversed(tail))
+                        new_state = min_cyclic_rotation(
+                            cyclic_reduce_letters(remainder + replacement))
+                        if len(new_state) > max_length:
+                            clipped = True
+                            continue
+                        if new_state in parents:
+                            continue
+                        step = RewriteStep(state, new_state, ridx, invflag, rot,
+                                           pos, overlap)
+                        parents[new_state] = step
+                        if not new_state:
+                            witness = []
+                            cur: tuple[int, ...] = new_state
+                            while parents[cur] is not None:
+                                st = parents[cur]
+                                witness.append(st)
+                                cur = st.before
+                            return TrivialityVerdict(
+                                "trivial", tuple(reversed(witness)), steps, False)
+                        queue.append(new_state)
+    return TrivialityVerdict("unknown", None, steps, clipped)

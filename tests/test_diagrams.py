@@ -1,7 +1,11 @@
+import random
+from collections import Counter
+
 import pytest
 
+from freiheit import diagrams
 from freiheit.complexes import check_complex
-from freiheit.density import make_relator_set
+from freiheit.density import DensityModel, make_relator_set, sample_relator_set
 from freiheit.diagrams import (VanKampenDiagram, bounded_triviality, boundary_word,
                                certify_bilipschitz, diagram_canonical_key,
                                diagram_from_json, diagram_to_json,
@@ -9,10 +13,11 @@ from freiheit.diagrams import (VanKampenDiagram, bounded_triviality, boundary_wo
                                isoperimetric_ratio, one_face_diagram,
                                replay_witness, validate)
 from freiheit.errors import DomainError, FeasibilityError
+from freiheit.experiments import freeness_probe
 from freiheit.stallings import LabeledGraph, fold, wedge_of_words
-from freiheit.words import Word, canonical_cyclic
+from freiheit.words import Word, canonical_cyclic, sample_cyclically_reduced
 
-from oracles import reducible_pair_oracle
+from oracles import reducible_pair_oracle, scan_bounded_triviality
 
 COMMUTATOR = make_relator_set(2, 4, [Word((1, 2, -1, -2))])
 SMALL = make_relator_set(2, 4, [Word((1, 2)), Word((1, 1, 2)), Word((2, 2, -1))])
@@ -131,6 +136,91 @@ def test_bounded_triviality_budget_exhaustion_flagged():
     verdict = bounded_triviality(rel, Word((1, 2)), {"max_length": 6, "max_steps": 3})
     assert verdict.status == "unknown"
     assert verdict.budget_exhausted or verdict.steps_used <= 3
+
+
+def _differential_budget(rng: random.Random) -> tuple[str, dict]:
+    """A budget and its family. Under ``caps`` no state is long enough to be
+    clipped, so an exhausted budget means a cap was hit; under ``clip`` the
+    caps cannot bind (at most a few dozen cyclic words are that short), so
+    it means a successor was clipped; ``mixed`` combines tiny caps with a
+    small length bound."""
+    tiny = (0, 1, 2, 3, 5, 8)
+    family = rng.choice(("caps", "clip", "mixed"))
+    if family == "caps":
+        return family, {"max_steps": rng.choice(tiny + (rng.randint(0, 20),)),
+                        "max_states": rng.choice(tiny + (rng.randint(0, 300),)),
+                        "max_length": 10 ** 6}
+    if family == "clip":
+        return family, {"max_steps": 10 ** 4, "max_states": 10 ** 8,
+                        "max_length": rng.randint(1, 3)}
+    return family, {"max_steps": rng.choice(tiny + (rng.randint(0, 20),)),
+                    "max_states": rng.choice(tiny + (rng.randint(0, 300),)),
+                    "max_length": rng.randint(1, 6)}
+
+
+def test_bounded_triviality_matches_the_full_scan():
+    # Every (m, maxlen, d) cell of the grid, one sampled set each, five
+    # random words each: the letter-indexed search must return the verdict
+    # of the full scan, field for field.
+    rng = random.Random(9090)
+    outcomes = Counter()
+    for m in (2, 3):
+        for maxlen in range(4, 9):
+            for d in (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45):
+                relators = sample_relator_set(m, maxlen, DensityModel("bernoulli", d, 0), rng)
+                for _ in range(5):
+                    w = sample_cyclically_reduced(m, rng.randint(1, 8), rng)
+                    family, budget = _differential_budget(rng)
+                    if len(relators) > 100:
+                        budget["max_steps"] = min(budget["max_steps"], 3)
+                    verdict = bounded_triviality(relators, w, budget)
+                    assert verdict == scan_bounded_triviality(relators, w, budget), \
+                        (relators.relators, w, budget)
+                    if verdict.status == "trivial":
+                        assert replay_witness(relators, w, verdict.witness)
+                        outcomes["trivial"] += 1
+                        # Around the cap: every successor built counts once.
+                        for cap in range(40):
+                            capped = dict(budget, max_states=cap)
+                            assert bounded_triviality(relators, w, capped) == \
+                                scan_bounded_triviality(relators, w, capped), \
+                                (relators.relators, w, capped)
+                    elif not verdict.budget_exhausted:
+                        outcomes["complete"] += 1
+                    elif family != "mixed":
+                        outcomes["exhausted" if family == "caps" else "clipped"] += 1
+    assert set(outcomes) == {"trivial", "complete", "exhausted", "clipped"}, outcomes
+
+
+def test_rewrite_rules_are_built_once_per_relator_set(monkeypatch):
+    # Building the rules inverts each relator once, and nothing else on the
+    # freeness probe's path inverts a word: inversions count the builds.
+    inversions = Counter()
+    real_inverse = Word.inverse
+
+    def counted_inverse(self):
+        inversions[self] += 1
+        return real_inverse(self)
+
+    monkeypatch.setattr(Word, "inverse", counted_inverse)
+    graph = fold(wedge_of_words([Word((1,)), Word((2,))]))
+    budget = {"word_length": 4, "max_steps": 30, "max_states": 400}
+    sampled = sample_relator_set(3, 8, DensityModel("bernoulli", 0.2, 0), random.Random(12))
+    before = (hash(sampled), repr(sampled))
+    report = freeness_probe(sampled, graph, budget)
+    assert report.words_checked == 50 and len(sampled) == 17
+    assert inversions == Counter(sampled.relators)
+    assert freeness_probe(sampled, graph, budget) == report
+    assert inversions == Counter(sampled.relators)
+    # The rules sit outside the fields: equality, hash and repr ignore them,
+    # and an equal set built by hand builds its own and agrees.
+    assert (hash(sampled), repr(sampled)) == before
+    by_hand = make_relator_set(3, 8, [w.letters for w in sampled.relators],
+                               sampled.provenance)
+    assert by_hand == sampled and hash(by_hand) == hash(sampled)
+    assert repr(by_hand) == repr(sampled)
+    assert freeness_probe(by_hand, graph, budget) == report
+    assert inversions == Counter({w: 2 for w in sampled.relators})
 
 
 def test_bounded_triviality_requires_cyclically_reduced():
