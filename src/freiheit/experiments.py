@@ -213,14 +213,23 @@ def collapse_probe(relators: RelatorSet, r: int) -> CollapseResult:
     for rel in relators.relators:
         if not missing:
             break
-        big = [(pos, x) for pos, x in enumerate(rel.letters) if abs(x) > r]
-        if len(big) != 1:
+        # pos: the position of the only letter beyond x_r, None if there are
+        # none or several.
+        letters = rel.letters
+        pos = None
+        for i, x in enumerate(letters):
+            if not -r <= x <= r:
+                if pos is not None:
+                    pos = None
+                    break
+                pos = i
+        if pos is None:
             continue
-        pos, x = big[0]
+        x = letters[pos]
         gen = abs(x)
         if gen not in missing:
             continue
-        rotated = rel.letters[pos:] + rel.letters[:pos]
+        rotated = letters[pos:] + letters[:pos]
         w = Word(rotated[1:])
         substitution = w.inverse() if x > 0 else w
         witnesses[gen] = CollapseWitness(gen, rel, pos, x < 0, substitution)
