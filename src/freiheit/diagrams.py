@@ -271,6 +271,9 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     the replacement are both reduced, so a successor cancels only at their
     junction and around the wrap.  Budgets: ``max_steps`` states expanded,
     ``max_states`` successors built, ``max_length`` letters per state.
+    ``budget_exhausted`` is set when a cap stops the search or a successor
+    is clipped for its length, so ``unknown`` without it means the search
+    ran out of states within the budget.
     """
     word = as_word(w)
     if not word.is_cyclically_reduced():
@@ -357,9 +360,8 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
                                 "trivial", tuple(reversed(witness)), steps, False)
                         queue.append(new_state)
                     if built > max_states:
-                        # The rest of the state goes unexpanded.
-                        return TrivialityVerdict("unknown", None, steps,
-                                                 clipped or qi < len(queue))
+                        # The rest of the state goes unexpanded: a cut search.
+                        return TrivialityVerdict("unknown", None, steps, True)
     return TrivialityVerdict("unknown", None, steps, clipped)
 
 

@@ -296,9 +296,10 @@ def canonical_triviality_probe(relators) -> TrivialityEvidence:
 def scan_bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
                             budget: dict | None = None) -> TrivialityVerdict:
     """The bounded word problem as it was before the rewrite rules and the
-    letter index, copied verbatim: every oriented relator at every rotation
-    is tried at every position of a state, and each successor is reduced
-    by the full stack reduction.
+    letter index, copied verbatim but for the flag of a search cut by the
+    state cap: every oriented relator at every rotation is tried at every
+    position of a state, and each successor is reduced by the full stack
+    reduction.
 
     Breadth-first search for a rewrite path from w to the empty word.
 
@@ -378,4 +379,6 @@ def scan_bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
                             return TrivialityVerdict(
                                 "trivial", tuple(reversed(witness)), steps, False)
                         queue.append(new_state)
-    return TrivialityVerdict("unknown", None, steps, clipped)
+    # A search the state cap stopped is exhausted even when its queue ran
+    # out afterwards (the one change to the copy).
+    return TrivialityVerdict("unknown", None, steps, clipped or built > max_states)

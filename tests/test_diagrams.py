@@ -3,11 +3,10 @@ from collections import Counter
 
 import pytest
 
-from freiheit import diagrams
 from freiheit.complexes import check_complex
 from freiheit.density import DensityModel, make_relator_set, sample_relator_set
-from freiheit.diagrams import (VanKampenDiagram, bounded_triviality, boundary_word,
-                               certify_bilipschitz, diagram_canonical_key,
+from freiheit.diagrams import (TrivialityVerdict, VanKampenDiagram, bounded_triviality,
+                               boundary_word, certify_bilipschitz, diagram_canonical_key,
                                diagram_from_json, diagram_to_json,
                                enumerate_reduced_disk_diagrams, is_reduced,
                                isoperimetric_ratio, one_face_diagram,
@@ -15,7 +14,7 @@ from freiheit.diagrams import (VanKampenDiagram, bounded_triviality, boundary_wo
 from freiheit.errors import DomainError, FeasibilityError
 from freiheit.experiments import freeness_probe
 from freiheit.stallings import LabeledGraph, fold, wedge_of_words
-from freiheit.words import Word, canonical_cyclic, sample_cyclically_reduced
+from freiheit.words import Word, canonical_cyclic, sample_cyclically_reduced, word_from_text
 
 from oracles import reducible_pair_oracle, scan_bounded_triviality
 
@@ -134,8 +133,21 @@ def test_bounded_triviality_free_group_unknown():
 def test_bounded_triviality_budget_exhaustion_flagged():
     rel = make_relator_set(2, 4, [Word((1, 2, 1, 2)), Word((2, 1, 2))])
     verdict = bounded_triviality(rel, Word((1, 2)), {"max_length": 6, "max_steps": 3})
-    assert verdict.status == "unknown"
-    assert verdict.budget_exhausted or verdict.steps_used <= 3
+    assert verdict == TrivialityVerdict("unknown", None, 3, True)
+
+
+def test_bounded_triviality_cut_search_is_exhausted():
+    # The whole search expands four states. A cap of 4 or 5 successors stops
+    # it in its third state, before the fourth is built, so the queue runs
+    # out: that search was cut, not completed.
+    rel = make_relator_set(2, 2, [word_from_text("BB"), word_from_text("BA")])
+    a = word_from_text("A")
+    budget = {"max_steps": 50, "max_length": 6}
+    assert bounded_triviality(rel, a, dict(budget, max_states=5000)) == \
+        TrivialityVerdict("unknown", None, 4, False)
+    for cap in (4, 5):
+        assert bounded_triviality(rel, a, dict(budget, max_states=cap)) == \
+            TrivialityVerdict("unknown", None, 3, True)
 
 
 def _differential_budget(rng: random.Random) -> tuple[str, dict]:
