@@ -184,6 +184,9 @@ def test_bounded_triviality_matches_the_full_scan():
                     w = sample_cyclically_reduced(m, rng.randint(1, 8), rng)
                     family, budget = _differential_budget(rng)
                     if len(relators) > 100:
+                        # Keeps the full scan affordable on the largest sets;
+                        # a step cap this low may bind, so no family holds.
+                        family = "mixed"
                         budget["max_steps"] = min(budget["max_steps"], 3)
                     verdict = bounded_triviality(relators, w, budget)
                     assert verdict == scan_bounded_triviality(relators, w, budget), \
