@@ -308,10 +308,7 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
         doubled = state + state
         where: dict[int, list[int]] = {}
         for pos, x in enumerate(state):
-            if x in where:
-                where[x].append(pos)
-            else:
-                where[x] = [pos]
+            where.setdefault(x, []).append(pos)
         for ridx, invflag, rot, first, rotated, inverse in rules:
             positions = where.get(first)
             if positions is None:

@@ -295,11 +295,10 @@ def canonical_triviality_probe(relators) -> TrivialityEvidence:
 
 def scan_bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
                             budget: dict | None = None) -> TrivialityVerdict:
-    """The bounded word problem as it was before the rewrite rules and the
-    letter index, copied verbatim but for the flag of a search cut by the
-    state cap: every oriented relator at every rotation is tried at every
-    position of a state, and each successor is reduced by the full stack
-    reduction.
+    """``diagrams.bounded_triviality`` by a full scan, which the letter-indexed
+    search must match verdict for verdict: every oriented relator at every
+    rotation is tried at every position of a state, and each successor is
+    reduced by the full stack reduction.
 
     Breadth-first search for a rewrite path from w to the empty word.
 
@@ -380,5 +379,5 @@ def scan_bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
                                 "trivial", tuple(reversed(witness)), steps, False)
                         queue.append(new_state)
     # A search the state cap stopped is exhausted even when its queue ran
-    # out afterwards (the one change to the copy).
+    # out afterwards.
     return TrivialityVerdict("unknown", None, steps, clipped or built > max_states)
