@@ -17,6 +17,12 @@ diagrams add a letter per dart.  The planar-map machinery they share lives
 here: the one-face polygon, gluing a face along a boundary arc, the
 level-by-level search with canonical-key deduplication, the mirror-pair
 test, canonical codes and the map half of the JSON codec.
+
+A canonical code is the least rooted code over the outer roots (and the
+mirror's).  Its first fields are the dart count and the vertex ids in
+breadth-first order, one per dart for every root, so a root is dropped at
+the first vertex id larger than the least sequence so far, and only the
+roots that tie the least sequence are encoded in full.
 """
 
 from __future__ import annotations
@@ -344,19 +350,73 @@ def map_code(c: PlanarComplex,
             outer_part, label_part)
 
 
+def _vertex_part(phi: list[int], dart_vertex: Sequence[int], start: int,
+                 best: list[int] | None) -> tuple[list[int], bool] | None:
+    """The vertex part of the code rooted at dart ``start``, built in
+    ``map_code``'s breadth-first order and compared id by id with ``best``,
+    the least vertex part of the roots before.
+
+    Returns None at the first id larger than ``best``'s: no code of this
+    root can be the minimum.  Otherwise returns the part and whether it
+    ties ``best`` (True when there is no ``best``)."""
+    placed = {start}
+    queue = [start]
+    vert_id = {dart_vertex[start]: 0}
+    part = [0]
+    tied = True
+    for d in queue:
+        for e in (d ^ 1, phi[d]):
+            if e not in placed:
+                placed.add(e)
+                queue.append(e)
+                v = vert_id.setdefault(dart_vertex[e], len(vert_id))
+                if tied and best is not None:
+                    b = best[len(part)]
+                    if v > b:
+                        return None
+                    tied = v == b
+                part.append(v)
+    return part, tied
+
+
 def canonical_map_code(c: PlanarComplex,
                        face_infos: Sequence[tuple],
                        dart_labels: Sequence[int] | None = None,
                        relabel_first_use: bool = False,
                        use_mirror: bool = True):
     """Minimum code over outer roots and (optionally) the mirror map, whose
-    faces carry the signs of ``face_infos`` flipped."""
+    faces carry the signs of ``face_infos`` flipped.
+
+    Every root's code starts with the same dart count and a vertex part of
+    the same length, so only the roots with the least vertex part can give
+    the minimum.  Each root's vertex part is built against the least one so
+    far and dropped at its first larger id (``_vertex_part``); ``map_code``
+    encodes only the roots that tie the least part, and the minimum is
+    taken over those.  The first root is never dropped, so a map that is
+    not partitioned or not connected raises on it."""
     variants = [(c, face_infos)]
     if use_mirror:
         variants.append((mirror_complex(c), [((idx, -sign), period)
                                              for (idx, sign), period in face_infos]))
+    best = None
+    roots: list[tuple] = []  # the roots whose vertex part is ``best``
+    for cc, infos in variants:
+        phi = cc.phi
+        if phi is None:
+            raise DomainError("cannot encode: darts not partitioned")
+        for start_idx, start in enumerate(cc.outer):
+            found = _vertex_part(phi, cc.dart_vertex, start, best)
+            if found is None:
+                continue
+            part, tied = found
+            if best is None and len(part) != cc.num_darts:
+                raise DomainError("cannot encode: complex is disconnected")
+            if not tied or best is None:
+                best = part
+                roots = []
+            roots.append((cc, infos, start_idx))
     return min(map_code(cc, infos, start_idx, dart_labels, relabel_first_use)
-               for cc, infos in variants for start_idx in range(len(cc.outer)))
+               for cc, infos, start_idx in roots)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,17 @@ production code: stack reduction instead of pointer scanning, exhaustive
 search instead of transfer matrices, union-find folding instead of the
 worklist, whole-word comparison instead of period arithmetic, a lookup of
 every relator by canonical rotation instead of one pass with bigram keys,
-every rewrite rule at every position instead of a letter index.
+every rewrite rule at every position instead of a letter index, every
+root of a map encoded in full instead of a minimum that drops losing roots.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Sequence
 
+from freiheit.complexes import PlanarComplex, mirror_complex
 from freiheit.density import RelatorSet
 from freiheit.diagrams import RewriteStep, TrivialityVerdict
 from freiheit.errors import DomainError
@@ -312,7 +314,7 @@ def scan_bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
         raise DomainError("bounded_triviality expects a cyclically reduced word")
     budget = dict(budget or {})
     max_length = budget.get("max_length", 3 * relators.maxlen)
-    max_steps = budget.get("max_steps", 1_000_000)
+    max_steps = budget.get("max_steps", 10_000)
     # Constructing successor states dominates the cost, so small budgets also
     # cap the number of states ever built, not just those expanded.
     max_states = budget.get("max_states", max(2000, 10 * max_steps))
@@ -381,3 +383,90 @@ def scan_bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     # A search the state cap stopped is exhausted even when its queue ran
     # out afterwards.
     return TrivialityVerdict("unknown", None, steps, clipped or built > max_states)
+
+
+def full_map_code(c: PlanarComplex,
+                  face_infos: Sequence[tuple],
+                  start_idx: int,
+                  dart_labels: Sequence[int] | None = None,
+                  relabel_first_use: bool = False):
+    """``complexes.map_code`` as it stood beside the full minimum.
+
+    Serialize the rooted map.
+
+    ``face_infos`` holds one (label, period) pair per inner face: ``label``
+    is the face's signed index (index, sign) and ``period`` the rotation
+    step under which the face cycle may be re-rooted without changing the
+    object.  With ``relabel_first_use`` the indices are renamed 1..k in
+    order of first appearance (abstract-diagram isomorphism).
+    """
+    phi = c.phi
+    if phi is None:
+        raise DomainError("cannot encode: darts not partitioned")
+    start = c.outer[start_idx]
+    order: dict[int, int] = {start: 0}
+    queue = [start]
+    qi = 0
+    while qi < len(queue):
+        d = queue[qi]
+        qi += 1
+        for e in (d ^ 1, phi[d]):
+            if e not in order:
+                order[e] = len(order)
+                queue.append(e)
+    if len(order) != c.num_darts:
+        raise DomainError("cannot encode: complex is disconnected")
+
+    vert_id: dict[int, int] = {}
+    vert_part = []
+    for d in queue:
+        v = c.dart_vertex[d]
+        if v not in vert_id:
+            vert_id[v] = len(vert_id)
+        vert_part.append(vert_id[v])
+
+    alpha_part = tuple(order[queue[i] ^ 1] for i in range(len(queue)))
+
+    faces_part = []
+    for cycle, (label, period) in zip(c.faces, face_infos):
+        best = min(tuple(order[d] for d in cycle[off:] + cycle[:off])
+                   for off in range(0, len(cycle), period))
+        faces_part.append((best, label))
+    faces_part.sort()
+    if relabel_first_use:
+        rename: dict[int, int] = {}
+        renamed = []
+        for best, label in faces_part:
+            idx, sign = label
+            if idx not in rename:
+                rename[idx] = len(rename) + 1
+            renamed.append((best, (rename[idx], sign)))
+        faces_part = renamed
+
+    n = len(c.outer)
+    outer_part = tuple(order[c.outer[(start_idx + i) % n]] for i in range(n))
+
+    label_part = None
+    if dart_labels is not None:
+        label_part = tuple(dart_labels[queue[i]] for i in range(len(queue)))
+
+    return (c.num_darts, tuple(vert_part), alpha_part, tuple(faces_part),
+            outer_part, label_part)
+
+
+def full_canonical_map_code(c: PlanarComplex,
+                            face_infos: Sequence[tuple],
+                            dart_labels: Sequence[int] | None = None,
+                            relabel_first_use: bool = False,
+                            use_mirror: bool = True):
+    """``complexes.canonical_map_code`` by encoding every root in full, which
+    the pruned minimum must match tuple for tuple.
+
+    Minimum code over outer roots and (optionally) the mirror map, whose
+    faces carry the signs of ``face_infos`` flipped."""
+    variants = [(c, face_infos)]
+    if use_mirror:
+        variants.append((mirror_complex(c), [((idx, -sign), period)
+                                             for (idx, sign), period in face_infos]))
+    return min(full_map_code(cc, infos, start_idx, dart_labels, relabel_first_use)
+               for cc, infos in variants for start_idx in range(len(cc.outer)))
