@@ -267,10 +267,14 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     The rewrite rules (``_rewrite_rules``) are built once per relator set.
     A state maps each letter to its positions in increasing order, so a
     rule visits only the positions that hold its first letter; successors
-    come in rule, position, overlap order.  The kept part of the state and
+    come in rule, position order.  A match of q letters is a successor for
+    each overlap 1..q, but all of them reduce to one cyclic word, so only
+    overlap 1 is built and the match counts q successors against
+    ``max_states``.  The kept part of the state and
     the replacement are both reduced, so a successor cancels only at their
-    junction and around the wrap.  Budgets: ``max_steps`` states expanded,
-    ``max_states`` successors built, ``max_length`` letters per state.
+    junction and around the wrap.  Budgets: ``max_steps`` states expanded
+    (10,000 by default), ``max_states`` successors built (by default
+    ``max(2000, 10 * max_steps)``), ``max_length`` letters per state.
     ``budget_exhausted`` is set when a cap stops the search or a successor
     is clipped for its length, so ``unknown`` without it means the search
     ran out of states within the budget.
@@ -280,7 +284,7 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
         raise DomainError("bounded_triviality expects a cyclically reduced word")
     budget = dict(budget or {})
     max_length = budget.get("max_length", 3 * relators.maxlen)
-    max_steps = budget.get("max_steps", 1_000_000)
+    max_steps = budget.get("max_steps", 10_000)
     # Constructing successor states dominates the cost, so small budgets also
     # cap the number of states ever built, not just those expanded.
     max_states = budget.get("max_states", max(2000, 10 * max_steps))
@@ -323,42 +327,44 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
                 # replacement starts with the inverse of the rotated word's
                 # last letter: they cancel when those two letters are equal.
                 junction = state[pos - 1] == rotated[-1]
-                for overlap in range(1, q + 1):
-                    built += 1
-                    kept = doubled[pos + overlap: pos + k]
-                    replacement = inverse[:Lr - overlap]
-                    if junction and kept and replacement:
-                        i, j = len(kept) - 1, 1
-                        while i and j < len(replacement) and kept[i - 1] == -replacement[j]:
-                            i -= 1
-                            j += 1
-                        linear = kept[:i] + replacement[j:]
-                    else:
-                        linear = kept + replacement
-                    if linear and linear[0] == -linear[-1]:
-                        i, j = 1, len(linear) - 1
-                        while j - i >= 2 and linear[i] == -linear[j - 1]:
-                            i += 1
-                            j -= 1
-                        linear = linear[i:j]
-                    new_state = min_cyclic_rotation(linear)
-                    if len(new_state) > max_length:
-                        clipped = True
-                    elif new_state not in parents:
-                        parents[new_state] = (state, ridx, invflag, rot, pos, overlap)
-                        if not new_state:
-                            witness = []
-                            cur: tuple[int, ...] = new_state
-                            while parents[cur] is not None:
-                                before, *step = parents[cur]
-                                witness.append(RewriteStep(before, cur, *step))
-                                cur = before
-                            return TrivialityVerdict(
-                                "trivial", tuple(reversed(witness)), steps, False)
-                        queue.append(new_state)
-                    if built > max_states:
-                        # The rest of the state goes unexpanded: a cut search.
-                        return TrivialityVerdict("unknown", None, steps, True)
+                kept = doubled[pos + 1: pos + k]
+                replacement = inverse[:Lr - 1]
+                if junction and kept and replacement:
+                    i, j = len(kept) - 1, 1
+                    while i and j < len(replacement) and kept[i - 1] == -replacement[j]:
+                        i -= 1
+                        j += 1
+                    linear = kept[:i] + replacement[j:]
+                else:
+                    linear = kept + replacement
+                if linear and linear[0] == -linear[-1]:
+                    i, j = 1, len(linear) - 1
+                    while j - i >= 2 and linear[i] == -linear[j - 1]:
+                        i += 1
+                        j -= 1
+                    linear = linear[i:j]
+                new_state = min_cyclic_rotation(linear)
+                if len(new_state) > max_length:
+                    clipped = True
+                elif new_state not in parents:
+                    parents[new_state] = (state, ridx, invflag, rot, pos, 1)
+                    if not new_state:
+                        witness = []
+                        cur: tuple[int, ...] = new_state
+                        while parents[cur] is not None:
+                            before, *step = parents[cur]
+                            witness.append(RewriteStep(before, cur, *step))
+                            cur = before
+                        return TrivialityVerdict(
+                            "trivial", tuple(reversed(witness)), steps, False)
+                    queue.append(new_state)
+                # Overlaps 2..q build the same cyclic word: each conjugates
+                # overlap 1's by one more matched letter. They are counted,
+                # not built.
+                built += q
+                if built > max_states:
+                    # The rest of the state goes unexpanded: a cut search.
+                    return TrivialityVerdict("unknown", None, steps, True)
     return TrivialityVerdict("unknown", None, steps, clipped)
 
 

@@ -150,6 +150,17 @@ def test_bounded_triviality_cut_search_is_exhausted():
             TrivialityVerdict("unknown", None, 3, True)
 
 
+def test_bounded_triviality_default_budget_is_bounded():
+    # With no budget the search stops at its default caps (10,000 states
+    # expanded, 100,000 successors built) and says so.
+    rng = random.Random(0)
+    relators = sample_relator_set(3, 8, DensityModel("bernoulli", 0.2, 0), rng)
+    w = sample_cyclically_reduced(3, 6, rng)
+    verdict = bounded_triviality(relators, w)
+    assert verdict.status == "unknown" and verdict.budget_exhausted
+    assert verdict.steps_used <= 10_000
+
+
 def _differential_budget(rng: random.Random) -> tuple[str, dict]:
     """A budget and its family. Under ``caps`` no state is long enough to be
     clipped, so an exhausted budget means a cap was hit; under ``clip`` the
