@@ -22,7 +22,7 @@ A canonical code is the least rooted code over the outer roots (and the
 mirror's).  Its first fields are the dart count and the vertex ids in
 breadth-first order, one per dart for every root, so a root is dropped at
 the first vertex id larger than the least sequence so far, and only the
-roots that tie the least sequence are encoded in full.
+roots that tie the least sequence are serialized in full.
 """
 
 from __future__ import annotations
@@ -283,12 +283,42 @@ def has_mirror_pair(d: FaceLabelledMap, period: Callable[[int], int]) -> bool:
 # face-root rotations where the caller grants that freedom).
 
 
-def map_code(c: PlanarComplex,
-             face_infos: Sequence[tuple],
-             start_idx: int,
-             dart_labels: Sequence[int] | None = None,
-             relabel_first_use: bool = False):
-    """Serialize the rooted map.
+def _root_order(phi: list[int], dart_vertex: Sequence[int], start: int,
+                best: list[int] | None):
+    """The darts in breadth-first order from dart ``start`` (over the
+    involution, then the face permutation) and the vertex part of the code:
+    each dart's tail vertex, vertices numbered by first appearance.
+
+    The vertex part is compared id by id with ``best``, the least vertex part
+    of the roots before.  Returns None at the first id larger than
+    ``best``'s: no code of this root can be the minimum.  Otherwise returns
+    the order, the vertex part and whether it ties ``best`` (True when there
+    is no ``best``)."""
+    placed = {start}
+    queue = [start]
+    vert_id = {dart_vertex[start]: 0}
+    part = [0]
+    tied = True
+    for d in queue:
+        for e in (d ^ 1, phi[d]):
+            if e not in placed:
+                placed.add(e)
+                queue.append(e)
+                v = vert_id.setdefault(dart_vertex[e], len(vert_id))
+                if tied and best is not None:
+                    b = best[len(part)]
+                    if v > b:
+                        return None
+                    tied = v == b
+                part.append(v)
+    return queue, part, tied
+
+
+def _rooted_code(c: PlanarComplex, face_infos: Sequence[tuple], start_idx: int,
+                 queue: list[int], vert_part: list[int],
+                 dart_labels: Sequence[int] | None, relabel_first_use: bool):
+    """Serialize the map rooted at outer position ``start_idx``, given its
+    breadth-first dart order ``queue`` and vertex part.
 
     ``face_infos`` holds one (label, period) pair per inner face: ``label``
     is the face's signed index (index, sign) and ``period`` the rotation
@@ -296,32 +326,8 @@ def map_code(c: PlanarComplex,
     object.  With ``relabel_first_use`` the indices are renamed 1..k in
     order of first appearance (abstract-diagram isomorphism).
     """
-    phi = c.phi
-    if phi is None:
-        raise DomainError("cannot encode: darts not partitioned")
-    start = c.outer[start_idx]
-    order: dict[int, int] = {start: 0}
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        d = queue[qi]
-        qi += 1
-        for e in (d ^ 1, phi[d]):
-            if e not in order:
-                order[e] = len(order)
-                queue.append(e)
-    if len(order) != c.num_darts:
-        raise DomainError("cannot encode: complex is disconnected")
-
-    vert_id: dict[int, int] = {}
-    vert_part = []
-    for d in queue:
-        v = c.dart_vertex[d]
-        if v not in vert_id:
-            vert_id[v] = len(vert_id)
-        vert_part.append(vert_id[v])
-
-    alpha_part = tuple(order[queue[i] ^ 1] for i in range(len(queue)))
+    order = {d: i for i, d in enumerate(queue)}
+    alpha_part = tuple(order[d ^ 1] for d in queue)
 
     faces_part = []
     for cycle, (label, period) in zip(c.faces, face_infos):
@@ -344,39 +350,10 @@ def map_code(c: PlanarComplex,
 
     label_part = None
     if dart_labels is not None:
-        label_part = tuple(dart_labels[queue[i]] for i in range(len(queue)))
+        label_part = tuple(dart_labels[d] for d in queue)
 
     return (c.num_darts, tuple(vert_part), alpha_part, tuple(faces_part),
             outer_part, label_part)
-
-
-def _vertex_part(phi: list[int], dart_vertex: Sequence[int], start: int,
-                 best: list[int] | None) -> tuple[list[int], bool] | None:
-    """The vertex part of the code rooted at dart ``start``, built in
-    ``map_code``'s breadth-first order and compared id by id with ``best``,
-    the least vertex part of the roots before.
-
-    Returns None at the first id larger than ``best``'s: no code of this
-    root can be the minimum.  Otherwise returns the part and whether it
-    ties ``best`` (True when there is no ``best``)."""
-    placed = {start}
-    queue = [start]
-    vert_id = {dart_vertex[start]: 0}
-    part = [0]
-    tied = True
-    for d in queue:
-        for e in (d ^ 1, phi[d]):
-            if e not in placed:
-                placed.add(e)
-                queue.append(e)
-                v = vert_id.setdefault(dart_vertex[e], len(vert_id))
-                if tied and best is not None:
-                    b = best[len(part)]
-                    if v > b:
-                        return None
-                    tied = v == b
-                part.append(v)
-    return part, tied
 
 
 def canonical_map_code(c: PlanarComplex,
@@ -390,10 +367,11 @@ def canonical_map_code(c: PlanarComplex,
     Every root's code starts with the same dart count and a vertex part of
     the same length, so only the roots with the least vertex part can give
     the minimum.  Each root's vertex part is built against the least one so
-    far and dropped at its first larger id (``_vertex_part``); ``map_code``
-    encodes only the roots that tie the least part, and the minimum is
-    taken over those.  The first root is never dropped, so a map that is
-    not partitioned or not connected raises on it."""
+    far and the root is dropped at its first larger id (``_root_order``);
+    only the roots that tie the least part are serialized
+    (``_rooted_code``), and the minimum is taken over those.  The first root
+    is never dropped, so a map the cycles do not partition, or a
+    disconnected one, raises DomainError on it."""
     variants = [(c, face_infos)]
     if use_mirror:
         variants.append((mirror_complex(c), [((idx, -sign), period)
@@ -405,18 +383,21 @@ def canonical_map_code(c: PlanarComplex,
         if phi is None:
             raise DomainError("cannot encode: darts not partitioned")
         for start_idx, start in enumerate(cc.outer):
-            found = _vertex_part(phi, cc.dart_vertex, start, best)
+            found = _root_order(phi, cc.dart_vertex, start, best)
             if found is None:
                 continue
-            part, tied = found
-            if best is None and len(part) != cc.num_darts:
-                raise DomainError("cannot encode: complex is disconnected")
-            if not tied or best is None:
-                best = part
-                roots = []
-            roots.append((cc, infos, start_idx))
-    return min(map_code(cc, infos, start_idx, dart_labels, relabel_first_use)
-               for cc, infos, start_idx in roots)
+            queue, part, tied = found
+            if best is None:
+                if len(queue) != cc.num_darts:
+                    raise DomainError("cannot encode: complex is disconnected")
+            elif tied:
+                roots.append((cc, infos, start_idx, queue))
+                continue
+            best = part
+            roots = [(cc, infos, start_idx, queue)]
+    return min(_rooted_code(cc, infos, start_idx, queue, best, dart_labels,
+                            relabel_first_use)
+               for cc, infos, start_idx, queue in roots)
 
 
 # ---------------------------------------------------------------------------

@@ -390,7 +390,8 @@ def full_map_code(c: PlanarComplex,
                   start_idx: int,
                   dart_labels: Sequence[int] | None = None,
                   relabel_first_use: bool = False):
-    """``complexes.map_code`` as it stood beside the full minimum.
+    """The code of one root, which ``complexes.canonical_map_code``
+    serializes only for the roots it keeps.
 
     Serialize the rooted map.
 

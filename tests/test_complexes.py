@@ -4,7 +4,7 @@ import pytest
 
 from freiheit import abstract_diagrams, complexes, diagrams
 from freiheit.abstract_diagrams import enumerate_abstract_diagrams
-from freiheit.complexes import PlanarComplex, canonical_map_code, polygon
+from freiheit.complexes import PlanarComplex, canonical_map_code
 from freiheit.density import make_relator_set
 from freiheit.diagrams import enumerate_reduced_disk_diagrams
 from freiheit.errors import DomainError
@@ -55,17 +55,6 @@ def test_canonical_codes_match_the_full_minimum_on_disk_diagrams(checked_codes):
     assert _disk_diagrams(("aab", "bba", "abAB", "aaBB"), 3) > 0
     assert _disk_diagrams(("abab", "aaa"), 2) > 0
     assert checked_codes["labels"] > 1000, checked_codes
-
-
-def test_canonical_code_ties_every_root_of_a_symmetric_map():
-    # Every root of a regular polygon and of its mirror has the same vertex
-    # part, so none is dropped and the labels decide the minimum.
-    square = polygon(4)
-    infos = [((1, 1), 4)]
-    for labels in (None, (1, -1, 2, -2, 1, -1, 2, -2), (2, -2, 1, -1, 1, -1, 1, -1)):
-        for mirror in (True, False):
-            assert canonical_map_code(square, infos, labels, use_mirror=mirror) == \
-                full_canonical_map_code(square, infos, labels, use_mirror=mirror)
 
 
 def test_canonical_code_rejects_a_map_it_cannot_encode():
