@@ -369,9 +369,9 @@ def canonical_map_code(c: PlanarComplex,
     the minimum.  Each root's vertex part is built against the least one so
     far and the root is dropped at its first larger id (``_root_order``);
     only the roots that tie the least part are serialized
-    (``_rooted_code``), and the minimum is taken over those.  The first root
-    is never dropped, so a map the cycles do not partition, or a
-    disconnected one, raises DomainError on it."""
+    (``_rooted_code``), and the minimum is taken over those.  A map the
+    cycles do not partition raises DomainError before any root is built, a
+    disconnected one on the first root, which is never dropped."""
     variants = [(c, face_infos)]
     if use_mirror:
         variants.append((mirror_complex(c), [((idx, -sign), period)
