@@ -407,23 +407,12 @@ def test_fast_path_trial_shape():
             assert res.collapse_result.sampled_witnesses
 
 
-def test_freeness_probe_sampled_low_density():
+def test_freeness_probe_sampled_low_density(sampled_freeness_probes):
     # Far below the critical density, bounded search finds no collapse.
-    # Word budget scaled down from the headline setting to keep the
-    # breadth-first rewriting affordable in pure Python.
-    from freiheit.stallings import fold, wedge_of_words
-
-    graph = fold(wedge_of_words([Word((1,)), Word((2,))]))
-    no_collapse = 0
-    trials = 40
-    for t in range(trials):
-        rel = sample_relator_set(3, 10, DensityModel("bernoulli", 0.15, 0),
-                                 random.Random(4000 + t))
-        report = freeness_probe(rel, graph,
-                                {"word_length": 5, "max_steps": 30,
-                                 "max_states": 400})
-        no_collapse += not report.collapse_found
-    assert no_collapse >= 0.95 * trials
+    reports, _ = sampled_freeness_probes
+    assert len(reports) == 40
+    no_collapse = sum(not report.collapse_found for report in reports)
+    assert no_collapse >= 0.95 * len(reports)
 
 
 def test_fillability_bound_monte_carlo_past_crossover():

@@ -10,18 +10,14 @@ change that alters them must say so and re-pin."""
 
 import hashlib
 import json
-import random
 
-from freiheit import experiments
 from freiheit.abstract_diagrams import (AbstractDistortionDiagram, abstract_to_json,
                                         enumerate_abstract_diagrams,
                                         underlying_abstract)
 from freiheit.cli import dispatch
-from freiheit.density import DensityModel, make_relator_set, sample_relator_set
+from freiheit.density import make_relator_set
 from freiheit.diagrams import enumerate_reduced_disk_diagrams
-from freiheit.experiments import freeness_probe
-from freiheit.stallings import fold, wedge_of_words
-from freiheit.words import Word, word_from_text
+from freiheit.words import word_from_text
 
 from oracles import abstract_iso_key
 
@@ -96,28 +92,12 @@ def test_words_sample_cli_output_is_pinned(capsys):
         "1eca07d57d63a42d953e78c7dfc5ae80cfae162ce452fab17e2c33208b4081b3"
 
 
-def test_freeness_probe_reports_are_pinned(monkeypatch):
-    # The sets and budget of test_freeness_probe_sampled_low_density. The
-    # reports' repr pins each outcome and count; the bounded word problem's
-    # verdicts, recorded on their way to the probe, pin its 4,080 searches
-    # (a report with no collapse keeps none of them).
-    search = experiments.bounded_triviality
-    verdicts = hashlib.sha256()
-
-    def recorded(*args):
-        verdict = search(*args)
-        verdicts.update(repr(verdict).encode())
-        return verdict
-
-    monkeypatch.setattr(experiments, "bounded_triviality", recorded)
-    graph = fold(wedge_of_words([Word((1,)), Word((2,))]))
-    reports = hashlib.sha256()
-    for t in range(40):
-        rel = sample_relator_set(3, 10, DensityModel("bernoulli", 0.15, 0),
-                                 random.Random(4000 + t))
-        report = freeness_probe(rel, graph,
-                                {"word_length": 5, "max_steps": 30, "max_states": 400})
-        reports.update(repr(report).encode())
+def test_freeness_probe_reports_are_pinned(sampled_freeness_probes):
+    # The reports' repr pins each outcome and count; the bounded word
+    # problem's verdicts, recorded on their way to the probe, pin its 4,080
+    # searches (a report with no collapse keeps none of them).
+    reports, verdicts = (hashlib.sha256(b"".join(repr(x).encode() for x in xs))
+                         for xs in sampled_freeness_probes)
     assert reports.hexdigest() == \
         "a1e288a5c20aee0bf2740d3bddfecb423c62f60fbda86d122fb9ea9d07440b3b"
     assert verdicts.hexdigest() == \
