@@ -126,8 +126,9 @@ def test_bernoulli_density_estimate_converges():
 
 
 def test_bernoulli_pairwise_independence():
-    # On an explicit 64-element universe inclusions are independent coins:
-    # empirical pairwise correlation stays small.
+    # On a 64-element universe the sampler's inclusions are independent
+    # coins of probability p = 1/8: each index is included with frequency p
+    # and the empirical pairwise correlation stays small.
     n, d = 64, 0.5
     trials = 40_000
     rng = random.Random(3)
@@ -135,17 +136,40 @@ def test_bernoulli_pairwise_independence():
     singles = [0] * n
     pair_hits = {}
     for _ in range(trials):
-        included = [i for i in range(n) if rng.random() < p]
+        included = bernoulli_index_subset(n, d, rng)
         for i in included:
             singles[i] += 1
         for a, b in combinations(included, 2):
             pair_hits[(a, b)] = pair_hits.get((a, b), 0) + 1
+    sd = math.sqrt(p * (1 - p) / trials)
+    assert all(abs(hits / trials - p) < 5 * sd for hits in singles)
     worst = 0.0
     for (a, b), hits in pair_hits.items():
         pa, pb, pab = singles[a] / trials, singles[b] / trials, hits / trials
         denom = math.sqrt(pa * (1 - pa) * pb * (1 - pb))
         worst = max(worst, abs(pab - pa * pb) / denom)
     assert worst < 0.02
+
+
+class _NoSampleRandom(random.Random):
+    def sample(self, population, k, **kwargs):
+        raise AssertionError("drew the members with rng.sample")
+
+
+def test_bernoulli_members_above_float_resolution():
+    # Above 2^53 float gaps lose unit resolution, so the members come from
+    # rng.sample: |E| = 2^60 at d = 0.05 gives 2^3 = 8 members on average.
+    n = 2 ** 60
+    rng = random.Random(12)
+    sizes = []
+    for _ in range(300):
+        sub = bernoulli_index_subset(n, 0.05, rng)
+        sizes.append(len(sub))
+        assert all(a < b for a, b in zip(sub, sub[1:]))
+        assert all(0 <= i < n for i in sub)
+    assert abs(sum(sizes) / len(sizes) - 8.0) < 1.0
+    with pytest.raises(AssertionError, match="rng.sample"):
+        bernoulli_index_subset(2 ** 53 + 1, 0.05, _NoSampleRandom(1))
 
 
 def test_floor_power():
