@@ -8,9 +8,11 @@ Two permutation-invariant models over a finite universe E:
   defined for d in [0, 1].
 
 Both are sampled by index, so the universe is never enumerated. A Bernoulli
-subset's size is drawn exactly, by counting geometric waiting times between
-successive members (Devroye, Non-Uniform Random Variate Generation, X.4),
-and that many distinct indices are then drawn uniformly: conditioned on its
+subset is drawn by geometric waiting times between successive members
+(Devroye, Non-Uniform Random Variate Generation, X.4): the positions they
+reach are the members, already sorted and distinct. Once |E| > 2^53 float
+gaps lose unit resolution, so there the waiting times give only the size
+and that many distinct indices are drawn uniformly: conditioned on its
 size, a Bernoulli subset is a uniform subset of that size. The cost is
 O(|A|), whatever |E|.
 
@@ -224,8 +226,10 @@ def bernoulli_subset(elements: Sequence, d: float, seed_or_rng) -> list:
 def bernoulli_index_subset(universe_size: int, d: float, seed_or_rng) -> list[int]:
     """Bernoulli subset of range(universe_size), returned as a sorted index list.
 
-    The waiting times give only the size: float skips lose unit resolution
-    once universe_size > 2^53, while rng.sample draws big-int indices exactly.
+    The positions the waiting times reach are the members, in increasing
+    order. Float gaps lose unit resolution once universe_size > 2^53, so
+    there the waiting times give only the size and rng.sample draws that
+    many big-int indices exactly.
     """
     rng = as_rng(seed_or_rng)
     p = inclusion_probability(universe_size, d)
@@ -233,14 +237,17 @@ def bernoulli_index_subset(universe_size: int, d: float, seed_or_rng) -> list[in
         return list(range(universe_size))
     log_q = math.log1p(-p)
     random, log = rng.random, math.log
-    k, i = 0, -1
+    members: list[int] = []
+    i = -1
     while True:
         # Geometric(p) gap on {1, 2, ...}; 1 - random() lies in (0, 1].
         i += int(log(1.0 - random()) / log_q) + 1
         if i >= universe_size:
             break
-        k += 1
-    return sorted(rng.sample(range(universe_size), k))
+        members.append(i)
+    if universe_size <= 2 ** 53:
+        return members
+    return sorted(rng.sample(range(universe_size), len(members)))
 
 
 def uniform_count_subset(elements: Sequence, d: float, seed_or_rng) -> list:

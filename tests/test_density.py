@@ -170,6 +170,11 @@ def test_bernoulli_members_above_float_resolution():
     assert abs(sum(sizes) / len(sizes) - 8.0) < 1.0
     with pytest.raises(AssertionError, match="rng.sample"):
         bernoulli_index_subset(2 ** 53 + 1, 0.05, _NoSampleRandom(1))
+    # Up to 2^53 inclusive the gap positions are the members.
+    for seed in range(20):
+        sub = bernoulli_index_subset(2 ** 53, 0.05, _NoSampleRandom(seed))
+        assert all(a < b for a, b in zip(sub, sub[1:]))
+        assert all(0 <= i < 2 ** 53 for i in sub)
 
 
 def test_floor_power():

@@ -65,7 +65,7 @@ def test_density_sample_cli_output_is_pinned(capsys):
     out = capsys.readouterr().out
     assert out.startswith("# model=bernoulli d=0.4 m=2 maxlen=10 size=84\n")
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "9eb1ae5804817c25e95febc87cc91873e78fdb947d7e3931eb1840fb6244c089"
+        "ae79aa0170f9d1e5367720aee629431f1655bba550726915a5cb0376a513dff2"
 
 
 def test_sweep_cli_output_is_pinned(tmp_path, capsys):
@@ -101,4 +101,4 @@ def test_freeness_probe_reports_are_pinned(sampled_freeness_probes):
     assert reports.hexdigest() == \
         "a1e288a5c20aee0bf2740d3bddfecb423c62f60fbda86d122fb9ea9d07440b3b"
     assert verdicts.hexdigest() == \
-        "ab864ed18cc842b37becdd7c8fae0703e82af12dba2be164df9683fa0c150f27"
+        "addba0a3caaf8db1a77b0101c7695b2aed118913b157cbf30539c9e4650b2f4f"
