@@ -22,6 +22,8 @@ from .words import Word, as_word, canonical_cyclic, char_to_letter, letter_to_ch
 
 MAX_ENUMERATION_EDGES = 12
 
+_UNBUILT = object()
+
 
 class LabeledGraph:
     """Immutable-by-convention labeled multigraph with an optional base vertex."""
@@ -50,6 +52,7 @@ class LabeledGraph:
         self._out: dict[int, list[int]] = {v: [] for v in range(self.num_vertices)}
         for d in range(len(self._dart_tail)):
             self._out[self._dart_tail[d]].append(d)
+        self._out_map = _UNBUILT
 
     @property
     def num_edges(self) -> int:
@@ -71,14 +74,20 @@ class LabeledGraph:
         return len(self._out[v])
 
     def out_map(self) -> dict[tuple[int, int], int] | None:
-        """(vertex, letter) -> head vertex, or None if not label-deterministic."""
-        out: dict[tuple[int, int], int] = {}
-        for d in range(2 * self.num_edges):
-            key = (self._dart_tail[d], self._dart_label[d])
-            if key in out:
-                return None
-            out[key] = self._dart_head[d]
-        return out
+        """(vertex, letter) -> head vertex, or None if not label-deterministic.
+
+        Built on the first call; every call returns that same dict, shared
+        by all callers, so none may mutate it."""
+        if self._out_map is _UNBUILT:
+            out: dict[tuple[int, int], int] | None = {}
+            for d in range(2 * self.num_edges):
+                key = (self._dart_tail[d], self._dart_label[d])
+                if key in out:
+                    out = None
+                    break
+                out[key] = self._dart_head[d]
+            self._out_map = out
+        return self._out_map
 
 
 def is_connected(g: LabeledGraph) -> bool:

@@ -156,6 +156,14 @@ def test_is_readable():
     assert not is_readable(LabeledGraph(1, [(0, 0, 1)]), Word((2,)))
 
 
+def test_out_map_is_built_once_per_graph():
+    g = figure_eight()
+    assert g.out_map() == {(0, 1): 0, (0, -1): 0, (0, 2): 0, (0, -2): 0}
+    assert g.out_map() is g.out_map()
+    # Two darts of label 1 leave vertex 0.
+    assert LabeledGraph(2, [(0, 1, 1), (0, 0, 1)]).out_map() is None
+
+
 def test_reduced_loops_enumeration():
     loops = {w.text() for w in iter_reduced_loops(figure_eight(), 2)}
     assert "a" in loops and "ab" in loops and "aA" not in loops
