@@ -269,15 +269,24 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     rule visits only the positions that hold its first letter; successors
     come in rule, position order.  A match of q letters is a successor for
     each overlap 1..q, but all of them reduce to one cyclic word, so only
-    overlap 1 is built and the match counts q successors against
-    ``max_states``.  The kept part of the state and
-    the replacement are both reduced, so a successor cancels only at their
-    junction and around the wrap.  Budgets: ``max_steps`` states expanded
-    (10,000 by default), ``max_states`` successors built (by default
+    overlap 1 is kept and the match counts q successors against
+    ``max_states``.  A match is queued as (state, rule, position); its
+    successor is built, reduced, canonicalized and deduplicated only when
+    the search dequeues it (delayed duplicate detection), since most
+    searches stop at a cap with nearly all of their queue unread.  The
+    queue is in build order, so a dequeued successor meets exactly the
+    states built before it, as if it had been checked when it was built.
+    The one successor known without building it is the empty word, which a
+    match of the whole state against the whole rotated relator gives.  The
+    kept part of the state and the replacement are both reduced, so a
+    successor cancels only at their junction and around the wrap.
+
+    Budgets: ``max_steps`` states expanded (10,000 by default),
+    ``max_states`` successors counted as they are queued (by default
     ``max(2000, 10 * max_steps)``), ``max_length`` letters per state.
-    ``budget_exhausted`` is set when a cap stops the search or a successor
-    is clipped for its length, so ``unknown`` without it means the search
-    ran out of states within the budget.
+    ``budget_exhausted`` is set when a cap stops the search or a dequeued
+    successor is clipped for its length, so ``unknown`` without it means
+    the search ran out of states within the budget.
     """
     word = as_word(w)
     if not word.is_cyclically_reduced():
@@ -285,8 +294,8 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     budget = dict(budget or {})
     max_length = budget.get("max_length", 3 * relators.maxlen)
     max_steps = budget.get("max_steps", 10_000)
-    # Constructing successor states dominates the cost, so small budgets also
-    # cap the number of states ever built, not just those expanded.
+    # Small budgets also cap the successors queued, not just the states
+    # expanded.
     max_states = budget.get("max_states", max(2000, 10 * max_steps))
 
     start = min_cyclic_rotation(word.letters)
@@ -295,16 +304,48 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     rules = _rewrite_rules(relators)
 
     # parents[state] is (before, relator index, inverted, rotation,
-    # position, overlap) of the step that first built it.
+    # position, overlap) of the step that first built it. The queue holds
+    # matches (before, rule, position), in the order they were found.
     parents: dict[tuple[int, ...], tuple | None] = {start: None}
-    queue = [start]
+    queue: list[tuple] = [(start, None, 0)]
     qi = 0
     steps = 0
     built = 0
     clipped = False
     while qi < len(queue):
-        state = queue[qi]
+        before, rule, pos = queue[qi]
         qi += 1
+        if rule is None:
+            state = before
+        else:
+            ridx, invflag, rot, _, rotated, inverse = rule
+            # The kept part ends with the letter before the match and the
+            # replacement starts with the inverse of the rotated word's last
+            # letter: they cancel when those two letters are equal.
+            junction = before[pos - 1] == rotated[-1]
+            kept = before[pos + 1:] + before[:pos]
+            replacement = inverse[:len(rotated) - 1]
+            if junction and kept and replacement:
+                i, j = len(kept) - 1, 1
+                while i and j < len(replacement) and kept[i - 1] == -replacement[j]:
+                    i -= 1
+                    j += 1
+                linear = kept[:i] + replacement[j:]
+            else:
+                linear = kept + replacement
+            if linear and linear[0] == -linear[-1]:
+                i, j = 1, len(linear) - 1
+                while j - i >= 2 and linear[i] == -linear[j - 1]:
+                    i += 1
+                    j -= 1
+                linear = linear[i:j]
+            state = min_cyclic_rotation(linear)
+            if len(state) > max_length:
+                clipped = True
+                continue
+            if state in parents:
+                continue
+            parents[state] = (before, ridx, invflag, rot, pos, 1)
         steps += 1
         if steps > max_steps or built > max_states:
             return TrivialityVerdict("unknown", None, steps - 1, True)
@@ -313,51 +354,32 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
         where: dict[int, list[int]] = {}
         for pos, x in enumerate(state):
             where.setdefault(x, []).append(pos)
-        for ridx, invflag, rot, first, rotated, inverse in rules:
-            positions = where.get(first)
-            if positions is None:
+        for rule in rules:
+            first = rule[3]
+            if first not in where:
                 continue
+            positions = where[first]
+            rotated = rule[4]
             Lr = len(rotated)
-            limit = min(Lr, k)
+            limit = Lr if Lr < k else k
             for pos in positions:
                 q = 1
                 while q < limit and rotated[q] == doubled[pos + q]:
                     q += 1
-                # The kept part ends with the letter before the match and the
-                # replacement starts with the inverse of the rotated word's
-                # last letter: they cancel when those two letters are equal.
-                junction = state[pos - 1] == rotated[-1]
-                kept = doubled[pos + 1: pos + k]
-                replacement = inverse[:Lr - 1]
-                if junction and kept and replacement:
-                    i, j = len(kept) - 1, 1
-                    while i and j < len(replacement) and kept[i - 1] == -replacement[j]:
-                        i -= 1
-                        j += 1
-                    linear = kept[:i] + replacement[j:]
-                else:
-                    linear = kept + replacement
-                if linear and linear[0] == -linear[-1]:
-                    i, j = 1, len(linear) - 1
-                    while j - i >= 2 and linear[i] == -linear[j - 1]:
-                        i += 1
-                        j -= 1
-                    linear = linear[i:j]
-                new_state = min_cyclic_rotation(linear)
-                if len(new_state) > max_length:
-                    clipped = True
-                elif new_state not in parents:
-                    parents[new_state] = (state, ridx, invflag, rot, pos, 1)
-                    if not new_state:
-                        witness = []
-                        cur: tuple[int, ...] = new_state
-                        while parents[cur] is not None:
-                            before, *step = parents[cur]
-                            witness.append(RewriteStep(before, cur, *step))
-                            cur = before
-                        return TrivialityVerdict(
-                            "trivial", tuple(reversed(witness)), steps, False)
-                    queue.append(new_state)
+                if q == k == Lr and max_length >= 0:
+                    # The state is this rotation of the relator, so the
+                    # successor is the empty word (clipped only by a
+                    # negative max_length).
+                    parents[()] = (state, *rule[:3], pos, 1)
+                    witness = []
+                    cur: tuple[int, ...] = ()
+                    while parents[cur] is not None:
+                        before, *step = parents[cur]
+                        witness.append(RewriteStep(before, cur, *step))
+                        cur = before
+                    return TrivialityVerdict(
+                        "trivial", tuple(reversed(witness)), steps, False)
+                queue.append((state, rule, pos))
                 # Overlaps 2..q build the same cyclic word: each conjugates
                 # overlap 1's by one more matched letter. They are counted,
                 # not built.

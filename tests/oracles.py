@@ -300,7 +300,10 @@ def scan_bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     """``diagrams.bounded_triviality`` by a full scan, which the letter-indexed
     search must match verdict for verdict: every oriented relator at every
     rotation is tried at every position of a state, and each successor is
-    reduced by the full stack reduction.
+    reduced by the full stack reduction. It is also the eager reference for
+    the search's delayed successors: here every successor is built, reduced,
+    canonicalized and checked against the states seen when it is found, not
+    when it is dequeued.
 
     Breadth-first search for a rewrite path from w to the empty word.
 

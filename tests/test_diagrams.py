@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from freiheit import diagrams
 from freiheit.complexes import check_complex
 from freiheit.density import DensityModel, make_relator_set, sample_relator_set
 from freiheit.diagrams import (TrivialityVerdict, VanKampenDiagram, bounded_triviality,
@@ -148,6 +149,51 @@ def test_bounded_triviality_cut_search_is_exhausted():
     for cap in (4, 5):
         assert bounded_triviality(rel, a, dict(budget, max_states=cap)) == \
             TrivialityVerdict("unknown", None, 3, True)
+
+
+def test_bounded_triviality_builds_only_dequeued_successors(monkeypatch):
+    # The matches in aabab count more than five successors, so a cap of 5
+    # cuts the search while it expands its start state. Those matches were
+    # queued but never dequeued, so none was reduced or canonicalized: the
+    # one canonical rotation computed is the start's.
+    w = word_from_text("aabab")
+    budget = {"max_steps": 50, "max_states": 5, "max_length": 12}
+    expected = scan_bounded_triviality(SMALL, w, budget)
+    assert expected == TrivialityVerdict("unknown", None, 1, True)
+    rotations = []
+    real_rotation = diagrams.min_cyclic_rotation
+
+    def counted_rotation(letters):
+        rotations.append(letters)
+        return real_rotation(letters)
+
+    monkeypatch.setattr(diagrams, "min_cyclic_rotation", counted_rotation)
+    assert bounded_triviality(SMALL, w, budget) == expected
+    assert rotations == [w.letters]
+
+
+def test_bounded_triviality_empty_successor_of_an_inverted_relator():
+    # aBAb is a nonzero rotation of baBA, the inverse of the commutator abAB,
+    # and of no rotation of abAB itself. The rules of aab come first and
+    # queue their successors; the whole state then matches the inverted
+    # commutator, whose successor is the empty word, found without being
+    # built.
+    rel = make_relator_set(2, 4, [word_from_text("aab"), word_from_text("abAB")])
+    w = word_from_text("aBAb")
+    verdict = bounded_triviality(rel, w, {"max_steps": 10})
+    assert verdict.status == "trivial" and verdict.steps_used == 1
+    (step,) = verdict.witness
+    assert (step.relator_index, step.inverted, step.after) == (2, True, ())
+    # Every one-step witness is at rotation 0: that rotation of each
+    # oriented relator is tried first, and it matches wherever another does.
+    # The nonzero rotation of the word shows in the position.
+    assert step.rotation == 0 and step.position == 2
+    assert replay_witness(rel, w, verdict.witness)
+    assert verdict == scan_bounded_triviality(rel, w, {"max_steps": 10})
+    # Only a negative length bound clips the empty word.
+    clip = {"max_steps": 10, "max_length": -1}
+    assert bounded_triviality(rel, w, clip) == scan_bounded_triviality(rel, w, clip) == \
+        TrivialityVerdict("unknown", None, 1, True)
 
 
 def test_bounded_triviality_default_budget_is_bounded():
