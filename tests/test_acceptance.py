@@ -183,19 +183,24 @@ def test_criterion_05_filling_count_bound():
     rng = random.Random(77)
     instances = 0
     spot_checks = 0
+    # Readability of each p-word, per graph, shared across representatives.
+    readable: dict[tuple, bool] = {}
     for ad in enum.representatives:
         pairs = fillings_with_boundary(ad, 2)
         n = ad.boundary_length()
         per_boundary = Counter(b for _, b in pairs)
+        assert all(len(boundary) == n for boundary in per_boundary)
+        doubled = [(boundary + boundary, c) for boundary, c in per_boundary.items()]
         for graph, r in ((loop, 1), (fig8, 2)):
             for p_len in range(0, n + 1):
                 for p_start in range(n if p_len else 1):
                     add = AbstractDistortionDiagram(ad, p_start, p_len)
                     count = 0
-                    for boundary, c in per_boundary.items():
-                        word = Word(tuple(boundary[(p_start + i) % n]
-                                          for i in range(p_len)))
-                        if is_readable(graph, word):
+                    for boundary, c in doubled:
+                        key = (r, boundary[p_start:p_start + p_len])
+                        if key not in readable:
+                            readable[key] = is_readable(graph, Word(key[1]))
+                        if readable[key]:
                             count += c
                     assert count <= filling_bound_exact(add, 2, r, graph.num_edges)
                     instances += 1
