@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import freiheit
 from freiheit.cli import dispatch, read_config
 from freiheit.errors import DomainError
 from freiheit.stallings import graph_from_text
@@ -282,3 +287,13 @@ def test_experiments_bound_cli(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["crossover"] == 4852
+
+
+def test_python_m_freiheit_runs_the_cli():
+    # A checkout runs the CLI without installing: PYTHONPATH=src python -m freiheit.
+    src = str(Path(freiheit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "freiheit", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "experiments" in done.stdout
