@@ -294,8 +294,6 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     budget = dict(budget or {})
     max_length = budget.get("max_length", 3 * relators.maxlen)
     max_steps = budget.get("max_steps", 10_000)
-    # Small budgets also cap the successors queued, not just the states
-    # expanded.
     max_states = budget.get("max_states", max(2000, 10 * max_steps))
 
     start = min_cyclic_rotation(word.letters)
