@@ -10,16 +10,19 @@ change that alters them must say so and re-pin."""
 
 import hashlib
 import json
+import random
 
 from freiheit.abstract_diagrams import (AbstractDistortionDiagram, abstract_to_json,
                                         enumerate_abstract_diagrams,
                                         underlying_abstract)
+from freiheit import experiments
 from freiheit.cli import dispatch
-from freiheit.density import make_relator_set
+from freiheit.density import DensityModel, make_relator_set, sample_relator_set
 from freiheit.diagrams import enumerate_reduced_disk_diagrams
 from freiheit.experiments import SweepBudgets, run_trial
 from freiheit.seeds import rng_for
-from freiheit.words import word_from_text
+from freiheit.stallings import wedge_of_words
+from freiheit.words import Word, word_from_text
 
 from oracles import abstract_iso_key
 
@@ -120,3 +123,38 @@ def test_freeness_probe_reports_are_pinned(sampled_freeness_probes):
         "a1e288a5c20aee0bf2740d3bddfecb423c62f60fbda86d122fb9ea9d07440b3b"
     assert verdicts.hexdigest() == \
         "addba0a3caaf8db1a77b0101c7695b2aed118913b157cbf30539c9e4650b2f4f"
+
+
+def test_freeness_probe_verdicts_on_long_relators_are_pinned(monkeypatch):
+    # Sets of relators up to 12 and 20 letters long (m=3, r=2, below d_2 ~
+    # 0.317), probed with the README's budget, so that long rotated words
+    # with no shared prefix past their first few letters are matched. No
+    # probe finds a collapse, so the reports all read alike; the recorded
+    # verdicts pin each search's step count.
+    search = experiments.bounded_triviality
+    verdicts = []
+
+    def recorded(*args):
+        verdict = search(*args)
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(experiments, "bounded_triviality", recorded)
+    graph = wedge_of_words([Word((1,)), Word((2,))])
+    reports, sizes = [], []
+    for maxlen in (12, 20):
+        for d in (0.05, 0.15, 0.25):
+            for seed in range(1300, 1303):
+                relators = sample_relator_set(3, maxlen, DensityModel("bernoulli", d, 0),
+                                              random.Random(seed))
+                sizes.append(len(relators))
+                reports.append(experiments.freeness_probe(
+                    relators, graph, {"word_length": 4, "max_steps": 60}))
+    assert sizes == [6, 2, 2, 26, 22, 21, 123, 141, 129,
+                     8, 6, 4, 121, 139, 124, 3290, 3362, 3360]
+    assert len(verdicts) == 18 * 50
+    digests = [hashlib.sha256(b"".join(repr(x).encode() for x in xs)).hexdigest()
+               for xs in (reports, verdicts)]
+    assert digests == [
+        "017a3ae5d367fdc4417284ac73171a39746ee5629482e277f0ba45d3583655c3",
+        "b3efd05359d5c3fce287bf77d3ff23ce15083c40c5ffe250fbc74b4ee065a9b4"]
