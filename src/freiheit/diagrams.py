@@ -19,6 +19,7 @@ and face re-rootings along relator periods.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Iterator, Sequence
@@ -232,17 +233,22 @@ class TrivialityVerdict:
     budget_exhausted: bool
 
 
-def _rewrite_rules(relators: RelatorSet) -> list:
-    """The rewrite rules of a relator set, built at its first search and
-    kept in the instance's ``__dict__`` (outside its fields, so equality,
-    hash and repr do not see them).
+def _rewrite_rules(relators: RelatorSet) -> tuple[list, dict, frozenset]:
+    """The rewrite rules of a relator set, their prefix trie and the set of
+    their rotated words, built at its first search and kept in the
+    instance's ``__dict__`` (outside its fields, so equality, hash and repr
+    do not see them).
 
     One rule per rotation of each relator and of its inverse, in the
     search's order: ``(relator index, inverted, rotation, first letter,
     rotated word, its inverse)``. A match of the first ``overlap`` letters
-    is replaced by ``inverse[:len - overlap]``, the inverse of the rest."""
-    rules = vars(relators).get("_rewrite_rules")
-    if rules is None:
+    is replaced by ``inverse[:len - overlap]``, the inverse of the rest.
+
+    The trie (``_prefix_trie``) counts the rotated words by prefix, so the
+    search counts a state's matches without enumerating them; the set tells
+    which states match a whole rotated word."""
+    entry = vars(relators).get("_rewrite_rules")
+    if entry is None:
         rules = []
         for ridx, rel in enumerate(relators.relators, start=1):
             for inverted, word in ((False, rel.letters), (True, rel.inverse().letters)):
@@ -251,8 +257,70 @@ def _rewrite_rules(relators: RelatorSet) -> list:
                     rotated = doubled[rot:rot + len(word)]
                     rules.append((ridx, inverted, rot, rotated[0], rotated,
                                   tuple(-x for x in reversed(rotated))))
-        vars(relators)["_rewrite_rules"] = rules
-    return rules
+        words = [rule[4] for rule in rules]
+        entry = (rules, _prefix_trie(words, 0), frozenset(words))
+        vars(relators)["_rewrite_rules"] = entry
+    return entry
+
+
+def _prefix_trie(words: list[tuple[int, ...]], depth: int) -> dict:
+    """A path-compressed trie of words that share their first ``depth``
+    letters: it maps the next letter x to ``(n, node)``, where n counts the
+    words that continue with x. Where those n words are one word (n = 1, or
+    copies from a periodic relator), node is that word and the trie stops
+    (PATRICIA, Morrison 1968); otherwise node is the trie one letter
+    deeper. A word that ends at ``depth`` is in no entry."""
+    groups: dict[int, list] = {}
+    for w in words:
+        if len(w) > depth:
+            groups.setdefault(w[depth], []).append(w)
+    return {x: (len(ws), ws[0] if ws.count(ws[0]) == len(ws)
+                else _prefix_trie(ws, depth + 1))
+            for x, ws in groups.items()}
+
+
+def _match_count(trie: dict, state: tuple[int, ...]) -> int:
+    """The sum of q over every match of the rules in a cyclic state, where
+    q is the number of letters a rule's rotated word shares with the state
+    read from the match's position (at most the shorter length).
+
+    For one position that sum is the number of rotated words that start
+    with each prefix of the state read from there, over prefixes of 1..k
+    letters; the trie holds those numbers."""
+    k = len(state)
+    doubled = state + state
+    total = 0
+    for pos in range(k):
+        entry = trie.get(doubled[pos])
+        depth = 1
+        while entry is not None:
+            n, node = entry
+            total += n
+            if depth == k:
+                break
+            if node.__class__ is dict:
+                entry = node.get(doubled[pos + depth])
+                depth += 1
+            else:
+                # The one rotated word left: compare the rest letter by letter.
+                stop = len(node) if len(node) < k else k
+                q = depth
+                while q < stop and node[q] == doubled[pos + q]:
+                    q += 1
+                total += n * (q - depth)
+                break
+    return total
+
+
+def _matches(rules: list, state: tuple[int, ...]) -> Iterator[tuple]:
+    """The matches ``(rule, position)`` of the rules in a state, in rule,
+    position order: each rule at each position that holds its first letter."""
+    where: dict[int, list[int]] = {}
+    for pos, x in enumerate(state):
+        where.setdefault(x, []).append(pos)
+    for rule in rules:
+        for pos in where.get(rule[3], ()):
+            yield rule, pos
 
 
 def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
@@ -265,21 +333,27 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     with a replayable witness; ``unknown`` is never a proof of nontriviality.
 
     The rewrite rules (``_rewrite_rules``) are built once per relator set.
-    A state maps each letter to its positions in increasing order, so a
-    rule visits only the positions that hold its first letter; successors
-    come in rule, position order.  A match of q letters is a successor for
-    each overlap 1..q, but all of them reduce to one cyclic word, so only
-    overlap 1 is kept and the match counts q successors against
-    ``max_states``.  A match is queued as (state, rule, position); its
-    successor is built, reduced, canonicalized and deduplicated only when
-    the search dequeues it (delayed duplicate detection), since most
-    searches stop at a cap with nearly all of their queue unread.  The
-    queue is in build order, so a dequeued successor meets exactly the
-    states built before it, as if it had been checked when it was built.
-    The one successor known without building it is the empty word, which a
-    match of the whole state against the whole rotated relator gives.  The
-    kept part of the state and the replacement are both reduced, so a
-    successor cancels only at their junction and around the wrap.
+    A rule matches at each position of a state that holds its first letter;
+    the matches come in rule, position order (``_matches``).  A match of q
+    letters is a successor for each overlap 1..q, but all of them reduce to
+    one cyclic word, so only overlap 1 is kept and the match counts q
+    successors against ``max_states``.
+
+    Expanding a state only counts its matches: the sum of their q comes
+    from the rules' prefix trie (``_match_count``), in any order, and the
+    cap either trips somewhere in the expansion or not at all.  The matches
+    are enumerated, and each successor built, reduced, canonicalized and
+    deduplicated, only when the search dequeues it (delayed duplicate
+    detection), since most searches stop at a cap with nearly all of their
+    queue unread.  States are expanded first in, first out, so a dequeued
+    successor meets exactly the states built before it, as if it had been
+    checked when it was found.  The one event inside an expansion that
+    depends on the order is the empty word, which a match of the whole
+    state against a whole rotated relator gives: such a state is one of the
+    rotated words, and only there are the matches counted one by one, in
+    order, up to that match or the cap.  The kept part of the state and
+    the replacement are both reduced, so a successor cancels only at their
+    junction and around the wrap.
 
     Budgets: ``max_steps`` states expanded (10,000 by default),
     ``max_states`` successors counted as they are queued (by default
@@ -299,23 +373,64 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     start = min_cyclic_rotation(word.letters)
     if not start:
         return TrivialityVerdict("trivial", (), 0, False)
-    rules = _rewrite_rules(relators)
+    rules, trie, rotated_words = _rewrite_rules(relators)
 
     # parents[state] is (before, relator index, inverted, rotation,
-    # position, overlap) of the step that first built it. The queue holds
-    # matches (before, rule, position), in the order they were found.
+    # position, overlap) of the step that first built it.
     parents: dict[tuple[int, ...], tuple | None] = {start: None}
-    queue: list[tuple] = [(start, None, 0)]
-    qi = 0
+    expanded: deque[tuple[int, ...]] = deque()
+
+    def queued() -> Iterator[tuple]:
+        # The matches of the expanded states, first in, first out; the
+        # deque grows while it is read.
+        while expanded:
+            before = expanded.popleft()
+            for rule, pos in _matches(rules, before):
+                yield before, rule, pos
+
+    successors = queued()
+    state = start
     steps = 0
     built = 0
     clipped = False
-    while qi < len(queue):
-        before, rule, pos = queue[qi]
-        qi += 1
-        if rule is None:
-            state = before
+    while True:
+        steps += 1
+        if steps > max_steps or built > max_states:
+            return TrivialityVerdict("unknown", None, steps - 1, True)
+        if state in rotated_words and max_length >= 0:
+            # The empty word is a successor (clipped only by a negative
+            # max_length): the search ends at its match or at the cap.
+            k = len(state)
+            doubled = state + state
+            for rule, pos in _matches(rules, state):
+                rotated = rule[4]
+                limit = len(rotated) if len(rotated) < k else k
+                q = 1
+                while q < limit and rotated[q] == doubled[pos + q]:
+                    q += 1
+                if q == k == len(rotated):
+                    parents[()] = (state, *rule[:3], pos, 1)
+                    witness = []
+                    cur: tuple[int, ...] = ()
+                    while parents[cur] is not None:
+                        before, *step = parents[cur]
+                        witness.append(RewriteStep(before, cur, *step))
+                        cur = before
+                    return TrivialityVerdict(
+                        "trivial", tuple(reversed(witness)), steps, False)
+                built += q
+                if built > max_states:
+                    return TrivialityVerdict("unknown", None, steps, True)
         else:
+            # Overlaps 2..q build the same cyclic word as overlap 1: each
+            # conjugates it by one more matched letter. They are counted,
+            # not built.
+            built += _match_count(trie, state)
+            if built > max_states:
+                # The rest of the state goes unexpanded: a cut search.
+                return TrivialityVerdict("unknown", None, steps, True)
+        expanded.append(state)
+        for before, rule, pos in successors:
             ridx, invflag, rot, _, rotated, inverse = rule
             # The kept part ends with the letter before the match and the
             # replacement starts with the inverse of the rotated word's last
@@ -344,48 +459,9 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
             if state in parents:
                 continue
             parents[state] = (before, ridx, invflag, rot, pos, 1)
-        steps += 1
-        if steps > max_steps or built > max_states:
-            return TrivialityVerdict("unknown", None, steps - 1, True)
-        k = len(state)
-        doubled = state + state
-        where: dict[int, list[int]] = {}
-        for pos, x in enumerate(state):
-            where.setdefault(x, []).append(pos)
-        for rule in rules:
-            first = rule[3]
-            if first not in where:
-                continue
-            positions = where[first]
-            rotated = rule[4]
-            Lr = len(rotated)
-            limit = Lr if Lr < k else k
-            for pos in positions:
-                q = 1
-                while q < limit and rotated[q] == doubled[pos + q]:
-                    q += 1
-                if q == k == Lr and max_length >= 0:
-                    # The state is this rotation of the relator, so the
-                    # successor is the empty word (clipped only by a
-                    # negative max_length).
-                    parents[()] = (state, *rule[:3], pos, 1)
-                    witness = []
-                    cur: tuple[int, ...] = ()
-                    while parents[cur] is not None:
-                        before, *step = parents[cur]
-                        witness.append(RewriteStep(before, cur, *step))
-                        cur = before
-                    return TrivialityVerdict(
-                        "trivial", tuple(reversed(witness)), steps, False)
-                queue.append((state, rule, pos))
-                # Overlaps 2..q build the same cyclic word: each conjugates
-                # overlap 1's by one more matched letter. They are counted,
-                # not built.
-                built += q
-                if built > max_states:
-                    # The rest of the state goes unexpanded: a cut search.
-                    return TrivialityVerdict("unknown", None, steps, True)
-    return TrivialityVerdict("unknown", None, steps, clipped)
+            break
+        else:
+            return TrivialityVerdict("unknown", None, steps, clipped)
 
 
 def replay_witness(relators: RelatorSet, w: Word, witness: Sequence[RewriteStep]) -> bool:

@@ -405,23 +405,39 @@ class FreenessReport:
     budget_exhausted_words: int
 
 
+def _loop_classes(graph: LabeledGraph, word_length: int) -> tuple[tuple[Word, Word], ...]:
+    """One ``(loop word, its cyclic core)`` per rotation class of the
+    nontrivial cores of the graph's reduced loop words up to
+    ``word_length`` letters, each the first of its class in
+    ``iter_reduced_loops`` order. Listed once per graph and length, and
+    kept on the graph instance, as ``LabeledGraph.out_map`` is."""
+    cache = vars(graph).setdefault("_loop_classes", {})
+    classes = cache.get(word_length)
+    if classes is None:
+        seen: set[tuple[int, ...]] = set()
+        found = []
+        for loop_word in iter_reduced_loops(graph, word_length):
+            core = cyclic_reduce(loop_word)
+            if not core.letters:
+                continue
+            key = min_cyclic_rotation(core.letters)
+            if key not in seen:
+                seen.add(key)
+                found.append((loop_word, core))
+        classes = cache[word_length] = tuple(found)
+    return classes
+
+
 def freeness_probe(relators: RelatorSet, graph: LabeledGraph,
                    budget: dict | None = None) -> FreenessReport:
     """Run the bounded word problem on every reduced loop word of the graph
-    up to the budgeted length; ``no collapse found`` is not a proof."""
+    up to the budgeted length, one per rotation class of its cyclic core;
+    ``no collapse found`` is not a proof."""
     budget = dict(budget or {})
     word_length = budget.pop("word_length", 6)
-    seen: set[tuple[int, ...]] = set()
     checked = 0
     exhausted = 0
-    for loop_word in iter_reduced_loops(graph, word_length):
-        core = cyclic_reduce(loop_word)
-        if not core.letters:
-            continue
-        key = min_cyclic_rotation(core.letters)
-        if key in seen:
-            continue
-        seen.add(key)
+    for loop_word, core in _loop_classes(graph, word_length):
         checked += 1
         verdict = bounded_triviality(relators, core, budget)
         if verdict.status == "trivial":
@@ -520,6 +536,13 @@ def _sample_collapse_witness(m: int, r: int, gen: int, maxlen: int, rng) -> Coll
     return CollapseWitness(gen, relator, 0, False, w.inverse())
 
 
+@lru_cache(maxsize=None)
+def _rose(r: int) -> LabeledGraph:
+    """The wedge of the loops x1..xr, one instance per r, so that trials
+    share its loop classes."""
+    return wedge_of_words([Word((i,)) for i in range(1, r + 1)])
+
+
 def run_trial(m: int, r: int, maxlen: int, d: float, kind: str, rng,
               budgets: SweepBudgets = SweepBudgets()) -> TrialResult:
     """One sampled presentation, probed; falls back to the exact
@@ -540,8 +563,7 @@ def run_trial(m: int, r: int, maxlen: int, d: float, kind: str, rng,
         free = None
         if (budgets.freeness_word_length > 0
                 and len(relators) <= FREENESS_RELATOR_LIMIT):
-            graph = wedge_of_words([Word((i,)) for i in range(1, r + 1)])
-            report = freeness_probe(relators, graph, {
+            report = freeness_probe(relators, _rose(r), {
                 "word_length": budgets.freeness_word_length,
                 "max_steps": budgets.freeness_max_steps})
             free = not report.collapse_found
