@@ -244,9 +244,10 @@ def _rewrite_rules(relators: RelatorSet) -> tuple[list, dict, frozenset]:
     rotated word, its inverse)``. A match of the first ``overlap`` letters
     is replaced by ``inverse[:len - overlap]``, the inverse of the rest.
 
-    The trie (``_prefix_trie``) counts the rotated words by prefix, so the
-    search counts a state's matches without enumerating them; the set tells
-    which states match a whole rotated word."""
+    The trie (``_trie_level``) counts the rotated words by prefix, so a
+    search counts a state's matches without enumerating them; its first
+    level is built here and each deeper one when a search first reads it.
+    The set tells which states match a whole rotated word."""
     entry = vars(relators).get("_rewrite_rules")
     if entry is None:
         rules = []
@@ -258,24 +259,25 @@ def _rewrite_rules(relators: RelatorSet) -> tuple[list, dict, frozenset]:
                     rules.append((ridx, inverted, rot, rotated[0], rotated,
                                   tuple(-x for x in reversed(rotated))))
         words = [rule[4] for rule in rules]
-        entry = (rules, _prefix_trie(words, 0), frozenset(words))
+        entry = (rules, _trie_level(words, 0), frozenset(words))
         vars(relators)["_rewrite_rules"] = entry
     return entry
 
 
-def _prefix_trie(words: list[tuple[int, ...]], depth: int) -> dict:
-    """A path-compressed trie of words that share their first ``depth``
-    letters: it maps the next letter x to ``(n, node)``, where n counts the
-    words that continue with x. Where those n words are one word (n = 1, or
-    copies from a periodic relator), node is that word and the trie stops
-    (PATRICIA, Morrison 1968); otherwise node is the trie one letter
-    deeper. A word that ends at ``depth`` is in no entry."""
+def _trie_level(words: list[tuple[int, ...]], depth: int) -> dict:
+    """One level of a path-compressed trie over words that share their
+    first ``depth`` letters: it maps the next letter x to ``(n, node)``,
+    where n counts the words that continue with x. Where those n words are
+    one word (n = 1, or copies from a periodic relator), node is that word
+    and the trie stops there (PATRICIA, Morrison 1968). Otherwise node is
+    the list of the n words, which ``_match_count`` replaces by the next
+    level the first time a walk reaches it. A word that ends at ``depth``
+    is in no entry."""
     groups: dict[int, list] = {}
     for w in words:
         if len(w) > depth:
             groups.setdefault(w[depth], []).append(w)
-    return {x: (len(ws), ws[0] if ws.count(ws[0]) == len(ws)
-                else _prefix_trie(ws, depth + 1))
+    return {x: (len(ws), ws[0] if ws.count(ws[0]) == len(ws) else ws)
             for x, ws in groups.items()}
 
 
@@ -291,6 +293,7 @@ def _match_count(trie: dict, state: tuple[int, ...]) -> int:
     doubled = state + state
     total = 0
     for pos in range(k):
+        level = trie
         entry = trie.get(doubled[pos])
         depth = 1
         while entry is not None:
@@ -298,7 +301,11 @@ def _match_count(trie: dict, state: tuple[int, ...]) -> int:
             total += n
             if depth == k:
                 break
+            if node.__class__ is list:
+                node = _trie_level(node, depth)
+                level[doubled[pos + depth - 1]] = (n, node)
             if node.__class__ is dict:
+                level = node
                 entry = node.get(doubled[pos + depth])
                 depth += 1
             else:
