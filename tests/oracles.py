@@ -388,6 +388,30 @@ def scan_bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     return TrivialityVerdict("unknown", None, steps, clipped or built > max_states)
 
 
+def scan_matches(relators: RelatorSet, state: tuple[int, ...]) -> list[tuple]:
+    """Every match of a rewrite rule in a cyclic state, by the full scan of
+    ``scan_bounded_triviality``: ``(relator index, inverted, rotation,
+    position, q)`` for each oriented relator, rotation and position where q,
+    the number of letters the rotated relator shares with the state read
+    from that position (at most the shorter length), is at least 1, in that
+    order. An expansion of the state counts ``sum(q)`` successors."""
+    k = len(state)
+    doubled = state + state
+    found = []
+    for ridx, rel in enumerate(relators.relators, start=1):
+        for inverted, rword in ((False, rel.letters), (True, rel.inverse().letters)):
+            Lr = len(rword)
+            rdoubled = rword + rword
+            for rot in range(Lr):
+                for pos in range(k):
+                    q = 0
+                    while q < min(Lr, k) and rdoubled[rot + q] == doubled[pos + q]:
+                        q += 1
+                    if q:
+                        found.append((ridx, inverted, rot, pos, q))
+    return found
+
+
 def full_map_code(c: PlanarComplex,
                   face_infos: Sequence[tuple],
                   start_idx: int,

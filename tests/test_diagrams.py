@@ -5,7 +5,7 @@ import pytest
 
 from freiheit import diagrams
 from freiheit.complexes import check_complex
-from freiheit.density import DensityModel, make_relator_set, sample_relator_set
+from freiheit.density import DensityModel, RelatorSet, make_relator_set, sample_relator_set
 from freiheit.diagrams import (TrivialityVerdict, VanKampenDiagram, bounded_triviality,
                                boundary_word, certify_bilipschitz, diagram_canonical_key,
                                diagram_from_json, diagram_to_json,
@@ -15,9 +15,10 @@ from freiheit.diagrams import (TrivialityVerdict, VanKampenDiagram, bounded_triv
 from freiheit.errors import DomainError, FeasibilityError
 from freiheit.experiments import freeness_probe
 from freiheit.stallings import LabeledGraph, fold, wedge_of_words
-from freiheit.words import Word, canonical_cyclic, sample_cyclically_reduced, word_from_text
+from freiheit.words import (Word, canonical_cyclic, cyclic_reduce_letters,
+                            sample_cyclically_reduced, word_from_text)
 
-from oracles import reducible_pair_oracle, scan_bounded_triviality
+from oracles import reducible_pair_oracle, scan_bounded_triviality, scan_matches
 
 COMMUTATOR = make_relator_set(2, 4, [Word((1, 2, -1, -2))])
 SMALL = make_relator_set(2, 4, [Word((1, 2)), Word((1, 1, 2)), Word((2, 2, -1))])
@@ -154,22 +155,37 @@ def test_bounded_triviality_cut_search_is_exhausted():
 def test_bounded_triviality_builds_only_dequeued_successors(monkeypatch):
     # The matches in aabab count more than five successors, so a cap of 5
     # cuts the search while it expands its start state. Those matches were
-    # queued but never dequeued, so none was reduced or canonicalized: the
-    # one canonical rotation computed is the start's.
+    # counted but never dequeued, so none was enumerated, and none was
+    # reduced or canonicalized: the one canonical rotation computed is the
+    # start's.
     w = word_from_text("aabab")
     budget = {"max_steps": 50, "max_states": 5, "max_length": 12}
     expected = scan_bounded_triviality(SMALL, w, budget)
     assert expected == TrivialityVerdict("unknown", None, 1, True)
     rotations = []
+    enumerated = []
     real_rotation = diagrams.min_cyclic_rotation
+    real_matches = diagrams._matches
 
     def counted_rotation(letters):
         rotations.append(letters)
         return real_rotation(letters)
 
+    def counted_matches(rules, state):
+        for match in real_matches(rules, state):
+            enumerated.append(match)
+            yield match
+
     monkeypatch.setattr(diagrams, "min_cyclic_rotation", counted_rotation)
+    monkeypatch.setattr(diagrams, "_matches", counted_matches)
     assert bounded_triviality(SMALL, w, budget) == expected
     assert rotations == [w.letters]
+    assert enumerated == []
+    # With room for the start's matches, the search enumerates them as it
+    # dequeues them.
+    roomy = dict(budget, max_states=50)
+    assert bounded_triviality(SMALL, w, roomy) == scan_bounded_triviality(SMALL, w, roomy)
+    assert enumerated
 
 
 def test_bounded_triviality_empty_successor_of_an_inverted_relator():
@@ -293,6 +309,73 @@ def test_rewrite_rules_are_built_once_per_relator_set(monkeypatch):
     assert repr(by_hand) == repr(sampled)
     assert freeness_probe(by_hand, graph, budget) == report
     assert inversions == Counter({w: 2 for w in sampled.relators})
+
+
+def _states_around(relators: RelatorSet, rng: random.Random) -> list[tuple[int, ...]]:
+    """Cyclically reduced states that share long stretches with the rotated
+    relators: some rotated words, shorter and longer pieces of them, and
+    random words."""
+    rules = diagrams._rewrite_rules(relators)[0]
+    states = []
+    for rule in rng.sample(rules, min(len(rules), 15)):
+        rotated = rule[4]
+        tail = sample_cyclically_reduced(relators.m, 4, rng).letters
+        states += [rotated, rotated[:rng.randint(1, len(rotated))],
+                   rotated + tail, rotated + rotated[:rng.randint(1, len(rotated))]]
+    states += [sample_cyclically_reduced(relators.m, 12, rng).letters for _ in range(20)]
+    return [cyclic_reduce_letters(s) for s in states if cyclic_reduce_letters(s)]
+
+
+def test_match_count_is_the_sum_over_the_enumerated_matches():
+    # Expanding a state counts sum(q) over its matches from the rules'
+    # prefix trie, without enumerating them. That count, and the matches
+    # enumerated at dequeue time, must be the full scan's. The hand-built
+    # sets repeat rotated words: abab is periodic, and ABA is a rotation of
+    # BAA, the inverse of aab, so every rotated word of those two occurs
+    # twice. States run shorter and longer than the relators.
+    hand = [make_relator_set(2, 6, [word_from_text(w) for w in words])
+            for words in (("abab",), ("aab", "ABA"),
+                          ("ab", "aab", "ABA", "abab", "aabAbb"))]
+    rng = random.Random(1313)
+    sampled = [sample_relator_set(m, maxlen, DensityModel("bernoulli", d, 0), rng)
+               for m, maxlen, d in ((2, 6, 0.35), (3, 8, 0.2), (2, 10, 0.25),
+                                    (3, 12, 0.1), (3, 20, 0.1))]
+    shapes = Counter()
+    for relators in hand + sampled:
+        rules, trie, rotated_words = diagrams._rewrite_rules(relators)
+        assert rotated_words == {rule[4] for rule in rules}
+        for state in _states_around(relators, rng):
+            matches = scan_matches(relators, state)
+            enumerated = [(*rule[:3], pos) for rule, pos in diagrams._matches(rules, state)]
+            assert enumerated == [match[:4] for match in matches], state
+            assert diagrams._match_count(trie, state) == sum(match[4] for match in matches), \
+                (relators.relators, state)
+            for rel in relators.relators:
+                shapes[(len(state) > len(rel)) - (len(state) < len(rel))] += 1
+    assert set(shapes) == {-1, 0, 1}, shapes
+
+
+def test_bounded_triviality_counts_in_order_at_a_rotated_relator():
+    # The state is a rotation of aabAbb, the last relator in rule order, so
+    # the empty word is among its successors. Whether the search reaches
+    # that match before the cap depends on the matches that come before it,
+    # which the search then counts one by one: it finds the empty word
+    # exactly when the cap leaves room for the q of every earlier match.
+    rel = make_relator_set(2, 6, [word_from_text(w) for w in ("ab", "aab", "bba", "aabAbb")])
+    w = word_from_text("bAbbaa")
+    state = diagrams.min_cyclic_rotation(w.letters)
+    matches = scan_matches(rel, state)
+    first_full = next(i for i, match in enumerate(matches)
+                      if match[0] == 4 and match[4] == len(state))
+    room = sum(match[4] for match in matches[:first_full])
+    assert room > 10
+    statuses = []
+    for cap in range(room + 10):
+        budget = {"max_steps": 20, "max_states": cap}
+        verdict = bounded_triviality(rel, w, budget)
+        assert verdict == scan_bounded_triviality(rel, w, budget), cap
+        statuses.append(verdict.status)
+    assert statuses == ["unknown"] * room + ["trivial"] * 10
 
 
 def test_bounded_triviality_requires_cyclically_reduced():

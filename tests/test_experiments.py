@@ -16,7 +16,7 @@ from freiheit.experiments import (CollapseResult, SweepBudgets, TransitionConfig
                                   rewrite_presentation, run_trial,
                                   transition_sweep, triviality_probe)
 from freiheit.seeds import rng_for
-from freiheit.stallings import LabeledGraph
+from freiheit.stallings import LabeledGraph, wedge_of_words
 from freiheit.words import Word, _WordTables, enumerate_cyclically_reduced
 
 from oracles import canonical_triviality_probe
@@ -300,6 +300,39 @@ def test_freeness_probe_free_group():
     report = freeness_probe(rel, loop, {"word_length": 5})
     # x1^k and x1^-k for k = 1..5 are distinct cyclic words
     assert not report.collapse_found and report.words_checked == 10
+
+
+def test_freeness_probe_lists_loop_classes_once_per_graph_and_length(monkeypatch):
+    listings = []
+    real_listing = experiments.iter_reduced_loops
+
+    def counted_listing(graph, max_length):
+        listings.append(max_length)
+        return real_listing(graph, max_length)
+
+    monkeypatch.setattr(experiments, "iter_reduced_loops", counted_listing)
+    relators = sample_relator_set(3, 8, DensityModel("bernoulli", 0.2, 0), random.Random(12))
+    budget = {"word_length": 4, "max_steps": 30, "max_states": 400}
+    graph = wedge_of_words([Word((1,)), Word((2,))])
+    report = freeness_probe(relators, graph, budget)
+    assert report.words_checked == 50
+    assert freeness_probe(relators, graph, budget) == report
+    assert listings == [4]
+    # Each length is listed once on a graph, and reads as on a fresh graph.
+    for length in (3, 5, 3):
+        other = dict(budget, word_length=length)
+        assert freeness_probe(relators, graph, other) == \
+            freeness_probe(relators, wedge_of_words([Word((1,)), Word((2,))]), other)
+    assert listings == [4, 3, 3, 5, 5, 3]
+    # The trials of a sweep share one wedge per r, so they list its loop
+    # classes once.
+    experiments._rose.cache_clear()
+    budgets = SweepBudgets(freeness_word_length=4, freeness_max_steps=30)
+    listings.clear()
+    for t in range(3):
+        res = run_trial(3, 2, 8, 0.1, "bernoulli", random.Random(t), budgets)
+        assert res.free_no_collapse is not None
+    assert listings == [4]
 
 
 def test_fillability_bound_vacuous_then_crossover():
