@@ -320,14 +320,15 @@ def _match_count(trie: dict, state: tuple[int, ...]) -> int:
 
 
 def _matches(rules: list, state: tuple[int, ...]) -> Iterator[tuple]:
-    """The matches ``(rule, position)`` of the rules in a state, in rule,
-    position order: each rule at each position that holds its first letter."""
+    """The matches ``(state, rule, position)`` of the rules in a state, in
+    rule, position order: each rule at each position that holds its first
+    letter."""
     where: dict[int, list[int]] = {}
     for pos, x in enumerate(state):
         where.setdefault(x, []).append(pos)
     for rule in rules:
         for pos in where.get(rule[3], ()):
-            yield rule, pos
+            yield state, rule, pos
 
 
 def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
@@ -391,9 +392,7 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
         # The matches of the expanded states, first in, first out; the
         # deque grows while it is read.
         while expanded:
-            before = expanded.popleft()
-            for rule, pos in _matches(rules, before):
-                yield before, rule, pos
+            yield from _matches(rules, expanded.popleft())
 
     successors = queued()
     state = start
@@ -409,7 +408,7 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
             # max_length): the search ends at its match or at the cap.
             k = len(state)
             doubled = state + state
-            for rule, pos in _matches(rules, state):
+            for _, rule, pos in _matches(rules, state):
                 rotated = rule[4]
                 limit = len(rotated) if len(rotated) < k else k
                 q = 1

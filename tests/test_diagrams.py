@@ -346,7 +346,8 @@ def test_match_count_is_the_sum_over_the_enumerated_matches():
         assert rotated_words == {rule[4] for rule in rules}
         for state in _states_around(relators, rng):
             matches = scan_matches(relators, state)
-            enumerated = [(*rule[:3], pos) for rule, pos in diagrams._matches(rules, state)]
+            enumerated = [(*rule[:3], pos)
+                          for _, rule, pos in diagrams._matches(rules, state)]
             assert enumerated == [match[:4] for match in matches], state
             assert diagrams._match_count(trie, state) == sum(match[4] for match in matches), \
                 (relators.relators, state)
