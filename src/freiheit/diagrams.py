@@ -364,7 +364,7 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     junction and around the wrap.
 
     Budgets: ``max_steps`` states expanded (10,000 by default),
-    ``max_states`` successors counted as they are queued (by default
+    ``max_states`` successors counted as states are expanded (by default
     ``max(2000, 10 * max_steps)``), ``max_length`` letters per state.
     ``budget_exhausted`` is set when a cap stops the search or a dequeued
     successor is clipped for its length, so ``unknown`` without it means

@@ -412,20 +412,14 @@ def _loop_classes(graph: LabeledGraph, word_length: int) -> tuple[tuple[Word, Wo
     ``iter_reduced_loops`` order. Listed once per graph and length, and
     kept on the graph instance, as ``LabeledGraph.out_map`` is."""
     cache = vars(graph).setdefault("_loop_classes", {})
-    classes = cache.get(word_length)
-    if classes is None:
-        seen: set[tuple[int, ...]] = set()
-        found = []
+    if word_length not in cache:
+        first: dict[tuple[int, ...], tuple[Word, Word]] = {}
         for loop_word in iter_reduced_loops(graph, word_length):
             core = cyclic_reduce(loop_word)
-            if not core.letters:
-                continue
-            key = min_cyclic_rotation(core.letters)
-            if key not in seen:
-                seen.add(key)
-                found.append((loop_word, core))
-        classes = cache[word_length] = tuple(found)
-    return classes
+            if core.letters:
+                first.setdefault(min_cyclic_rotation(core.letters), (loop_word, core))
+        cache[word_length] = tuple(first.values())
+    return cache[word_length]
 
 
 def freeness_probe(relators: RelatorSet, graph: LabeledGraph,
