@@ -16,7 +16,8 @@ from freiheit.errors import DomainError, FeasibilityError
 from freiheit.experiments import freeness_probe
 from freiheit.stallings import LabeledGraph, fold, wedge_of_words
 from freiheit.words import (Word, canonical_cyclic, cyclic_reduce_letters,
-                            sample_cyclically_reduced, word_from_text)
+                            min_cyclic_rotation, sample_cyclically_reduced,
+                            word_from_text)
 
 from oracles import reducible_pair_oracle, scan_bounded_triviality, scan_matches
 
@@ -364,7 +365,7 @@ def test_bounded_triviality_counts_in_order_at_a_rotated_relator():
     # exactly when the cap leaves room for the q of every earlier match.
     rel = make_relator_set(2, 6, [word_from_text(w) for w in ("ab", "aab", "bba", "aabAbb")])
     w = word_from_text("bAbbaa")
-    state = diagrams.min_cyclic_rotation(w.letters)
+    state = min_cyclic_rotation(w.letters)
     matches = scan_matches(rel, state)
     first_full = next(i for i, match in enumerate(matches)
                       if match[0] == 4 and match[4] == len(state))
