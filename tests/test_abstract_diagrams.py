@@ -74,6 +74,17 @@ def test_unfillable_pattern_has_no_fillings():
     assert fillings_with_boundary(unfillable_pair(), 2) == []
 
 
+def test_fillings_need_two_generators():
+    # Over fewer than two generators there are no cyclically reduced pools
+    # to fill from; the enumeration refuses rather than count a degenerate
+    # alphabet.
+    for m in (1, 0):
+        with pytest.raises(DomainError):
+            fillings_with_boundary(fillable_aligned_pair(), m)
+        with pytest.raises(DomainError):
+            fillings_with_boundary(_one_face_abstract(2), m)
+
+
 def test_three_face_classification():
     add = three_face_example()
     cl = classify(add)

@@ -103,6 +103,27 @@ def test_sweep_trial_results_are_pinned():
         "d5a015007bbf5e6d47d3286fcd1b49ca58d01b4b96aa2a7ceacb1b4f45cced7c"
 
 
+def test_words_enumerate_cli_output_is_pinned(capsys):
+    # All of B_6 at m = 3, in length-then-lex order.
+    argv = ["words", "enumerate", "--m", "3", "--maxlen", "6"]
+    assert dispatch(argv) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[:3] == ["C", "B", "A"]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "982f0955e86fc9a89887a96080bb7f2f9cf6de79e93d76bc3fdb520180edecbf"
+
+
+def test_stallings_enumerate_cli_output_is_pinned(capsys):
+    # The b1 = 1 cycles and the arc labelings of the b1 = 2, 3 types, in
+    # the order the enumeration finds them.
+    argv = ["stallings", "enumerate", "--m", "2", "--max-edges", "6", "--max-betti", "3"]
+    assert dispatch(argv) == 0
+    out = capsys.readouterr().out
+    assert sum(line.startswith("V ") for line in out.splitlines()) == 1505
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "9c7528aedc02af3931cb1ec67dccd2717b253a458748dfd889d639f35ec68d83"
+
+
 def test_words_sample_cli_output_is_pinned(capsys):
     # The README's line: five uniform draws from B_12, one rng stream.
     argv = ["--seed", "7", "words", "sample", "--m", "2", "--maxlen", "12", "--count", "5"]
