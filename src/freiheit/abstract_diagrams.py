@@ -30,7 +30,7 @@ from .complexes import (FaceLabelledMap, PlanarComplex, canonical_map_code,
 from .diagrams import VanKampenDiagram
 from .errors import DomainError, FeasibilityError, NotFillableError
 from .stallings import LabeledGraph, is_readable
-from .words import Word, enumerate_cyclically_reduced
+from .words import Word, reduced_words
 
 MAX_ABSTRACT_FACES = 2
 MAX_ABSTRACT_LENGTH = 6
@@ -393,8 +393,10 @@ def fillings_with_boundary(ad: AbstractDiagram, m: int,
     indices = ad.indices()
     if indices != list(range(1, len(indices) + 1)):
         raise DomainError("abstract indices must be 1..k")
-    pools = {idx: [w for w in enumerate_cyclically_reduced(m, lengths[idx])
-                   if len(w) == lengths[idx]] for idx in indices}
+    if m < 2:
+        raise DomainError(f"need m >= 2, got m={m}")
+    pools = {idx: [Word(w) for w in reduced_words(m, lengths[idx]) if w[0] != -w[-1]]
+             for idx in indices}
     estimate = math.prod(len(pool) for pool in pools.values())
     if estimate > limit:
         raise FeasibilityError(

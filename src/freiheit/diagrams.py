@@ -243,6 +243,9 @@ def _rewrite_rules(relators: RelatorSet) -> tuple[list, dict, frozenset]:
     search's order: ``(relator index, inverted, rotation, first letter,
     rotated word, its inverse)``. A match of the first ``overlap`` letters
     is replaced by ``inverse[:len - overlap]``, the inverse of the rest.
+    The inverse of rotation ``rot`` of a word is rotation ``(len - rot) %
+    len`` of the word's inverse, so each rotated word is built once and
+    the rules of the two orientations share them.
 
     The trie (``_trie_level``) counts the rotated words by prefix, so a
     search counts a state's matches without enumerating them; its first
@@ -252,12 +255,14 @@ def _rewrite_rules(relators: RelatorSet) -> tuple[list, dict, frozenset]:
     if entry is None:
         rules = []
         for ridx, rel in enumerate(relators.relators, start=1):
-            for inverted, word in ((False, rel.letters), (True, rel.inverse().letters)):
-                doubled = word + word
-                for rot in range(len(word)):
-                    rotated = doubled[rot:rot + len(word)]
+            k = len(rel)
+            rotations = [[doubled[rot:rot + k] for rot in range(k)]
+                         for doubled in (rel.letters * 2, rel.inverse().letters * 2)]
+            for inverted in (False, True):
+                inverses = rotations[not inverted]
+                for rot, rotated in enumerate(rotations[inverted]):
                     rules.append((ridx, inverted, rot, rotated[0], rotated,
-                                  tuple(-x for x in reversed(rotated))))
+                                  inverses[-rot]))
         words = [rule[4] for rule in rules]
         entry = (rules, _trie_level(words, 0), frozenset(words))
         vars(relators)["_rewrite_rules"] = entry

@@ -24,9 +24,10 @@ lookups; only a key hit computes canonical rotations, to confirm the match.
 When the expected relator count is too large to materialize, trials are
 simulated on the relevant sub-universes: a Bernoulli subset meets a class of
 C elements with probability 1 - (1 - p)^C, and the class sizes are counted
-exactly by dynamic programming, so each per-generator event is drawn with
-its exact probability.  Witnesses on that path are resampled
-representatives of the qualifying class, not members of a materialized set.
+exactly (the collapse class from its structure, the pair class by dynamic
+programming), so each per-generator event is drawn with its exact
+probability.  Witnesses on that path are resampled representatives of the
+qualifying class, not members of a materialized set.
 """
 
 from __future__ import annotations
@@ -92,40 +93,27 @@ def fillability_crossover(K: int, m: int, r: int, d: float,
 
 
 # ---------------------------------------------------------------------------
-# Exact class-size counters (transfer-matrix DP on cyclically reduced strings).
+# Exact class-size counters: the collapse class from its structure, the pair
+# class by a transfer-matrix DP on cyclically reduced strings.
 
 
-@lru_cache(maxsize=None)
 def count_collapse_class(m: int, r: int, gen: int, maxlen: int) -> int:
     """Cyclically reduced words of length <= maxlen containing exactly one
     letter +-gen and otherwise only letters of absolute value <= r.
 
     Rotating such a relator to start at its big letter exhibits x_gen (or its
     inverse) as a word over the first r generators.
+
+    A word of length L is fixed by the position and the sign of its big
+    letter and by the word read around from the letter after it: any
+    reduced word of L - 1 letters over the first r generators, since the
+    big letter cancels against none of them. So there are 2 words of
+    length 1 and 2L * 2r(2r-1)^(L-2) of each length L >= 2.
     """
     if not (1 <= r < gen <= m):
         raise DomainError(f"need 1 <= r < gen <= m, got r={r}, gen={gen}, m={m}")
-    letters = [x for x in range(-r, r + 1) if x != 0] + [gen, -gen]
-    big = {gen, -gen}
-    # state: (first, last, used_big) -> count of reduced strings
-    state: dict[tuple[int, int, bool], int] = {}
-    total = 0
-    for x in letters:
-        state[(x, x, x in big)] = 1
-        if x in big:
-            total += 1  # single-letter word (x_gen = 1 outright)
-    for _ in range(2, maxlen + 1):
-        nxt: dict[tuple[int, int, bool], int] = {}
-        for (first, last, used), cnt in state.items():
-            for x in letters:
-                if x == -last or (x in big and used):
-                    continue
-                key = (first, x, used or x in big)
-                nxt[key] = nxt.get(key, 0) + cnt
-        state = nxt
-        total += sum(cnt for (first, last, used), cnt in state.items()
-                     if used and last != -first)
-    return total
+    return 2 + sum(2 * length * 2 * r * (2 * r - 1) ** (length - 2)
+                   for length in range(2, maxlen + 1))
 
 
 @lru_cache(maxsize=None)
@@ -521,6 +509,10 @@ class TrialResult:
 
 
 def _sample_collapse_witness(m: int, r: int, gen: int, maxlen: int, rng) -> CollapseWitness:
+    """A member of gen's collapse class for the fast path, not a uniform
+    one: ``x_gen w`` with w a uniform draw from B_(maxlen-1) over the first
+    r generators, so w is cyclically reduced, which the class does not
+    require. For r = 1 it always draws ``x^(maxlen-1)``, of either sign."""
     if r == 1:
         sign = rng.choice((1, -1))
         w = Word((sign,) * (maxlen - 1))

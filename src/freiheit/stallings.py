@@ -18,7 +18,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, FeasibilityError, MalformedWordError
 from .seeds import as_rng
-from .words import Word, as_word, canonical_cyclic, char_to_letter, letter_to_char
+from .words import (Word, as_word, canonical_cyclic, char_to_letter, letter_to_char,
+                    reduced_words)
 
 MAX_ENUMERATION_EDGES = 12
 
@@ -549,25 +550,6 @@ def enumerate_topological_types(r: int) -> list[TopologicalType]:
 # Exhaustive generation of reduced labeled graphs.
 
 
-def _reduced_words_of_length(m: int, length: int) -> list[tuple[int, ...]]:
-    letters = list(range(-m, 0)) + list(range(1, m + 1))
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int]):
-        if len(prefix) == length:
-            out.append(tuple(prefix))
-            return
-        for x in letters:
-            if prefix and x == -prefix[-1]:
-                continue
-            prefix.append(x)
-            rec(prefix)
-            prefix.pop()
-
-    rec([])
-    return out
-
-
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     if parts == 1:
         yield (total,)
@@ -615,11 +597,8 @@ def enumerate_reduced_graphs(m: int, max_edges: int, max_betti: int,
     # rotation and inversion.
     word_cache: dict[int, list[tuple[int, ...]]] = {}
     for n in range(1, max_edges + 1):
-        cycles = set()
-        for word in _reduced_words_of_length(m, n):
-            if word[0] == -word[-1] and n > 1:
-                continue
-            cycles.add(canonical_cyclic(word).letters)
+        cycles = {canonical_cyclic(word).letters for word in reduced_words(m, n)
+                  if word[0] != -word[-1]}
         for word in sorted(cycles):
             g = LabeledGraph(n, [(i, (i + 1) % n, x) for i, x in enumerate(word)], base=0)
             code = canonical_code(g)
@@ -637,7 +616,7 @@ def enumerate_reduced_graphs(m: int, max_edges: int, max_betti: int,
                     pools = []
                     for length in comp:
                         if length not in word_cache:
-                            word_cache[length] = _reduced_words_of_length(m, length)
+                            word_cache[length] = list(reduced_words(m, length))
                         pools.append(word_cache[length])
                     stack = [([], 0)]
                     while stack:

@@ -300,6 +300,27 @@ def count_cyclically_reduced_upto(m: int, maxlen: int) -> int:
     return word_tables(m, maxlen).total
 
 
+def reduced_words(m: int, length: int) -> Iterator[tuple[int, ...]]:
+    """Yield the letters of every reduced word of exactly ``length`` letters
+    over x_1..x_m, in ascending signed lex order.
+
+    Depth first over an explicit stack of prefixes: a prefix's extensions
+    are pushed in descending order, so they pop in ascending order. The
+    stack never holds more than 2m prefixes per letter of ``length``, so
+    the words stream without a list per level."""
+    if length < 0:
+        raise DomainError(f"length must be >= 0, got {length}")
+    descending = [x for x in range(m, -m - 1, -1) if x]
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) == length:
+            yield prefix
+        else:
+            back = -prefix[-1] if prefix else 0
+            stack.extend(prefix + (x,) for x in descending if x != back)
+
+
 def enumerate_cyclically_reduced(
     m: int, maxlen: int, *, limit: int = ENUMERATION_LIMIT
 ) -> Iterator[Word]:
@@ -312,23 +333,10 @@ def enumerate_cyclically_reduced(
             f"({(2*m-1)**maxlen} > {limit})",
             estimate=(2 * m - 1) ** maxlen,
         )
-    alphabet = sorted(range(-m, 0)) + list(range(1, m + 1))
-
-    def rec(prefix: list[int], length: int):
-        if len(prefix) == length:
-            if prefix[0] != -prefix[-1]:
-                yield Word(tuple(prefix))
-            return
-        for x in alphabet:
-            if prefix and x == -prefix[-1]:
-                continue
-            prefix.append(x)
-            yield from rec(prefix, length)
-            prefix.pop()
-
     for length in range(1, maxlen + 1):
-        for x in alphabet:
-            yield from rec([x], length)
+        for w in reduced_words(m, length):
+            if w[0] != -w[-1]:
+                yield Word(w)
 
 
 def sample_cyclically_reduced(m: int, maxlen: int, seed_or_rng) -> Word:

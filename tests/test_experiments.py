@@ -100,7 +100,8 @@ def test_collapse_class_count_brute():
                     count += 1
         return count
 
-    for m, r, gen, L in [(3, 2, 3, 4), (2, 1, 2, 5), (3, 1, 2, 3)]:
+    for m, r, gen, L in [(3, 2, 3, 4), (2, 1, 2, 5), (3, 1, 2, 3), (2, 1, 2, 8),
+                         (4, 2, 3, 5), (4, 3, 4, 4)]:
         assert count_collapse_class(m, r, gen, L) == brute(m, r, gen, L)
 
 

@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from freiheit.errors import DomainError, FeasibilityError, MalformedWordError
 from freiheit.words import (Word, canonical_cyclic, count_cyclically_reduced_exact,
                             count_cyclically_reduced_upto, count_reduced_exact,
                             cyclic_reduce, enumerate_cyclically_reduced, free_reduce,
-                            min_cyclic_rotation, sample_cyclically_reduced,
+                            min_cyclic_rotation, reduced_words, sample_cyclically_reduced,
                             word_at_index, word_from_text, word_tables, word_to_text)
 
 from oracles import (brute_cyclically_reduced, brute_reduced_words, chi2_critical,
@@ -100,6 +102,29 @@ def test_enumeration_small_cases():
 def test_enumeration_is_length_then_lex():
     words = [w.letters for w in enumerate_cyclically_reduced(2, 3)]
     assert words == sorted(words, key=lambda t: (len(t), t))
+
+
+def test_reduced_words_match_brute_force_in_order():
+    for m in (2, 3, 4):
+        for L in range(1, 7):
+            assert list(reduced_words(m, L)) == brute_reduced_words(m, L), (m, L)
+    assert list(reduced_words(2, 0)) == [()]
+    with pytest.raises(DomainError):
+        next(reduced_words(2, -1))
+
+
+def test_enumerators_stream():
+    # There are 6,377,292 reduced words of length 14 at m = 2; the first few
+    # must come back without a list of any level being built.
+    tracemalloc.start()
+    try:
+        first = list(islice(reduced_words(2, 14), 5))
+        assert first[0] == (-2,) * 14 and first[4] == (-2,) * 12 + (-1, -1)
+        assert len(list(islice(enumerate_cyclically_reduced(2, 14), 5))) == 5
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 def test_enumeration_guard():
