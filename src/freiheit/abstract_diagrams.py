@@ -30,7 +30,7 @@ from .complexes import (FaceLabelledMap, PlanarComplex, canonical_map_code,
 from .diagrams import VanKampenDiagram
 from .errors import DomainError, FeasibilityError, NotFillableError
 from .stallings import LabeledGraph, is_readable
-from .words import Word, reduced_words
+from .words import Word, count_cyclically_reduced_exact, cyclically_reduced_words
 
 MAX_ABSTRACT_FACES = 2
 MAX_ABSTRACT_LENGTH = 6
@@ -393,15 +393,14 @@ def fillings_with_boundary(ad: AbstractDiagram, m: int,
     indices = ad.indices()
     if indices != list(range(1, len(indices) + 1)):
         raise DomainError("abstract indices must be 1..k")
-    if m < 2:
-        raise DomainError(f"need m >= 2, got m={m}")
-    pools = {idx: [Word(w) for w in reduced_words(m, lengths[idx]) if w[0] != -w[-1]]
-             for idx in indices}
-    estimate = math.prod(len(pool) for pool in pools.values())
+    # Sized from the closed-form counts before any pool is built.
+    estimate = math.prod(count_cyclically_reduced_exact(m, lengths[idx])
+                         for idx in indices)
     if estimate > limit:
         raise FeasibilityError(
             f"filling search space {estimate} exceeds limit {limit}",
             estimate=estimate)
+    pools = {idx: list(cyclically_reduced_words(m, lengths[idx])) for idx in indices}
 
     # Positions of each abstract letter on each dart.
     dart_letter: dict[int, list[tuple[int, int, int]]] = {}

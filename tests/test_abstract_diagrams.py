@@ -85,6 +85,23 @@ def test_fillings_need_two_generators():
             fillings_with_boundary(_one_face_abstract(2), m)
 
 
+def test_fillings_are_sized_before_any_pool_is_built():
+    # 15^6 + 15 words of length 6 at m = 8, and 199^6 + 199 at m = 100: the
+    # closed-form count refuses both before a single word is listed.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        for m in (8, 100):
+            with pytest.raises(FeasibilityError) as info:
+                fillings_with_boundary(_one_face_abstract(6), m)
+            assert info.value.estimate == (2 * m - 1) ** 6 + 2 * m - 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+
+
 def test_three_face_classification():
     add = three_face_example()
     cl = classify(add)

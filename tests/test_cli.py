@@ -146,6 +146,20 @@ def test_abstract_fillings_rejects_one_generator(tmp_path, capsys):
     assert "m >= 2" in err
 
 
+def test_abstract_fillings_refuses_a_large_alphabet_at_once(tmp_path, capsys):
+    from freiheit.abstract_diagrams import AbstractDistortionDiagram, \
+        _one_face_abstract, abstract_to_json
+
+    path = tmp_path / "one.json"
+    path.write_text(abstract_to_json(AbstractDistortionDiagram(_one_face_abstract(6), 0, 0)))
+    graph = tmp_path / "loop.txt"
+    graph.write_text("V 1\nE 0 0 a\n")
+    code, out, err = run(capsys, "abstract", "fillings", "--in", str(path), "--m", "100",
+                         "--maxlen", "6", "--graph", str(graph))
+    assert code == 3 and out == ""
+    assert "feasibility guard" in err and "exceeds limit" in err
+
+
 def _triangle_with(edit):
     from freiheit.abstract_diagrams import AbstractDistortionDiagram, \
         _one_face_abstract, abstract_to_json

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from freiheit.errors import DomainError, FeasibilityError, MalformedWordError
 from freiheit.words import (Word, canonical_cyclic, count_cyclically_reduced_exact,
                             count_cyclically_reduced_upto, count_reduced_exact,
-                            cyclic_reduce, enumerate_cyclically_reduced, free_reduce,
+                            cyclic_reduce, cyclically_reduced_words,
+                            enumerate_cyclically_reduced, free_reduce,
                             min_cyclic_rotation, reduced_words, sample_cyclically_reduced,
                             word_at_index, word_from_text, word_tables, word_to_text)
 
@@ -82,6 +83,31 @@ def test_cyclically_reduced_counts_match_brute_force():
         for L in range(1, 5):
             assert count_cyclically_reduced_exact(m, L) == by_len[L]
         assert count_cyclically_reduced_upto(m, 4) == len(brute)
+
+
+def test_cyclically_reduced_closed_form_matches_tables():
+    for m in range(2, 7):
+        tables = word_tables(m, 20)
+        for L in range(1, 21):
+            assert count_cyclically_reduced_exact(m, L) == tables.count_by_len[L], (m, L)
+    assert count_cyclically_reduced_exact(2, 0) == 1
+    for m, L in ((1, 3), (0, 3), (2, -1)):
+        with pytest.raises(DomainError):
+            count_cyclically_reduced_exact(m, L)
+
+
+def test_cyclically_reduced_words_one_length():
+    for m in (2, 3):
+        for L in range(1, 5):
+            got = [w.letters for w in cyclically_reduced_words(m, L)]
+            assert got == [w for w in brute_reduced_words(m, L) if w[0] != -w[-1]]
+            assert len(got) == count_cyclically_reduced_exact(m, L)
+    # The guards act at the call, before the first word is asked for.
+    for m, L in ((1, 3), (0, 3), (2, 0)):
+        with pytest.raises(DomainError):
+            cyclically_reduced_words(m, L)
+    with pytest.raises(FeasibilityError):
+        cyclically_reduced_words(8, 6)
 
 
 def test_exact_counts_dominate_cyclic_counts():
