@@ -393,9 +393,8 @@ def fillings_with_boundary(ad: AbstractDiagram, m: int,
     indices = ad.indices()
     if indices != list(range(1, len(indices) + 1)):
         raise DomainError("abstract indices must be 1..k")
-    # Sized from the closed-form counts before any pool is built.
-    estimate = math.prod(count_cyclically_reduced_exact(m, lengths[idx])
-                         for idx in indices)
+    # Sized by the closed-form counts, before any pool is built.
+    estimate = math.prod(count_cyclically_reduced_exact(m, lengths[i]) for i in indices)
     if estimate > limit:
         raise FeasibilityError(
             f"filling search space {estimate} exceeds limit {limit}",

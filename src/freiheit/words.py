@@ -290,15 +290,10 @@ def word_tables(m: int, maxlen: int) -> _WordTables:
 
 
 def count_cyclically_reduced_exact(m: int, length: int) -> int:
-    """Number of cyclically reduced words of length exactly ``length``.
-
-    It is the trace of the L-th power of the 2m x 2m matrix of allowed letter
-    successions, whose eigenvalues are 2m-1 once, 1 m times and -1 m-1 times:
-    (2m-1)^L + m + (m-1)(-1)^L, in O(1) for any m."""
-    if m < 2:
-        raise DomainError(f"need m >= 2, got m={m}")
-    if length < 0:
-        raise DomainError(f"length must be >= 0, got {length}")
+    """(2m-1)^L + m + (m-1)(-1)^L for L >= 1: the trace of the L-th power of the
+    letter-succession matrix, whose eigenvalues are 2m-1, 1 (m times), -1 (m-1)."""
+    if m < 2 or length < 0:
+        raise DomainError(f"need m >= 2 and length >= 0, got m={m}, length={length}")
     if length == 0:
         return 1
     return (2 * m - 1) ** length + m + (m - 1) * (-1) ** length
@@ -330,22 +325,11 @@ def reduced_words(m: int, length: int) -> Iterator[tuple[int, ...]]:
             stack.extend(prefix + (x,) for x in descending if x != back)
 
 
-def cyclically_reduced_words(
-    m: int, length: int, *, limit: int = ENUMERATION_LIMIT
-) -> Iterator[Word]:
-    """The cyclically reduced words of exactly ``length`` letters, in
-    ascending signed lex order.
-
-    The arguments are checked when this is called, before any word is built;
-    the words themselves stream from ``reduced_words``."""
+def cyclically_reduced_words(m: int, length: int) -> Iterator[Word]:
+    """The cyclically reduced words of exactly ``length`` letters in ascending
+    signed lex order; the arguments are checked at the call, the words stream."""
     if m < 2 or length < 1:
         raise DomainError(f"need m >= 2 and length >= 1, got m={m}, length={length}")
-    if (2 * m - 1) ** length > limit:
-        raise FeasibilityError(
-            f"enumeration of the words of length {length} over {2*m} letters "
-            f"exceeds limit ({(2*m-1)**length} > {limit})",
-            estimate=(2 * m - 1) ** length,
-        )
     return (Word(w) for w in reduced_words(m, length) if w[0] != -w[-1])
 
 
@@ -362,7 +346,7 @@ def enumerate_cyclically_reduced(
             estimate=(2 * m - 1) ** maxlen,
         )
     for length in range(1, maxlen + 1):
-        yield from cyclically_reduced_words(m, length, limit=limit)
+        yield from cyclically_reduced_words(m, length)
 
 
 def sample_cyclically_reduced(m: int, maxlen: int, seed_or_rng) -> Word:
