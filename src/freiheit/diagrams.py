@@ -263,8 +263,10 @@ def _rewrite_rules(relators: RelatorSet) -> tuple[list, dict, frozenset]:
                 for rot, rotated in enumerate(rotations[inverted]):
                     rules.append((ridx, inverted, rot, rotated[0], rotated,
                                   inverses[-rot]))
-        words = [rule[4] for rule in rules]
-        entry = (rules, _trie_level(words, 0), frozenset(words))
+        firsts: dict[int, int] = {}
+        for rule in rules:
+            firsts[rule[3]] = firsts.get(rule[3], 0) + 1
+        entry = (rules, firsts, frozenset(rule[4] for rule in rules))
         vars(relators)["_rewrite_rules"] = entry
     return entry
 
@@ -348,13 +350,13 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     The rewrite rules (``_rewrite_rules``) are built once per relator set.
     A rule matches at each position of a state that holds its first letter;
     the matches come in rule, position order (``_matches``).  A match of q
-    letters is a successor for each overlap 1..q, but all of them reduce to
-    one cyclic word, so only overlap 1 is kept and the match counts q
-    successors against ``max_states``.
+    letters gives the same cyclic word at every overlap 1..q, each
+    conjugating the next by one matched letter, so it is one successor,
+    built at overlap 1 and counted once against ``max_states``.
 
-    Expanding a state only counts its matches: the sum of their q comes
-    from the rules' prefix trie (``_match_count``), in any order, and the
-    cap either trips somewhere in the expansion or not at all.  The matches
+    Expanding a state only counts its matches: the number of rules that
+    start with each of its letters, summed over the state, so the cap
+    either trips somewhere in the expansion or not at all.  The matches
     are enumerated, and each successor built, reduced, canonicalized and
     deduplicated, only when the search dequeues it (delayed duplicate
     detection), since most searches stop at a cap with nearly all of their
@@ -369,7 +371,7 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     junction and around the wrap.
 
     Budgets: ``max_steps`` states expanded (10,000 by default),
-    ``max_states`` successors counted as states are expanded (by default
+    ``max_states`` matches counted as states are expanded (by default
     ``max(2000, 10 * max_steps)``), ``max_length`` letters per state.
     ``budget_exhausted`` is set when a cap stops the search or a dequeued
     successor is clipped for its length, so ``unknown`` without it means
@@ -386,7 +388,7 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     start = min_cyclic_rotation(word.letters)
     if not start:
         return TrivialityVerdict("trivial", (), 0, False)
-    rules, trie, rotated_words = _rewrite_rules(relators)
+    rules, firsts, rotated_words = _rewrite_rules(relators)
 
     # parents[state] is (before, relator index, inverted, rotation,
     # position, overlap) of the step that first built it.
@@ -415,11 +417,7 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
             doubled = state + state
             for _, rule, pos in _matches(rules, state):
                 rotated = rule[4]
-                limit = len(rotated) if len(rotated) < k else k
-                q = 1
-                while q < limit and rotated[q] == doubled[pos + q]:
-                    q += 1
-                if q == k == len(rotated):
+                if len(rotated) == k and rotated == doubled[pos:pos + k]:
                     parents[()] = (state, *rule[:3], pos, 1)
                     witness = []
                     cur: tuple[int, ...] = ()
@@ -429,14 +427,11 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
                         cur = before
                     return TrivialityVerdict(
                         "trivial", tuple(reversed(witness)), steps, False)
-                built += q
+                built += 1
                 if built > max_states:
                     return TrivialityVerdict("unknown", None, steps, True)
         else:
-            # Overlaps 2..q build the same cyclic word as overlap 1: each
-            # conjugates it by one more matched letter. They are counted,
-            # not built.
-            built += _match_count(trie, state)
+            built += sum(firsts.get(x, 0) for x in state)
             if built > max_states:
                 # The rest of the state goes unexpanded: a cut search.
                 return TrivialityVerdict("unknown", None, steps, True)

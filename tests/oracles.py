@@ -305,6 +305,11 @@ def scan_bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     canonicalized and checked against the states seen when it is found, not
     when it is dequeued.
 
+    A match is a rotated relator whose first letter the state holds at a
+    position. It is one successor, built at overlap 1 and counted once
+    against ``max_states``: a match of q letters gives the same cyclic word
+    at every overlap 1..q, each conjugating the next by one matched letter.
+
     Breadth-first search for a rewrite path from w to the empty word.
 
     States are cyclic words (canonical rotation of the cyclically reduced
@@ -352,37 +357,31 @@ def scan_bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
             rdoubled = rword + rword
             for rot in range(Lr):
                 for pos in range(k):
-                    q = 0
-                    limit = min(Lr, k)
-                    while q < limit and rdoubled[rot + q] == doubled[pos + q]:
-                        q += 1
-                    for overlap in range(1, q + 1):
-                        if built > max_states:
-                            break
-                        built += 1
-                        remainder = doubled[pos + overlap: pos + k]
-                        tail = rdoubled[rot + overlap: rot + Lr]
-                        replacement = tuple(-x for x in reversed(tail))
-                        new_state = min_cyclic_rotation(
-                            cyclic_reduce_letters(remainder + replacement))
-                        if len(new_state) > max_length:
-                            clipped = True
-                            continue
-                        if new_state in parents:
-                            continue
-                        step = RewriteStep(state, new_state, ridx, invflag, rot,
-                                           pos, overlap)
-                        parents[new_state] = step
-                        if not new_state:
-                            witness = []
-                            cur: tuple[int, ...] = new_state
-                            while parents[cur] is not None:
-                                st = parents[cur]
-                                witness.append(st)
-                                cur = st.before
-                            return TrivialityVerdict(
-                                "trivial", tuple(reversed(witness)), steps, False)
-                        queue.append(new_state)
+                    if rdoubled[rot] != doubled[pos] or built > max_states:
+                        continue
+                    built += 1
+                    remainder = doubled[pos + 1: pos + k]
+                    tail = rdoubled[rot + 1: rot + Lr]
+                    replacement = tuple(-x for x in reversed(tail))
+                    new_state = min_cyclic_rotation(
+                        cyclic_reduce_letters(remainder + replacement))
+                    if len(new_state) > max_length:
+                        clipped = True
+                        continue
+                    if new_state in parents:
+                        continue
+                    step = RewriteStep(state, new_state, ridx, invflag, rot, pos, 1)
+                    parents[new_state] = step
+                    if not new_state:
+                        witness = []
+                        cur: tuple[int, ...] = new_state
+                        while parents[cur] is not None:
+                            st = parents[cur]
+                            witness.append(st)
+                            cur = st.before
+                        return TrivialityVerdict(
+                            "trivial", tuple(reversed(witness)), steps, False)
+                    queue.append(new_state)
     # A search the state cap stopped is exhausted even when its queue ran
     # out afterwards.
     return TrivialityVerdict("unknown", None, steps, clipped or built > max_states)
@@ -394,7 +393,7 @@ def scan_matches(relators: RelatorSet, state: tuple[int, ...]) -> list[tuple]:
     position, q)`` for each oriented relator, rotation and position where q,
     the number of letters the rotated relator shares with the state read
     from that position (at most the shorter length), is at least 1, in that
-    order. An expansion of the state counts ``sum(q)`` successors."""
+    order. An expansion of the state counts one successor per match."""
     k = len(state)
     doubled = state + state
     found = []

@@ -328,8 +328,8 @@ def _states_around(relators: RelatorSet, rng: random.Random) -> list[tuple[int, 
 
 
 def test_match_count_is_the_sum_over_the_enumerated_matches():
-    # Expanding a state counts sum(q) over its matches from the rules'
-    # prefix trie, without enumerating them. That count, and the matches
+    # Expanding a state counts its matches from the number of rules per
+    # first letter, without enumerating them. That count, and the matches
     # enumerated at dequeue time, must be the full scan's. The hand-built
     # sets repeat rotated words: abab is periodic, and ABA is a rotation of
     # BAA, the inverse of aab, so every rotated word of those two occurs
@@ -343,14 +343,14 @@ def test_match_count_is_the_sum_over_the_enumerated_matches():
                                     (3, 12, 0.1), (3, 20, 0.1))]
     shapes = Counter()
     for relators in hand + sampled:
-        rules, trie, rotated_words = diagrams._rewrite_rules(relators)
+        rules, firsts, rotated_words = diagrams._rewrite_rules(relators)
         assert rotated_words == {rule[4] for rule in rules}
         for state in _states_around(relators, rng):
             matches = scan_matches(relators, state)
             enumerated = [(*rule[:3], pos)
                           for _, rule, pos in diagrams._matches(rules, state)]
             assert enumerated == [match[:4] for match in matches], state
-            assert diagrams._match_count(trie, state) == sum(match[4] for match in matches), \
+            assert sum(firsts.get(x, 0) for x in state) == len(matches), \
                 (relators.relators, state)
             for rel in relators.relators:
                 shapes[(len(state) > len(rel)) - (len(state) < len(rel))] += 1
@@ -362,15 +362,14 @@ def test_bounded_triviality_counts_in_order_at_a_rotated_relator():
     # the empty word is among its successors. Whether the search reaches
     # that match before the cap depends on the matches that come before it,
     # which the search then counts one by one: it finds the empty word
-    # exactly when the cap leaves room for the q of every earlier match.
+    # exactly when the cap leaves room for every earlier match.
     rel = make_relator_set(2, 6, [word_from_text(w) for w in ("ab", "aab", "bba", "aabAbb")])
     w = word_from_text("bAbbaa")
     state = min_cyclic_rotation(w.letters)
     matches = scan_matches(rel, state)
-    first_full = next(i for i, match in enumerate(matches)
-                      if match[0] == 4 and match[4] == len(state))
-    room = sum(match[4] for match in matches[:first_full])
-    assert room > 10
+    room = next(i for i, match in enumerate(matches)
+                if match[0] == 4 and match[4] == len(state))
+    assert room == 24
     statuses = []
     for cap in range(room + 10):
         budget = {"max_steps": 20, "max_states": cap}

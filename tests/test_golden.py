@@ -143,7 +143,7 @@ def test_freeness_probe_reports_are_pinned(sampled_freeness_probes):
     assert reports.hexdigest() == \
         "a1e288a5c20aee0bf2740d3bddfecb423c62f60fbda86d122fb9ea9d07440b3b"
     assert verdicts.hexdigest() == \
-        "addba0a3caaf8db1a77b0101c7695b2aed118913b157cbf30539c9e4650b2f4f"
+        "5e8dfe2ce9fe84bbec31cd128ae948137cd9ab33ec22ac8210c6d31a8f777702"
 
 
 def test_freeness_probe_verdicts_on_long_relators_are_pinned(monkeypatch):
@@ -178,4 +178,4 @@ def test_freeness_probe_verdicts_on_long_relators_are_pinned(monkeypatch):
                for xs in (reports, verdicts)]
     assert digests == [
         "017a3ae5d367fdc4417284ac73171a39746ee5629482e277f0ba45d3583655c3",
-        "b3efd05359d5c3fce287bf77d3ff23ce15083c40c5ffe250fbc74b4ee065a9b4"]
+        "e8ca0fb0ba7271544e5d2af63f300df7420d16f1c9807a408ca15db737ad824e"]
