@@ -234,96 +234,39 @@ class TrivialityVerdict:
 
 
 def _rewrite_rules(relators: RelatorSet) -> tuple[list, dict, frozenset]:
-    """The rewrite rules of a relator set, their prefix trie and the set of
-    their rotated words, built at its first search and kept in the
-    instance's ``__dict__`` (outside its fields, so equality, hash and repr
-    do not see them).
+    """The rewrite rules of a relator set, the number of rules per first
+    letter and the set of the oriented relators' canonical rotations, built
+    at its first search and kept in the instance's ``__dict__`` (outside its
+    fields, so equality, hash and repr do not see them).
 
     One rule per rotation of each relator and of its inverse, in the
     search's order: ``(relator index, inverted, rotation, first letter,
-    rotated word, its inverse)``. A match of the first ``overlap`` letters
-    is replaced by ``inverse[:len - overlap]``, the inverse of the rest.
-    The inverse of rotation ``rot`` of a word is rotation ``(len - rot) %
-    len`` of the word's inverse, so each rotated word is built once and
-    the rules of the two orientations share them.
+    word, inverse)``, where ``word`` is the oriented relator written twice,
+    so that rotation ``rot`` reads ``word[rot:rot + len]``, and ``inverse``
+    is its inverse written twice. Every rule of one relator holds the same
+    two doubled words, the two orientations in swapped roles, so the rules
+    take space linear in the letters.
 
-    The trie (``_trie_level``) counts the rotated words by prefix, so a
-    search counts a state's matches without enumerating them; its first
-    level is built here and each deeper one when a search first reads it.
-    The set tells which states match a whole rotated word."""
+    A state matches a whole rotated relator only when it is a rotation of
+    an oriented relator; states are canonical, so the set of canonical
+    rotations tells which."""
     entry = vars(relators).get("_rewrite_rules")
     if entry is None:
         rules = []
-        for ridx, rel in enumerate(relators.relators, start=1):
-            k = len(rel)
-            rotations = [[doubled[rot:rot + k] for rot in range(k)]
-                         for doubled in (rel.letters * 2, rel.inverse().letters * 2)]
-            for inverted in (False, True):
-                inverses = rotations[not inverted]
-                for rot, rotated in enumerate(rotations[inverted]):
-                    rules.append((ridx, inverted, rot, rotated[0], rotated,
-                                  inverses[-rot]))
         firsts: dict[int, int] = {}
-        for rule in rules:
-            firsts[rule[3]] = firsts.get(rule[3], 0) + 1
-        entry = (rules, firsts, frozenset(rule[4] for rule in rules))
+        canonical = set()
+        for ridx, rel in enumerate(relators.relators, start=1):
+            oriented = (rel.letters, rel.inverse().letters)
+            doubled = (oriented[0] * 2, oriented[1] * 2)
+            for inverted in (False, True):
+                canonical.add(min_cyclic_rotation(oriented[inverted]))
+                for rot, x in enumerate(oriented[inverted]):
+                    rules.append((ridx, inverted, rot, x, doubled[inverted],
+                                  doubled[not inverted]))
+                    firsts[x] = firsts.get(x, 0) + 1
+        entry = (rules, firsts, frozenset(canonical))
         vars(relators)["_rewrite_rules"] = entry
     return entry
-
-
-def _trie_level(words: list[tuple[int, ...]], depth: int) -> dict:
-    """One level of a path-compressed trie over words that share their
-    first ``depth`` letters: it maps the next letter x to ``(n, node)``,
-    where n counts the words that continue with x. Where those n words are
-    one word (n = 1, or copies from a periodic relator), node is that word
-    and the trie stops there (PATRICIA, Morrison 1968). Otherwise node is
-    the list of the n words, which ``_match_count`` replaces by the next
-    level the first time a walk reaches it. A word that ends at ``depth``
-    is in no entry."""
-    groups: dict[int, list] = {}
-    for w in words:
-        if len(w) > depth:
-            groups.setdefault(w[depth], []).append(w)
-    return {x: (len(ws), ws[0] if ws.count(ws[0]) == len(ws) else ws)
-            for x, ws in groups.items()}
-
-
-def _match_count(trie: dict, state: tuple[int, ...]) -> int:
-    """The sum of q over every match of the rules in a cyclic state, where
-    q is the number of letters a rule's rotated word shares with the state
-    read from the match's position (at most the shorter length).
-
-    For one position that sum is the number of rotated words that start
-    with each prefix of the state read from there, over prefixes of 1..k
-    letters; the trie holds those numbers."""
-    k = len(state)
-    doubled = state + state
-    total = 0
-    for pos in range(k):
-        level = trie
-        entry = trie.get(doubled[pos])
-        depth = 1
-        while entry is not None:
-            n, node = entry
-            total += n
-            if depth == k:
-                break
-            if node.__class__ is list:
-                node = _trie_level(node, depth)
-                level[doubled[pos + depth - 1]] = (n, node)
-            if node.__class__ is dict:
-                level = node
-                entry = node.get(doubled[pos + depth])
-                depth += 1
-            else:
-                # The one rotated word left: compare the rest letter by letter.
-                stop = len(node) if len(node) < k else k
-                q = depth
-                while q < stop and node[q] == doubled[pos + q]:
-                    q += 1
-                total += n * (q - depth)
-                break
-    return total
 
 
 def _matches(rules: list, state: tuple[int, ...]) -> Iterator[tuple]:
@@ -347,8 +290,9 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     (or inverse relator) by the inverse of the remainder.  ``trivial`` comes
     with a replayable witness; ``unknown`` is never a proof of nontriviality.
 
-    The rewrite rules (``_rewrite_rules``) are built once per relator set.
-    A rule matches at each position of a state that holds its first letter;
+    The rewrite rules (``_rewrite_rules``) are built once per relator set,
+    one per rotation of each oriented relator, in space linear in the
+    letters.  A rule matches at each position of a state that holds its first letter;
     the matches come in rule, position order (``_matches``).  A match of q
     letters gives the same cyclic word at every overlap 1..q, each
     conjugating the next by one matched letter, so it is one successor,
@@ -364,9 +308,9 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     successor meets exactly the states built before it, as if it had been
     checked when it was found.  The one event inside an expansion that
     depends on the order is the empty word, which a match of the whole
-    state against a whole rotated relator gives: such a state is one of the
-    rotated words, and only there are the matches counted one by one, in
-    order, up to that match or the cap.  The kept part of the state and
+    state against a whole rotated relator gives: such a state is a rotation
+    of an oriented relator, and only there are the matches counted one by
+    one, in order, up to that match or the cap.  The kept part of the state and
     the replacement are both reduced, so a successor cancels only at their
     junction and around the wrap.
 
@@ -416,8 +360,8 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
             k = len(state)
             doubled = state + state
             for _, rule, pos in _matches(rules, state):
-                rotated = rule[4]
-                if len(rotated) == k and rotated == doubled[pos:pos + k]:
+                word, rot = rule[4], rule[2]
+                if len(word) == 2 * k and word[rot:rot + k] == doubled[pos:pos + k]:
                     parents[()] = (state, *rule[:3], pos, 1)
                     witness = []
                     cur: tuple[int, ...] = ()
@@ -437,13 +381,16 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
                 return TrivialityVerdict("unknown", None, steps, True)
         expanded.append(state)
         for before, rule, pos in successors:
-            ridx, invflag, rot, _, rotated, inverse = rule
+            ridx, invflag, rot, _, word, inverse = rule
+            L = len(word) // 2
             # The kept part ends with the letter before the match and the
             # replacement starts with the inverse of the rotated word's last
-            # letter: they cancel when those two letters are equal.
-            junction = before[pos - 1] == rotated[-1]
+            # letter: they cancel when those two letters are equal. The
+            # replacement is the inverse of the rotated word's last L - 1
+            # letters, which the doubled inverse holds from L - rot on.
+            junction = before[pos - 1] == word[rot + L - 1]
             kept = before[pos + 1:] + before[:pos]
-            replacement = inverse[:len(rotated) - 1]
+            replacement = inverse[L - rot:2 * L - rot - 1]
             if junction and kept and replacement:
                 i, j = len(kept) - 1, 1
                 while i and j < len(replacement) and kept[i - 1] == -replacement[j]:

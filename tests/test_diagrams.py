@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -163,6 +164,9 @@ def test_bounded_triviality_builds_only_dequeued_successors(monkeypatch):
     budget = {"max_steps": 50, "max_states": 5, "max_length": 12}
     expected = scan_bounded_triviality(SMALL, w, budget)
     assert expected == TrivialityVerdict("unknown", None, 1, True)
+    # Building the rules canonicalizes each oriented relator; build them
+    # first, so that only the search's own rotations are counted.
+    diagrams._rewrite_rules(SMALL)
     rotations = []
     enumerated = []
     real_rotation = diagrams.min_cyclic_rotation
@@ -312,14 +316,66 @@ def test_rewrite_rules_are_built_once_per_relator_set(monkeypatch):
     assert inversions == Counter({w: 2 for w in sampled.relators})
 
 
+def test_rewrite_rules_share_the_doubled_words_of_each_relator():
+    # A rule holds its oriented relator and that relator's inverse, each
+    # written twice; every rule of one relator holds the same two objects,
+    # in swapped roles for the two orientations.
+    relators = sample_relator_set(3, 8, DensityModel("bernoulli", 0.2, 0), random.Random(12))
+    rules = diagrams._rewrite_rules(relators)[0]
+    assert len(rules) == 2 * sum(len(rel) for rel in relators.relators)
+    for ridx, rel in enumerate(relators.relators, start=1):
+        own = [rule for rule in rules if rule[0] == ridx]
+        word, inverse = own[0][4], own[0][5]
+        assert (word, inverse) == (rel.letters * 2, rel.inverse().letters * 2)
+        assert [rule[1:4] for rule in own] == \
+            [(inverted, rot, (inverse if inverted else word)[rot])
+             for inverted in (False, True) for rot in range(len(rel))]
+        for rule in own:
+            assert rule[4] is (inverse if rule[1] else word)
+            assert rule[5] is (word if rule[1] else inverse)
+
+
+def test_rewrite_rules_take_space_linear_in_the_letters():
+    # Fifty relators of up to 40 letters. Shared doubled words keep the
+    # rules near 160 bytes per relator letter; a tuple per rotated word
+    # costs over 900.
+    rng = random.Random(3)
+    relators = make_relator_set(2, 40, [sample_cyclically_reduced(2, 40, rng)
+                                        for _ in range(50)])
+    letters = sum(len(rel) for rel in relators.relators)
+    tracemalloc.start()
+    try:
+        diagrams._rewrite_rules(relators)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * letters, (peak, letters)
+
+
+def test_bounded_triviality_counts_each_match_once():
+    # Expanding the start counts one successor per match, so a cap equal to
+    # the start's matches lets the search go on to a second state, and one
+    # less cuts it in the start.
+    w = word_from_text("aabab")
+    matches = len(scan_matches(SMALL, min_cyclic_rotation(w.letters)))
+    budget = {"max_steps": 50, "max_length": 12}
+    cut = dict(budget, max_states=matches - 1)
+    assert bounded_triviality(SMALL, w, cut) == scan_bounded_triviality(SMALL, w, cut) == \
+        TrivialityVerdict("unknown", None, 1, True)
+    room = dict(budget, max_states=matches)
+    verdict = bounded_triviality(SMALL, w, room)
+    assert verdict == scan_bounded_triviality(SMALL, w, room)
+    assert verdict.steps_used > 1
+
+
 def _states_around(relators: RelatorSet, rng: random.Random) -> list[tuple[int, ...]]:
     """Cyclically reduced states that share long stretches with the rotated
     relators: some rotated words, shorter and longer pieces of them, and
     random words."""
     rules = diagrams._rewrite_rules(relators)[0]
     states = []
-    for rule in rng.sample(rules, min(len(rules), 15)):
-        rotated = rule[4]
+    for _, _, rot, _, word, _ in rng.sample(rules, min(len(rules), 15)):
+        rotated = word[rot:rot + len(word) // 2]
         tail = sample_cyclically_reduced(relators.m, 4, rng).letters
         states += [rotated, rotated[:rng.randint(1, len(rotated))],
                    rotated + tail, rotated + rotated[:rng.randint(1, len(rotated))]]
@@ -344,7 +400,6 @@ def test_match_count_is_the_sum_over_the_enumerated_matches():
     shapes = Counter()
     for relators in hand + sampled:
         rules, firsts, rotated_words = diagrams._rewrite_rules(relators)
-        assert rotated_words == {rule[4] for rule in rules}
         for state in _states_around(relators, rng):
             matches = scan_matches(relators, state)
             enumerated = [(*rule[:3], pos)
@@ -352,6 +407,12 @@ def test_match_count_is_the_sum_over_the_enumerated_matches():
             assert enumerated == [match[:4] for match in matches], state
             assert sum(firsts.get(x, 0) for x in state) == len(matches), \
                 (relators.relators, state)
+            # A canonical state is in the set exactly when it matches a
+            # whole relator of its own length.
+            canonical = min_cyclic_rotation(state)
+            whole = any(q == len(canonical) == len(relators.relators[ridx - 1])
+                        for ridx, _, _, _, q in scan_matches(relators, canonical))
+            assert (canonical in rotated_words) == whole, (relators.relators, state)
             for rel in relators.relators:
                 shapes[(len(state) > len(rel)) - (len(state) < len(rel))] += 1
     assert set(shapes) == {-1, 0, 1}, shapes
