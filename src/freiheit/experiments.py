@@ -156,9 +156,15 @@ def _class_success_probability(class_size: int, universe_size: int, d: float,
     return -math.expm1(class_size * math.log1p(-p))
 
 
+def _check_rank(m: int, r: int) -> None:
+    if not 1 <= r <= m - 1:
+        raise DomainError(f"need 1 <= r <= m-1, got r={r}, m={m}")
+
+
 def collapse_success_probability(m: int, r: int, maxlen: int, d: float) -> dict[int, float]:
     """Exact per-generator probability that a Bernoulli sample at density d
     contains a collapse-qualifying relator."""
+    _check_rank(m, r)
     n = count_cyclically_reduced_upto(m, maxlen)
     return {gen: _class_success_probability(
         count_collapse_class(m, r, gen, maxlen), n, d)
@@ -193,8 +199,7 @@ def collapse_probe(relators: RelatorSet, r: int) -> CollapseResult:
     """Scan for relators that are, up to rotation and inversion, of the form
     x_i * w with w over the first r generators, for every i > r."""
     m = relators.m
-    if not 1 <= r <= m - 1:
-        raise DomainError(f"need 1 <= r <= m-1, got r={r}, m={m}")
+    _check_rank(m, r)
     witnesses: dict[int, CollapseWitness | None] = {
         i: None for i in range(r + 1, m + 1)}
     missing = set(witnesses)
@@ -539,6 +544,7 @@ def run_trial(m: int, r: int, maxlen: int, d: float, kind: str, rng,
     count model's per-element rate floor(n^d)/n is the Bernoulli p = n^(d-1)
     up to the floor, and its inclusions are treated as independent.
     """
+    _check_rank(m, r)
     expected = expected_relator_count(m, maxlen, d)
     if expected <= budgets.materialize_limit:
         model = DensityModel(kind, d, 0)

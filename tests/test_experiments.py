@@ -441,6 +441,19 @@ def test_fast_path_trial_shape():
             assert res.collapse_result.sampled_witnesses
 
 
+@pytest.mark.parametrize("maxlen, d", [(20, 0.9), (6, 0.3)], ids=["fast-path", "materialized"])
+def test_run_trial_refuses_r_equal_to_m_before_any_draw(maxlen, d):
+    # With r = m no generator is left to collapse. Both paths refuse before
+    # they draw, and so does the exact probability the fast path reads.
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(DomainError):
+        run_trial(2, 2, maxlen, d, "bernoulli", rng)
+    assert rng.getstate() == state
+    with pytest.raises(DomainError):
+        collapse_success_probability(2, 2, maxlen, d)
+
+
 def test_freeness_probe_sampled_low_density(sampled_freeness_probes):
     # Far below the critical density, bounded search finds no collapse.
     reports, _ = sampled_freeness_probes
