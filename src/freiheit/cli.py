@@ -17,7 +17,9 @@ import io
 import json
 import sys
 import time
+from itertools import chain, islice
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import __version__
 from .density import (MODEL_KINDS, DensityModel, intersection_experiment,
@@ -49,10 +51,6 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def _sha256_file(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -63,17 +61,34 @@ def _read_relators(path: str, m: int | None = None):
     inferred = max((max(abs(x) for x in w.letters) for w in words if w.letters),
                    default=2)
     maxlen = max((len(w) for w in words), default=1)
-    return make_relator_set(m or max(2, inferred), maxlen, words)
+    return make_relator_set(max(2, inferred) if m is None else m, maxlen, words)
 
 
-def _emit(args, text: str, inputs: list[str]) -> None:
+def _lines(items: Iterable[str], size: int = 4096) -> Iterator[str]:
+    """The items as newline-terminated lines, joined in chunks of ``size``."""
+    items = iter(items)
+    while chunk := "".join(item + "\n" for item in islice(items, size)):
+        yield chunk
+
+
+def _emit(args, text: str | Iterable[str], inputs: list[str]) -> None:
+    """Write the output, whole or as an iterable of chunks, to stdout or to
+    ``--out`` with its manifest; chunks are written and hashed as they come."""
+    chunks = iter((text,) if isinstance(text, str) else text)
     out = getattr(args, "out", None)
     if out is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     started = getattr(args, "_started", time.time())
+    # Read the first chunk before opening the file, so that a command that
+    # fails at its start (a feasibility guard) leaves no file behind.
+    chunks = chain((next(chunks, ""),), chunks)
+    digest = hashlib.sha256()
     with open(out, "w") as fh:
-        fh.write(text)
+        for chunk in chunks:
+            fh.write(chunk)
+            digest.update(chunk.encode())
     manifest = {
         "command": args._command,
         "argv": args._argv,
@@ -81,7 +96,7 @@ def _emit(args, text: str, inputs: list[str]) -> None:
         "version": __version__,
         "inputs": {path: _sha256_file(path) for path in inputs},
         "output": out,
-        "output_sha256": _sha256_text(text),
+        "output_sha256": digest.hexdigest(),
         "started_at": started,
         "finished_at": time.time(),
     }
@@ -95,8 +110,8 @@ def _emit(args, text: str, inputs: list[str]) -> None:
 
 
 def _cmd_words_enumerate(args) -> int:
-    lines = [word_to_text(w) for w in enumerate_cyclically_reduced(args.m, args.maxlen)]
-    _emit(args, "\n".join(lines) + "\n", [])
+    words = enumerate_cyclically_reduced(args.m, args.maxlen)
+    _emit(args, _lines(map(word_to_text, words)), [])
     return 0
 
 

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -94,6 +96,42 @@ def test_diagrams_enumerate_and_certify(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["holds"] is False and report["max_ratio"] == 1.0
+
+
+@pytest.mark.parametrize("m", ["0", "1"])
+@pytest.mark.parametrize("op", ["enumerate", "certify"])
+def test_diagrams_refuse_an_explicit_m_below_two(tmp_path, capsys, op, m):
+    # The relator uses only a, so even m = 1 covers its letters: an explicit
+    # --m is read as given, never replaced by the inferred one.
+    rel = tmp_path / "torsion.txt"
+    rel.write_text("aaaa\n")
+    graph = tmp_path / "loop.txt"
+    graph.write_text("V 1\nE 0 0 a\n")
+    extra = ["--graph", str(graph), "--lambda", "4.0"] if op == "certify" else []
+    code, out, err = run(capsys, "diagrams", op, "--relators", str(rel), "--K", "1",
+                         "--m", m, *extra)
+    assert code == 1 and out == ""
+    assert err.startswith("domain error:") and len(err.splitlines()) == 1
+
+
+def test_words_enumerate_streams_its_output(tmp_path, capsys):
+    # B_7 at m = 3 is about 700 kB of text. It is written and hashed in
+    # chunks, so the command never holds it whole; the file is what stdout
+    # prints, and the manifest holds its digest.
+    argv = ["words", "enumerate", "--m", "3", "--maxlen", "7"]
+    path = tmp_path / "words.txt"
+    tracemalloc.start()
+    try:
+        assert dispatch(["--out", str(path), *argv]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
+    assert dispatch(argv) == 0
+    text = capsys.readouterr().out
+    assert path.read_text() == text
+    manifest = json.loads((tmp_path / "words.txt.manifest.json").read_text())
+    assert manifest["output_sha256"] == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_abstract_pipeline(tmp_path, capsys):
