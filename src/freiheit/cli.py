@@ -64,10 +64,10 @@ def _read_relators(path: str, m: int | None = None):
     return make_relator_set(max(2, inferred) if m is None else m, maxlen, words)
 
 
-def _lines(items: Iterable[str], size: int = 4096) -> Iterator[str]:
-    """The items as newline-terminated lines, joined in chunks of ``size``."""
+def _lines(items: Iterable[str]) -> Iterator[str]:
+    """The items as newline-terminated lines, joined 4,096 to a chunk."""
     items = iter(items)
-    while chunk := "".join(item + "\n" for item in islice(items, size)):
+    while chunk := "".join(item + "\n" for item in islice(items, 4096)):
         yield chunk
 
 

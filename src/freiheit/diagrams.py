@@ -292,11 +292,11 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
 
     The rewrite rules (``_rewrite_rules``) are built once per relator set,
     one per rotation of each oriented relator, in space linear in the
-    letters.  A rule matches at each position of a state that holds its first letter;
-    the matches come in rule, position order (``_matches``).  A match of q
-    letters gives the same cyclic word at every overlap 1..q, each
-    conjugating the next by one matched letter, so it is one successor,
-    built at overlap 1 and counted once against ``max_states``.
+    letters.  A rule matches at each position of a state that holds its
+    first letter; the matches come in rule, position order (``_matches``).
+    A match of q letters gives the same cyclic word at every overlap 1..q,
+    each conjugating the next by one matched letter, so it is one
+    successor, built at overlap 1 and counted once against ``max_states``.
 
     Expanding a state only counts its matches: the number of rules that
     start with each of its letters, summed over the state, so the cap
