@@ -61,6 +61,8 @@ def _read_relators(path: str, m: int | None = None):
     inferred = max((max(abs(x) for x in w.letters) for w in words if w.letters),
                    default=2)
     maxlen = max((len(w) for w in words), default=1)
+    if m is not None and m < 2:
+        raise DomainError(f"need m >= 2, got m={m}")
     return make_relator_set(max(2, inferred) if m is None else m, maxlen, words)
 
 

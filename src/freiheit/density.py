@@ -92,8 +92,6 @@ class RelatorSet:
     provenance: DensityModel | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.m < 2:
-            raise DomainError(f"need m >= 2, got m={self.m}")
         prev = None
         for w in self.relators:
             if not w.letters:

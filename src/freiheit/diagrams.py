@@ -332,7 +332,7 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
     start = min_cyclic_rotation(word.letters)
     if not start:
         return TrivialityVerdict("trivial", (), 0, False)
-    rules, firsts, rotated_words = _rewrite_rules(relators)
+    rules, firsts, whole_relators = _rewrite_rules(relators)
 
     # parents[state] is (before, relator index, inverted, rotation,
     # position, overlap) of the step that first built it.
@@ -354,7 +354,7 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
         steps += 1
         if steps > max_steps or built > max_states:
             return TrivialityVerdict("unknown", None, steps - 1, True)
-        if state in rotated_words and max_length >= 0:
+        if state in whole_relators and max_length >= 0:
             # The empty word is a successor (clipped only by a negative
             # max_length): the search ends at its match or at the cap.
             k = len(state)

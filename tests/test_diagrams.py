@@ -399,7 +399,7 @@ def test_match_count_is_the_sum_over_the_enumerated_matches():
                                     (3, 12, 0.1), (3, 20, 0.1))]
     shapes = Counter()
     for relators in hand + sampled:
-        rules, firsts, rotated_words = diagrams._rewrite_rules(relators)
+        rules, firsts, whole_relators = diagrams._rewrite_rules(relators)
         for state in _states_around(relators, rng):
             matches = scan_matches(relators, state)
             enumerated = [(*rule[:3], pos)
@@ -412,7 +412,7 @@ def test_match_count_is_the_sum_over_the_enumerated_matches():
             canonical = min_cyclic_rotation(state)
             whole = any(q == len(canonical) == len(relators.relators[ridx - 1])
                         for ridx, _, _, _, q in scan_matches(relators, canonical))
-            assert (canonical in rotated_words) == whole, (relators.relators, state)
+            assert (canonical in whole_relators) == whole, (relators.relators, state)
             for rel in relators.relators:
                 shapes[(len(state) > len(rel)) - (len(state) < len(rel))] += 1
     assert set(shapes) == {-1, 0, 1}, shapes

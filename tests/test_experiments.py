@@ -262,6 +262,14 @@ def test_rewrite_presentation_examples():
     assert {w.letters for w in out2.relators} == {(1, 2), (2, 2, 1)}
 
 
+def test_rewrite_presentation_down_to_one_generator():
+    # m = 2 eliminates down to r = 1, the only rank of the sweep's m = 2
+    # cells: a one-generator presentation is a valid result.
+    out = rewrite_presentation(make_relator_set(2, 3, [Word((2, 1))]), {2: Word((1,))})
+    assert out.r == 1 and out.relators.m == 1
+    assert [w.letters for w in out.relators] == [(1, 1)]
+
+
 def test_rewrite_presentation_bookkeeping():
     rng = random.Random(6)
     for _ in range(20):
