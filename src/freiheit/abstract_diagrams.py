@@ -462,14 +462,9 @@ def filling_bound_exact(add: AbstractDistortionDiagram, m: int, r: int,
 
 def filling_bound(add: AbstractDistortionDiagram, m: int, r: int,
                   gamma_size: int) -> float:
-    """Natural log of the filling-count bound."""
-    cl = classify(add)
-    k = len(cl.alpha)
-    size = add.base.num_faces
-    return (k * (math.log(2 * m) - math.log(2 * m - 1))
-            + 3 * size * size * k * math.log(2 * gamma_size)
-            + sum(cl.eta.values()) * math.log(2 * m - 1)
-            + sum(cl.eta_prime.values()) * math.log(max(2 * r - 1, 1)))
+    """Natural log of the filling-count bound ``filling_bound_exact``."""
+    exact = filling_bound_exact(add, m, r, gamma_size)
+    return math.log(exact.numerator) - math.log(exact.denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,9 @@ def _cmd_abstract_fillings(args) -> int:
 
 
 def _cmd_abstract_bound(args) -> int:
+    if args.m < 2 or not 1 <= args.r <= args.m - 1 or args.graph_size < 1:
+        raise DomainError(f"need m >= 2, 1 <= r <= m-1 and graph size >= 1, got "
+                          f"m={args.m}, r={args.r}, graph size={args.graph_size}")
     add = abstract_from_json(Path(getattr(args, "in")).read_text())
     value = filling_bound(add, args.m, args.r, args.graph_size)
     _emit(args, json.dumps({"log_bound": value}) + "\n", [getattr(args, "in")])

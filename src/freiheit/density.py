@@ -13,8 +13,8 @@ subset is drawn by geometric waiting times between successive members
 reach are the members, already sorted and distinct. Once |E| > 2^53 float
 gaps lose unit resolution, so there the waiting times give only the size
 and that many distinct indices are drawn uniformly: conditioned on its
-size, a Bernoulli subset is a uniform subset of that size. The cost is
-O(|A|), whatever |E|.
+size, a Bernoulli subset is a uniform subset of that size (drawn by
+Floyd's algorithm past sys.maxsize). The cost is O(|A|), whatever |E|.
 
 A sampled relator set holds the sorted index list and unranks its words
 lazily: the first access to a relator unranks every relator before it, in
@@ -32,6 +32,7 @@ The density of a subset A of E is log_|E|(|A|), with -inf for the empty set.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -228,8 +229,8 @@ def bernoulli_index_subset(universe_size: int, d: float, seed_or_rng) -> list[in
 
     The positions the waiting times reach are the members, in increasing
     order. Float gaps lose unit resolution once universe_size > 2^53, so
-    there the waiting times give only the size and rng.sample draws that
-    many big-int indices exactly.
+    there the waiting times give only the size and that many big-int
+    indices are drawn exactly.
     """
     rng = as_rng(seed_or_rng)
     p = inclusion_probability(universe_size, d)
@@ -247,7 +248,21 @@ def bernoulli_index_subset(universe_size: int, d: float, seed_or_rng) -> list[in
         members.append(i)
     if universe_size <= 2 ** 53:
         return members
-    return sorted(rng.sample(range(universe_size), len(members)))
+    if universe_size <= sys.maxsize:
+        return sorted(rng.sample(range(universe_size), len(members)))
+    return _floyd_subset(universe_size, len(members), rng)
+
+
+def _floyd_subset(universe_size: int, k: int, rng) -> list[int]:
+    """A uniform k-subset of range(universe_size), sorted, for universes past
+    sys.maxsize, where range() has no length: Floyd's algorithm (Bentley and
+    Floyd, CACM 30(9), 1987) makes k calls of rng.randrange, which takes any
+    integer."""
+    chosen: set[int] = set()
+    for j in range(universe_size - k, universe_size):
+        t = rng.randrange(j + 1)
+        chosen.add(j if t in chosen else t)
+    return sorted(chosen)
 
 
 def uniform_count_subset(elements: Sequence, d: float, seed_or_rng) -> list:
@@ -260,7 +275,9 @@ def uniform_count_subset(elements: Sequence, d: float, seed_or_rng) -> list:
 def uniform_count_index_subset(universe_size: int, d: float, seed_or_rng) -> list[int]:
     rng = as_rng(seed_or_rng)
     k = floor_power(universe_size, d)
-    return sorted(rng.sample(range(universe_size), k))
+    if universe_size <= sys.maxsize:
+        return sorted(rng.sample(range(universe_size), k))
+    return _floyd_subset(universe_size, k, rng)
 
 
 def density_estimate(subset_size: int, universe_size: int) -> float:
@@ -292,9 +309,12 @@ def sample_relator_indices(m: int, maxlen: int, model: DensityModel, seed_or_rng
 
 
 def expected_relator_count(m: int, maxlen: int, d: float) -> float:
-    """|B_maxlen|^d, the concentration point of |R|."""
-    n = count_cyclically_reduced_upto(m, maxlen)
-    return math.exp(d * math.log(n))
+    """|B_maxlen|^d, the concentration point of |R|; math.inf past the
+    float range."""
+    try:
+        return math.exp(d * math.log(count_cyclically_reduced_upto(m, maxlen)))
+    except OverflowError:
+        return math.inf
 
 
 def sample_relator_set(m: int, maxlen: int, model: DensityModel, seed_or_rng,

@@ -9,7 +9,8 @@ Desk-scale surrogates:
 * collapse probe: scan relators (up to rotation and inversion) for the form
   x_i * w with w over the first r generators, for every i > r;
 * triviality probe: scan for pairs (w, x_i w) both sampled, per generator;
-* freeness probe: bounded word-problem search over loop words of a graph.
+* freeness probe: bounded word-problem search over loop words of a graph
+  (a library function; the sweep does not run it).
 
 The collapse and triviality probes read the relators in the set's
 length-then-lex order and stop once every generator has a witness, so on a
@@ -21,30 +22,30 @@ so far by a rotation-invariant integer key, a weighted sum over the cyclic
 bigrams of a word, and deleting x_i from R changes R's key by three table
 lookups; only a key hit computes canonical rotations, to confirm the match.
 
-When the expected relator count is too large to materialize, trials are
-simulated on the relevant sub-universes: a Bernoulli subset meets a class of
-C elements with probability 1 - (1 - p)^C, and the class sizes are counted
-exactly (the collapse class from its structure, the pair class by dynamic
-programming), so each per-generator event is drawn with its exact
-probability.  Witnesses on that path are resampled representatives of the
-qualifying class, not members of a materialized set.
+When the expected relator count is too large to materialize, the collapse
+event is simulated on its sub-universe: a Bernoulli subset meets a class of
+C elements with probability 1 - (1 - p)^C, and the collapse class size is
+counted exactly from its structure, so each per-generator event is drawn
+with its exact probability. Witnesses on that path are resampled
+representatives of the qualifying class, not members of a materialized
+set. Triviality is not measured there: such a trial reports it as None.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .density import (DensityModel, ModelKind, RelatorSet, expected_relator_count,
-                      inclusion_probability, make_relator_set, model_problems,
-                      sample_relator_set)
+                      make_relator_set, model_problems, sample_relator_set)
 from .diagrams import TrivialityVerdict, bounded_triviality
 from .errors import DomainError
 from .seeds import rng_for
-from .stallings import LabeledGraph, iter_reduced_loops, wedge_of_words
+from .stallings import LabeledGraph, iter_reduced_loops
 from .words import (Word, count_cyclically_reduced_upto, cyclic_reduce,
                     min_cyclic_rotation, sample_cyclically_reduced)
 
@@ -93,8 +94,7 @@ def fillability_crossover(K: int, m: int, r: int, d: float,
 
 
 # ---------------------------------------------------------------------------
-# Exact class-size counters: the collapse class from its structure, the pair
-# class by a transfer-matrix DP on cyclically reduced strings.
+# The exact collapse class size and the probability that a sample meets it.
 
 
 def count_collapse_class(m: int, r: int, gen: int, maxlen: int) -> int:
@@ -116,44 +116,22 @@ def count_collapse_class(m: int, r: int, gen: int, maxlen: int) -> int:
                    for length in range(2, maxlen + 1))
 
 
-@lru_cache(maxsize=None)
-def count_triviality_pairs(m: int, gen: int, maxlen: int) -> int:
-    """Words w in B_(maxlen-1) such that x_gen * w is also cyclically
-    reduced of length <= maxlen (the exact-concatenation pair class)."""
-    if not 1 <= gen <= m:
-        raise DomainError(f"generator {gen} out of range")
-    letters = [x for x in range(-m, m + 1) if x != 0]
-    state: dict[tuple[int, int], int] = {}
-    total = 0
-    for x in letters:
-        if x != -gen:  # first- and last-letter constraints coincide at length 1
-            state[(x, x)] = 1
-            total += 1
-    for _ in range(2, maxlen):
-        nxt: dict[tuple[int, int], int] = {}
-        for (first, last), cnt in state.items():
-            for x in letters:
-                if x == -last:
-                    continue
-                key = (first, x)
-                nxt[key] = nxt.get(key, 0) + cnt
-        state = nxt
-        total += sum(cnt for (first, last), cnt in state.items()
-                     if last != -first and last != -gen)
-    return total
-
-
-def _class_success_probability(class_size: int, universe_size: int, d: float,
-                               per_element_power: int = 1) -> float:
-    """P(a Bernoulli(|E|^(d-1)) subset meets a class), with the element
-    probability raised to ``per_element_power`` for pair classes."""
+def _class_success_probability(class_size: int, universe_size: int, d: float) -> float:
+    """P(a Bernoulli(|E|^(d-1)) subset meets a class), 1 - (1 - p)^C,
+    computed in logs as 1 - exp(-exp(log C + log(-log(1 - p)))), so that
+    class and universe sizes past the float range are exact inputs."""
     if class_size <= 0:
         return 0.0
-    log_p = per_element_power * (d - 1.0) * math.log(universe_size)
+    log_p = (d - 1.0) * math.log(universe_size)
     if log_p >= 0:
         return 1.0
     p = math.exp(log_p)
-    return -math.expm1(class_size * math.log1p(-p))
+    # -log(1 - p) is p to double precision long before p leaves the normal
+    # floats, so log_p stands in for its log there.
+    log_rate = math.log(-math.log1p(-p)) if p >= sys.float_info.min else log_p
+    log_mean = math.log(class_size) + log_rate
+    # Past e^700 terms the probability is 1.0 in double precision anyway.
+    return 1.0 if log_mean > 700 else -math.expm1(-math.exp(log_mean))
 
 
 def _check_rank(m: int, r: int) -> None:
@@ -438,9 +416,6 @@ def freeness_probe(relators: RelatorSet, graph: LabeledGraph,
 # Trials and the sweep harness.
 
 
-FREENESS_RELATOR_LIMIT = 400  # the freeness probe skips larger relator sets
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -459,11 +434,9 @@ def _raise_problems(what: str, problems: list[str]) -> None:
 @dataclass(frozen=True)
 class SweepBudgets:
     materialize_limit: int = 50_000
-    freeness_word_length: int = 0  # 0 disables the freeness probe
-    freeness_max_steps: int = 200
 
     def __post_init__(self):
-        _raise_problems("sweep budgets", _int_problems(self, {f.name: 0 for f in fields(self)}))
+        _raise_problems("sweep budgets", _int_problems(self, {"materialize_limit": 0}))
 
 
 @dataclass(frozen=True)
@@ -506,8 +479,7 @@ class TransitionConfig:
 @dataclass(frozen=True)
 class TrialResult:
     collapse: bool
-    trivial: bool
-    free_no_collapse: bool | None
+    trivial: bool | None  # None on the fast path, which does not measure it
     relator_count: float
     fast_path: bool
     collapse_result: CollapseResult | None = None
@@ -527,22 +499,16 @@ def _sample_collapse_witness(m: int, r: int, gen: int, maxlen: int, rng) -> Coll
     return CollapseWitness(gen, relator, 0, False, w.inverse())
 
 
-@lru_cache(maxsize=None)
-def _rose(r: int) -> LabeledGraph:
-    """The wedge of the loops x1..xr, one instance per r, so that trials
-    share its loop classes."""
-    return wedge_of_words([Word((i,)) for i in range(1, r + 1)])
-
-
 def run_trial(m: int, r: int, maxlen: int, d: float, kind: str, rng,
               budgets: SweepBudgets = SweepBudgets()) -> TrialResult:
     """One sampled presentation, probed; falls back to the exact
     sub-universe simulation when materializing the set is infeasible.
 
-    On that fast path both models draw each class event with the Bernoulli
-    probability and report the expected relator count |B_maxlen|^d: the
-    count model's per-element rate floor(n^d)/n is the Bernoulli p = n^(d-1)
-    up to the floor, and its inclusions are treated as independent.
+    On that fast path both models draw each collapse class event with the
+    Bernoulli probability and report the expected relator count
+    |B_maxlen|^d: the count model's per-element rate floor(n^d)/n is the
+    Bernoulli p = n^(d-1) up to the floor, and its inclusions are treated
+    as independent. The fast path does not measure triviality.
     """
     _check_rank(m, r)
     expected = expected_relator_count(m, maxlen, d)
@@ -552,60 +518,42 @@ def run_trial(m: int, r: int, maxlen: int, d: float, kind: str, rng,
                                       materialize_limit=10 * budgets.materialize_limit)
         collapse = collapse_probe(relators, r)
         trivial = triviality_probe(relators)
-        free = None
-        if (budgets.freeness_word_length > 0
-                and len(relators) <= FREENESS_RELATOR_LIMIT):
-            report = freeness_probe(relators, _rose(r), {
-                "word_length": budgets.freeness_word_length,
-                "max_steps": budgets.freeness_max_steps})
-            free = not report.collapse_found
-        return TrialResult(collapse.success, trivial.all_trivial, free,
+        return TrialResult(collapse.success, trivial.all_trivial,
                            float(len(relators)), False, collapse)
 
-    n = count_cyclically_reduced_upto(m, maxlen)
-    p = inclusion_probability(n, d)
     witnesses: dict[int, CollapseWitness | None] = {}
     for gen, prob in collapse_success_probability(m, r, maxlen, d).items():
         witnesses[gen] = (_sample_collapse_witness(m, r, gen, maxlen, rng)
                           if rng.random() < prob else None)
     collapse_ok = all(w is not None for w in witnesses.values())
-    # A pair (w, x_gen w) both sampled, or the bare relator x_gen.
-    trivial_ok = all(
-        rng.random() < 1.0 - (1.0 - _class_success_probability(
-            count_triviality_pairs(m, gen, maxlen), n, d, 2)) * (1.0 - p)
-        for gen in range(1, m + 1))
     subs = ({g: w.substitution for g, w in witnesses.items()}
             if collapse_ok else None)
     collapse_res = CollapseResult(subs, witnesses, sampled_witnesses=True)
-    return TrialResult(collapse_ok, trivial_ok, None, expected, True, collapse_res)
+    return TrialResult(collapse_ok, None, expected, True, collapse_res)
 
 
 SWEEP_COLUMNS = ("m", "r", "l", "d", "trials", "collapse_freq", "trivial_freq",
-                 "free_freq", "mean_relator_count", "seed")
+                 "mean_relator_count", "seed")
 
 
 def _run_cell(args) -> dict:
     cfg, li, di = args
     maxlen = cfg.lengths[li]
     d = cfg.densities[di]
-    collapse = trivial = 0
-    free_ok = 0
-    free_ran = 0
+    collapse = trivial = measured = 0
     sizes = 0.0
     for t in range(cfg.trials):
         rng = rng_for(cfg.seed, "sweep", li, di, t)
         res = run_trial(cfg.m, cfg.r, maxlen, d, cfg.kind, rng, cfg.budgets)
         collapse += res.collapse
-        trivial += res.trivial
         sizes += res.relator_count
-        if res.free_no_collapse is not None:
-            free_ran += 1
-            free_ok += res.free_no_collapse
+        if res.trivial is not None:
+            measured += 1
+            trivial += res.trivial
     return {
         "m": cfg.m, "r": cfg.r, "l": maxlen, "d": d, "trials": cfg.trials,
         "collapse_freq": collapse / cfg.trials,
-        "trivial_freq": trivial / cfg.trials,
-        "free_freq": (free_ok / free_ran) if free_ran else float("nan"),
+        "trivial_freq": (trivial / measured) if measured else float("nan"),
         "mean_relator_count": sizes / cfg.trials,
         "seed": cfg.seed,
     }

@@ -149,10 +149,25 @@ def test_abstract_pipeline(tmp_path, capsys):
 
     graph = tmp_path / "f8.txt"
     graph.write_text("V 1\nE 0 0 a\nE 0 0 b\n")
-    code, out, _ = run(capsys, "abstract", "bound", "--in", str(path), "--m", "2",
+    code, out, _ = run(capsys, "abstract", "bound", "--in", str(path), "--m", "3",
                        "--r", "2", "--graph-size", "2")
     assert code == 0
     assert json.loads(out)["log_bound"] > 0
+
+
+@pytest.mark.parametrize("m, r, size", [("1", "1", "2"), ("2", "0", "2"), ("2", "2", "2"),
+                                        ("3", "1", "0")])
+def test_abstract_bound_refuses_ranks_and_graph_sizes_out_of_range(tmp_path, capsys,
+                                                                    m, r, size):
+    from fixtures import three_face_example
+    from freiheit.abstract_diagrams import abstract_to_json
+
+    path = tmp_path / "add.json"
+    path.write_text(abstract_to_json(three_face_example()))
+    code, out, err = run(capsys, "abstract", "bound", "--in", str(path), "--m", m,
+                         "--r", r, "--graph-size", size)
+    assert code == 1 and out == ""
+    assert err.startswith("domain error: need m >= 2, 1 <= r <= m-1 and graph size >= 1")
 
 
 def test_abstract_fillings(tmp_path, capsys):
@@ -345,6 +360,27 @@ def test_exit_codes(capsys, tmp_path):
                                "trials": 2}))
     assert dispatch(["experiments", "sweep", "--config", str(cfg)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("r, d", [("1", "0.95"), ("2", "0.4")])
+def test_experiments_collapse_runs_past_the_float_range(capsys, r, d):
+    # |B_700| ~ 5^700 at m = 3: its d-th power passes the float range at
+    # d = 0.95, and the r = 2 collapse class does at every density.
+    code, out, _ = run(capsys, "--seed", "1", "experiments", "collapse", "--m", "3",
+                       "--r", r, "--maxlen", "700", "--d", d)
+    assert code == 0
+    data = json.loads(out)
+    assert data["fast_path"] and data["relator_count"] > 1e195
+
+
+@pytest.mark.parametrize("model", ["bernoulli", "count"])
+def test_density_sample_draws_indices_past_sys_maxsize(capsys, model):
+    # |B_30| ~ 1.1e21 at m = 3, past sys.maxsize, so range() has no length.
+    code, out, _ = run(capsys, "--seed", "7", "density", "sample", "--model", model,
+                       "--d", "0.05", "--m", "3", "--maxlen", "30")
+    assert code == 0
+    words = out.splitlines()[1:]
+    assert words and all(len(w) <= 30 for w in words)
 
 
 def test_experiments_bound_cli(capsys):

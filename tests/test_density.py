@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from bisect import bisect_left
 from itertools import combinations
 
@@ -12,7 +13,7 @@ from freiheit.density import (DensityModel, RelatorSet, bernoulli_index_subset,
                               inclusion_probability, intersection_experiment,
                               make_relator_set, sample_relator_indices,
                               sample_relator_set, uniform_count_index_subset,
-                              uniform_count_subset)
+                              uniform_count_subset, _floyd_subset)
 from freiheit.errors import DomainError, FeasibilityError
 from freiheit.words import Word, _WordTables, count_cyclically_reduced_upto, word_at_index
 
@@ -175,6 +176,34 @@ def test_bernoulli_members_above_float_resolution():
         sub = bernoulli_index_subset(2 ** 53, 0.05, _NoSampleRandom(seed))
         assert all(a < b for a, b in zip(sub, sub[1:]))
         assert all(0 <= i < 2 ** 53 for i in sub)
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (7, 2), (5, 5), (4, 0)])
+def test_floyd_subset_is_uniform_over_all_k_subsets(n, k):
+    subsets = list(combinations(range(n), k))
+    rng = random.Random(31)
+    draws = 200 * len(subsets)
+    counts = dict.fromkeys(subsets, 0)
+    for _ in range(draws):
+        counts[tuple(_floyd_subset(n, k, rng))] += 1
+    expected = draws / len(subsets)
+    stat = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert len(counts) == len(subsets)
+    if len(subsets) > 1:
+        assert stat < chi2_critical(len(subsets) - 1, 0.001)
+
+
+def test_index_draws_past_sys_maxsize_use_floyd():
+    # range() has no length past sys.maxsize, so rng.sample cannot draw
+    # there; below it rng.sample keeps its stream.
+    n = 2 ** 70
+    for draw in (lambda rng: bernoulli_index_subset(n, 0.05, rng),
+                 lambda rng: uniform_count_index_subset(n, 0.05, rng)):
+        sub = draw(_NoSampleRandom(4))
+        assert sub and all(a < b for a, b in zip(sub, sub[1:]))
+        assert 0 <= sub[0] and sub[-1] < n
+    with pytest.raises(AssertionError, match="rng.sample"):
+        uniform_count_index_subset(sys.maxsize, 0.05, _NoSampleRandom(4))
 
 
 def test_floor_power():
@@ -366,3 +395,6 @@ def test_sampled_words_behave_as_their_tuple(monkeypatch):
 def test_expected_relator_count():
     n = count_cyclically_reduced_upto(2, 8)
     assert abs(expected_relator_count(2, 8, 0.5) - n ** 0.5) < 1e-6
+    # |B_446|^0.99 at m = 3 is past the float range.
+    assert expected_relator_count(3, 445, 0.99) < math.inf
+    assert expected_relator_count(3, 446, 0.99) == math.inf

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -10,14 +11,15 @@ from freiheit.density import DensityModel, RelatorSet, make_relator_set, sample_
 from freiheit.errors import DomainError
 from freiheit.experiments import (CollapseResult, SweepBudgets, TransitionConfig,
                                   collapse_probe, collapse_success_probability,
-                                  count_collapse_class, count_triviality_pairs,
+                                  count_collapse_class,
                                   critical_density, epsilon_d, fillability_bound,
                                   fillability_crossover, freeness_probe,
                                   rewrite_presentation, run_trial,
                                   transition_sweep, triviality_probe)
 from freiheit.seeds import rng_for
 from freiheit.stallings import LabeledGraph, wedge_of_words
-from freiheit.words import Word, _WordTables, enumerate_cyclically_reduced
+from freiheit.words import (Word, _WordTables, count_cyclically_reduced_upto,
+                            enumerate_cyclically_reduced)
 
 from oracles import canonical_triviality_probe
 
@@ -103,21 +105,6 @@ def test_collapse_class_count_brute():
     for m, r, gen, L in [(3, 2, 3, 4), (2, 1, 2, 5), (3, 1, 2, 3), (2, 1, 2, 8),
                          (4, 2, 3, 5), (4, 3, 4, 4)]:
         assert count_collapse_class(m, r, gen, L) == brute(m, r, gen, L)
-
-
-def test_triviality_pair_count_brute():
-    def brute(m, gen, maxlen):
-        letters = [x for x in range(-m, m + 1) if x != 0]
-        count = 0
-        for L in range(1, maxlen):
-            for tup in product(letters, repeat=L):
-                if Word(tup).is_cyclically_reduced() and \
-                        Word((gen,) + tup).is_cyclically_reduced():
-                    count += 1
-        return count
-
-    for m, gen, L in [(2, 1, 5), (2, 2, 4), (3, 1, 4)]:
-        assert count_triviality_pairs(m, gen, L) == brute(m, gen, L)
 
 
 def test_triviality_probe_planted_pair():
@@ -333,15 +320,6 @@ def test_freeness_probe_lists_loop_classes_once_per_graph_and_length(monkeypatch
         assert freeness_probe(relators, graph, other) == \
             freeness_probe(relators, wedge_of_words([Word((1,)), Word((2,))]), other)
     assert listings == [4, 3, 3, 5, 5, 3]
-    # The trials of a sweep share one wedge per r, so they list its loop
-    # classes once.
-    experiments._rose.cache_clear()
-    budgets = SweepBudgets(freeness_word_length=4, freeness_max_steps=30)
-    listings.clear()
-    for t in range(3):
-        res = run_trial(3, 2, 8, 0.1, "bernoulli", random.Random(t), budgets)
-        assert res.free_no_collapse is not None
-    assert listings == [4]
 
 
 def test_fillability_bound_vacuous_then_crossover():
@@ -373,15 +351,16 @@ DIFFERENTIAL_TRIALS = 150
 
 
 @functools.lru_cache(maxsize=None)
-def _path_frequencies(d: float, budgets: SweepBudgets) -> tuple[float, float]:
-    """Collapse and triviality frequencies of run_trial at m=2, r=1, l=10."""
-    collapse = trivial = 0
-    for t in range(DIFFERENTIAL_TRIALS):
-        res = run_trial(2, 1, 10, d, "bernoulli", random.Random(t), budgets)
-        assert res.fast_path == (budgets.materialize_limit == 1)
-        collapse += res.collapse
-        trivial += res.trivial
-    return collapse / DIFFERENTIAL_TRIALS, trivial / DIFFERENTIAL_TRIALS
+def _path_trials(d: float, budgets: SweepBudgets) -> tuple:
+    """The trials of run_trial at m=2, r=1, l=10 on one path."""
+    trials = tuple(run_trial(2, 1, 10, d, "bernoulli", random.Random(t), budgets)
+                   for t in range(DIFFERENTIAL_TRIALS))
+    assert all(res.fast_path == (budgets.materialize_limit == 1) for res in trials)
+    return trials
+
+
+def _collapse_frequency(d: float, budgets: SweepBudgets) -> float:
+    return sum(res.collapse for res in _path_trials(d, budgets)) / DIFFERENTIAL_TRIALS
 
 
 MATERIALIZED, FAST = SweepBudgets(), SweepBudgets(materialize_limit=1)
@@ -391,23 +370,61 @@ MATERIALIZED, FAST = SweepBudgets(), SweepBudgets(materialize_limit=1)
 def test_collapse_agrees_across_paths_and_with_oracle(d):
     p = collapse_success_probability(2, 1, 10, d)[2]
     sigma = math.sqrt(p * (1 - p) / DIFFERENTIAL_TRIALS)
-    materialized = _path_frequencies(d, MATERIALIZED)[0]
-    fast = _path_frequencies(d, FAST)[0]
+    materialized = _collapse_frequency(d, MATERIALIZED)
+    fast = _collapse_frequency(d, FAST)
     assert abs(materialized - p) <= 3 * sigma
     assert abs(fast - p) <= 3 * sigma
     assert abs(materialized - fast) <= 3 * math.sqrt(2) * sigma
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 1: the fast path draws pairs (w, x_i w) as exact "
-    "concatenations, while triviality_probe matches them up to rotation"))
 @pytest.mark.parametrize("d", [0.45, 0.6])
-def test_triviality_agrees_across_paths(d):
-    materialized = _path_frequencies(d, MATERIALIZED)[1]
-    fast = _path_frequencies(d, FAST)[1]
-    pooled = (materialized + fast) / 2
-    sigma = math.sqrt(pooled * (1 - pooled) / DIFFERENTIAL_TRIALS)
-    assert abs(materialized - fast) <= 3 * math.sqrt(2) * sigma
+def test_only_materialized_trials_report_triviality(d):
+    # The fast path has no relator set for the triviality probe to read, so
+    # it reports no triviality outcome rather than one of another event.
+    assert all(res.trivial is None for res in _path_trials(d, FAST))
+    assert all(isinstance(res.trivial, bool) for res in _path_trials(d, MATERIALIZED))
+
+
+def test_sweep_reports_nan_triviality_on_fast_path_cells():
+    cfg = TransitionConfig(2, 1, (8,), (0.3, 0.6), 6, seed=5,
+                           budgets=SweepBudgets(materialize_limit=100))
+    materialized, fast = transition_sweep(cfg)
+    assert 0.0 <= materialized["trivial_freq"] <= 1.0
+    assert math.isnan(fast["trivial_freq"])
+
+
+def _class_probability_in_floats(class_size, universe_size, d):
+    # The form the log-domain probability replaced. It converts the class
+    # size to a float, so it overflows once that passes the float range, and
+    # it loses its precision once p is subnormal.
+    log_p = (d - 1.0) * math.log(universe_size)
+    if log_p >= 0:
+        return 1.0
+    p = math.exp(log_p)
+    if p < sys.float_info.min:
+        raise OverflowError("p is subnormal")
+    return -math.expm1(class_size * math.log1p(-p))
+
+
+def test_class_probability_in_logs_matches_the_float_form():
+    # Equal to 1e-12 relative wherever the float form is exact enough to
+    # compare with, and a probability everywhere.
+    compared = overflowed = 0
+    for m, r in [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 4)]:
+        for maxlen in (1, 2, 5, 10, 20, 40, 100, 300, 640, 700):
+            n = count_cyclically_reduced_upto(m, maxlen)
+            size = count_collapse_class(m, r, m, maxlen)
+            for d in (0.01, 0.05, 0.2, 0.3174, 0.45, 0.6, 0.9, 0.99, 1.0):
+                logs = experiments._class_success_probability(size, n, d)
+                assert 0.0 <= logs <= 1.0
+                try:
+                    floats = _class_probability_in_floats(size, n, d)
+                except OverflowError:
+                    overflowed += 1
+                    continue
+                compared += 1
+                assert logs == pytest.approx(floats, rel=1e-12, abs=0.0)
+    assert compared > 400 and overflowed > 0
 
 
 def test_config_validation():
@@ -429,14 +446,6 @@ def test_sweep_deterministic_and_parallel_equal():
     rows_par = transition_sweep(cfg, jobs=2)
     assert repr(rows_par) == repr(rows1)
     assert [r["d"] for r in rows1] == [0.25, 0.55]
-
-
-def test_sweep_with_freeness_column():
-    cfg = TransitionConfig(3, 2, (8,), (0.1,), 4, seed=2,
-                           budgets=SweepBudgets(freeness_word_length=3,
-                                                freeness_max_steps=50))
-    rows = transition_sweep(cfg)
-    assert 0.0 <= rows[0]["free_freq"] <= 1.0
 
 
 def test_fast_path_trial_shape():

@@ -19,7 +19,7 @@ from freiheit import experiments
 from freiheit.cli import dispatch
 from freiheit.density import DensityModel, make_relator_set, sample_relator_set
 from freiheit.diagrams import enumerate_reduced_disk_diagrams
-from freiheit.experiments import SweepBudgets, run_trial
+from freiheit.experiments import run_trial
 from freiheit.seeds import rng_for
 from freiheit.stallings import wedge_of_words
 from freiheit.words import Word, word_from_text
@@ -84,23 +84,21 @@ def test_sweep_cli_output_is_pinned(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[2].endswith(",249.0120805278597,5")
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "5c40d5420eb817eba813d863f8d37434767ee3a7137fa6f5ad5dc9cb4634f948"
+        "56bf520b7e13e8076b12ee2f198dd2bd415a8eb04a5e2da96ba0b055a124a3e3"
 
 
 def test_sweep_trial_results_are_pinned():
     # The sweep CLI prints per-cell frequencies only, so a change to the
     # sampled members can leave its digest in place. The repr of each trial
-    # pins its relator count, its collapse witnesses and its freeness
+    # pins its relator count, its collapse witnesses and its triviality
     # outcome, on the cell streams the sweep derives (cell 0, di, t).
-    budgets = SweepBudgets(freeness_word_length=4, freeness_max_steps=60)
-    results = [run_trial(3, 2, 8, d, "bernoulli", rng_for(5, "sweep", 0, di, t), budgets)
+    results = [run_trial(3, 2, 8, d, "bernoulli", rng_for(5, "sweep", 0, di, t))
                for di, d in enumerate((0.1, 0.2)) for t in range(10)]
     assert not any(res.fast_path for res in results)
-    assert all(res.free_no_collapse is not None for res in results)
     assert sum(res.relator_count for res in results) == 177
     digest = hashlib.sha256(b"".join(repr(res).encode() for res in results))
     assert digest.hexdigest() == \
-        "d5a015007bbf5e6d47d3286fcd1b49ca58d01b4b96aa2a7ceacb1b4f45cced7c"
+        "835a65f4efe7ecc0b39968cd1d1c41d7f66fc9cdf8ba9e6991d3733001460b11"
 
 
 def test_words_enumerate_cli_output_is_pinned(capsys):

@@ -1,7 +1,8 @@
 """The README's commands and sweep configs stay in step with the code: every
 ``freiheit`` line in a code block parses with the CLI's parser (nothing is
-run), and every sweep config it shows passes the config reader and
-TransitionConfig's validation."""
+run), every sweep config it shows passes the config reader and
+TransitionConfig's validation, and the sweep CSV columns it lists are the
+ones the sweep writes."""
 
 import json
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from freiheit.cli import build_parser, read_config
+from freiheit.experiments import SWEEP_COLUMNS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.M | re.S)
@@ -38,3 +40,9 @@ def test_readme_sweep_config_is_valid(tmp_path, text):
     cfg = read_config(str(path))
     assert cfg.lengths and cfg.densities and cfg.trials >= 1
     assert json.loads(text)["m"] == cfg.m
+
+
+def test_readme_lists_the_sweep_columns():
+    listed = re.search(r"Sweep CSV columns:\s*`([^`]*)`", README)
+    assert listed is not None
+    assert tuple(re.split(r",\s*", listed.group(1))) == SWEEP_COLUMNS
