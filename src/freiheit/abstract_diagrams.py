@@ -378,8 +378,7 @@ def fill(ad: AbstractDiagram, relator_words: Sequence[Word]) -> VanKampenDiagram
 # Fillings enumeration.
 
 
-def fillings_with_boundary(ad: AbstractDiagram, m: int,
-                           *, limit: int = FILLING_PRODUCT_LIMIT
+def fillings_with_boundary(ad: AbstractDiagram, m: int
                            ) -> list[tuple[tuple[Word, ...], tuple[int, ...]]]:
     """All tuples of distinct cyclically reduced words consistent with the
     diagram, paired with the outer-walk labels they induce."""
@@ -395,9 +394,9 @@ def fillings_with_boundary(ad: AbstractDiagram, m: int,
         raise DomainError("abstract indices must be 1..k")
     # Sized by the closed-form counts, before any pool is built.
     estimate = math.prod(count_cyclically_reduced_exact(m, lengths[i]) for i in indices)
-    if estimate > limit:
+    if estimate > FILLING_PRODUCT_LIMIT:
         raise FeasibilityError(
-            f"filling search space {estimate} exceeds limit {limit}",
+            f"filling search space {estimate} exceeds limit {FILLING_PRODUCT_LIMIT}",
             estimate=estimate)
     pools = {idx: list(cyclically_reduced_words(m, lengths[idx])) for idx in indices}
 

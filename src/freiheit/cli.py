@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from itertools import chain, islice
@@ -276,7 +277,9 @@ def _cmd_experiments_collapse(args) -> int:
     payload = {
         "m": args.m, "r": args.r, "maxlen": args.maxlen, "d": args.d,
         "critical_density": critical_density(args.m, args.r).d_r,
-        "collapse": res.collapse, "relator_count": res.relator_count,
+        "collapse": res.collapse,
+        # A count past the float range is null: JSON has no Infinity.
+        "relator_count": res.relator_count if math.isfinite(res.relator_count) else None,
         "fast_path": res.fast_path,
         "substitutions": ({str(g): word_to_text(w) for g, w in cr.substitutions.items()}
                           if cr and cr.substitutions else None),

@@ -26,8 +26,8 @@ When the expected relator count is too large to materialize, the collapse
 event is simulated on its sub-universe: a Bernoulli subset meets a class of
 C elements with probability 1 - (1 - p)^C, and the collapse class size is
 counted exactly from its structure, so each per-generator event is drawn
-with its exact probability. Witnesses on that path are resampled
-representatives of the qualifying class, not members of a materialized
+with its exact probability. Once every event is drawn, each hit draws its
+witness, a uniform member of its class, not a member of a materialized
 set. Triviality is not measured there: such a trial reports it as None.
 """
 
@@ -46,8 +46,9 @@ from .diagrams import TrivialityVerdict, bounded_triviality
 from .errors import DomainError
 from .seeds import rng_for
 from .stallings import LabeledGraph, iter_reduced_loops
-from .words import (Word, count_cyclically_reduced_upto, cyclic_reduce,
-                    min_cyclic_rotation, sample_cyclically_reduced)
+from .words import Word, count_cyclically_reduced_upto, cyclic_reduce, min_cyclic_rotation
+
+CROSSOVER_SCAN_LIMIT = 10_000_000
 
 
 class CriticalDensity(NamedTuple):
@@ -78,8 +79,7 @@ def fillability_bound(K: int, maxlen: int, m: int, r: int, d: float) -> float:
     return 10 * K ** 3 * math.log(maxlen) - 2 * eps * maxlen * math.log(2 * m - 1)
 
 
-def fillability_crossover(K: int, m: int, r: int, d: float,
-                          max_scan: int = 10_000_000) -> int | None:
+def fillability_crossover(K: int, m: int, r: int, d: float) -> int | None:
     """Smallest maxlen past the bound's peak at which it drops below 1.
 
     The log-bound rises like 10 K^3 log(maxlen) before the linear term wins,
@@ -87,7 +87,7 @@ def fillability_crossover(K: int, m: int, r: int, d: float,
     eps = epsilon_d(m, r, d)
     c = 2 * eps * math.log(2 * m - 1)
     peak = max(1, math.ceil(10 * K ** 3 / c))
-    for maxlen in range(peak, min(max_scan, 100 * peak + 1000)):
+    for maxlen in range(peak, min(CROSSOVER_SCAN_LIMIT, 100 * peak + 1000)):
         if fillability_bound(K, maxlen, m, r, d) < 0:
             return maxlen
     return None
@@ -112,8 +112,13 @@ def count_collapse_class(m: int, r: int, gen: int, maxlen: int) -> int:
     """
     if not (1 <= r < gen <= m):
         raise DomainError(f"need 1 <= r < gen <= m, got r={r}, gen={gen}, m={m}")
-    return 2 + sum(2 * length * 2 * r * (2 * r - 1) ** (length - 2)
-                   for length in range(2, maxlen + 1))
+    return sum(_collapse_share(r, length) for length in range(1, maxlen + 1))
+
+
+def _collapse_share(r: int, length: int) -> int:
+    """The members of length L of a collapse class: 2L positions and signs
+    of the big letter times the reduced words of L - 1 letters over X_r."""
+    return 2 * length * (2 * r * (2 * r - 1) ** (length - 2) if length > 1 else 1)
 
 
 def _class_success_probability(class_size: int, universe_size: int, d: float) -> float:
@@ -486,17 +491,24 @@ class TrialResult:
 
 
 def _sample_collapse_witness(m: int, r: int, gen: int, maxlen: int, rng) -> CollapseWitness:
-    """A member of gen's collapse class for the fast path, not a uniform
-    one: ``x_gen w`` with w a uniform draw from B_(maxlen-1) over the first
-    r generators, so w is cyclically reduced, which the class does not
-    require. For r = 1 it always draws ``x^(maxlen-1)``, of either sign."""
-    if r == 1:
-        sign = rng.choice((1, -1))
-        w = Word((sign,) * (maxlen - 1))
-    else:
-        w = sample_cyclically_reduced(r, maxlen - 1, rng)
-    relator = Word((gen,) + w.letters)
-    return CollapseWitness(gen, relator, 0, False, w.inverse())
+    """A uniform member of gen's collapse class for the fast path: a length
+    by its share of the class, the position and sign of the big letter, and
+    a uniform reduced word w over the first r generators read around from
+    the letter after it, one letter at a time."""
+    k = rng.randrange(count_collapse_class(m, r, gen, maxlen))
+    length = 1
+    while k >= (share := _collapse_share(r, length)):
+        k -= share
+        length += 1
+    pos, sign = rng.randrange(length), rng.choice((1, -1))
+    w, x = [], 0
+    for _ in range(length - 1):
+        x = rng.choice([y for y in range(-r, r + 1) if y and y != -x])
+        w.append(x)
+    body = (sign * gen, *w)
+    relator = Word(body[length - pos:] + body[:length - pos])
+    substitution = Word(w).inverse() if sign > 0 else Word(w)
+    return CollapseWitness(gen, relator, pos, sign < 0, substitution)
 
 
 def run_trial(m: int, r: int, maxlen: int, d: float, kind: str, rng,
@@ -521,10 +533,12 @@ def run_trial(m: int, r: int, maxlen: int, d: float, kind: str, rng,
         return TrialResult(collapse.success, trivial.all_trivial,
                            float(len(relators)), False, collapse)
 
-    witnesses: dict[int, CollapseWitness | None] = {}
-    for gen, prob in collapse_success_probability(m, r, maxlen, d).items():
-        witnesses[gen] = (_sample_collapse_witness(m, r, gen, maxlen, rng)
-                          if rng.random() < prob else None)
+    # Every class event is drawn before any witness, so the collapse outcome
+    # does not depend on how the witnesses are drawn.
+    hits = {gen: rng.random() < prob
+            for gen, prob in collapse_success_probability(m, r, maxlen, d).items()}
+    witnesses = {gen: _sample_collapse_witness(m, r, gen, maxlen, rng) if hit else None
+                 for gen, hit in hits.items()}
     collapse_ok = all(w is not None for w in witnesses.values())
     subs = ({g: w.substitution for g, w in witnesses.items()}
             if collapse_ok else None)

@@ -14,6 +14,7 @@ order; the test suite asserts this confluence rather than assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, FeasibilityError, MalformedWordError
@@ -22,6 +23,7 @@ from .words import (Word, as_word, canonical_cyclic, char_to_letter, letter_to_c
                     reduced_words)
 
 MAX_ENUMERATION_EDGES = 12
+LABELING_SPACE_LIMIT = 200_000_000
 
 _UNBUILT = object()
 
@@ -573,8 +575,8 @@ def _graph_from_arc_words(ttype: TopologicalType,
     return LabeledGraph(*_subdivided_arcs(v, ttype.edge_multiset, arc_words), base=0)
 
 
-def enumerate_reduced_graphs(m: int, max_edges: int, max_betti: int,
-                             *, limit: int = 5_000_000) -> Iterator[LabeledGraph]:
+def enumerate_reduced_graphs(m: int, max_edges: int,
+                             max_betti: int) -> Iterator[LabeledGraph]:
     """All reduced connected X-labeled graphs with at most ``max_edges``
     undirected edges and b1 <= max_betti, one per labeled-isomorphism class.
 
@@ -587,7 +589,7 @@ def enumerate_reduced_graphs(m: int, max_edges: int, max_betti: int,
     if max_betti < 1:
         return
     est = (2 * m) ** max_edges
-    if est > 40 * limit:
+    if est > LABELING_SPACE_LIMIT:
         raise FeasibilityError(
             f"estimated labeling space {est:.3g} exceeds limit", estimate=est)
 
@@ -618,19 +620,15 @@ def enumerate_reduced_graphs(m: int, max_edges: int, max_betti: int,
                         if length not in word_cache:
                             word_cache[length] = list(reduced_words(m, length))
                         pools.append(word_cache[length])
-                    stack = [([], 0)]
-                    while stack:
-                        chosen, i = stack.pop()
-                        if i == arcs:
-                            g = _graph_from_arc_words(ttype, chosen)
-                            if g is not None and is_reduced_graph(g):
-                                code = canonical_code(g)
-                                if code not in seen:
-                                    seen.add(code)
-                                    yield g
-                            continue
-                        for word in pools[i]:
-                            stack.append((chosen + [word], i + 1))
+                    # Labelings in descending lex order of the arc words,
+                    # the order `stallings enumerate` prints.
+                    for chosen in product(*(pool[::-1] for pool in pools)):
+                        g = _graph_from_arc_words(ttype, chosen)
+                        if g is not None and is_reduced_graph(g):
+                            code = canonical_code(g)
+                            if code not in seen:
+                                seen.add(code)
+                                yield g
 
 
 # ---------------------------------------------------------------------------

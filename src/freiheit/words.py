@@ -5,15 +5,16 @@ Letters are nonzero signed integers: ``+i`` stands for the generator x_i and
 module provides exact reduction, enumeration, counting and uniform sampling
 of reduced and cyclically reduced words.
 
-Counting is exact: the number of reduced words of length L is
-2m(2m-1)^(L-1), while cyclically reduced words are counted per length by a
-dynamic program keyed on (first letter, current last letter).  The same
-tables drive exactly-uniform sampling and unranking, so huge universes can
-be addressed by integer index without being enumerated.  At the first draw
-they are turned into small descent tables: for each first letter, number
-of letters left and last letter, the candidate next letters with the
-running count of words before each.  A letter is then one bisect over
-those bounds; the tables hold O(m^3 maxlen) integers, none per word.  Words
+Counting is exact and in closed form: 2m(2m-1)^(L-1) reduced words and
+(2m-1)^L + m + (m-1)(-1)^L cyclically reduced words of length L, and the
+geometric sum of the latter for B_l, so a count builds no table.  Unranking
+inverts the length-then-lex order by descent tables, built at the first
+unrank from a dynamic program keyed on (first letter, current last letter):
+for each first letter, number of letters left and last letter, the
+candidate next letters with the running count of words before each.  A
+letter is then one bisect over those bounds; the tables hold O(m^3 maxlen)
+integers, none per word, so huge universes are addressed by index without
+being enumerated.  A uniform sample is the word of a uniform rank.  Words
 built by the samplers are valid by construction and skip the letter
 check; ``Word`` and the text and file readers keep it.
 
@@ -177,41 +178,20 @@ def _index_letter(j: int, m: int) -> int:
 
 
 class _WordTables:
-    """Exact count tables for cyclically reduced words of length <= maxlen."""
+    """Length-then-lex ranks of B_maxlen: the number of words before each
+    length, from the closed form, and the descent tables that unrank."""
 
     def __init__(self, m: int, maxlen: int):
-        if m < 2:
-            raise DomainError(f"m must be >= 2, got {m}")
-        if maxlen < 1:
-            raise DomainError(f"maxlen must be >= 1, got {maxlen}")
         self.m = m
         self.maxlen = maxlen
-        n = 2 * m
-        inv = [n - 1 - j for j in range(n)]
-
-        # back[a][rem][c]: completions of a reduced word with first letter a
-        # and current last letter c by rem more letters, final letter != inv(a).
-        self.back: list[list[list[int]]] = []
-        for a in range(n):
-            rows = [[1 if c != inv[a] else 0 for c in range(n)]]
-            for _ in range(1, maxlen):
-                prev = rows[-1]
-                tot = sum(prev)
-                rows.append([tot - prev[inv[c]] for c in range(n)])
-            self.back.append(rows)
-
-        # Cyclically reduced count per exact length (empty word excluded).
-        self.count_by_len = [0] * (maxlen + 1)
-        for length in range(1, maxlen + 1):
-            self.count_by_len[length] = sum(
-                self.back[a][length - 1][a] for a in range(n)
-            )
-        self.cumulative = list(accumulate(self.count_by_len))
-        self.total = self.cumulative[maxlen]
+        self.total = count_cyclically_reduced_upto(m, maxlen)
+        self.cumulative = list(accumulate(
+            (count_cyclically_reduced_exact(m, length) for length in range(1, maxlen + 1)),
+            initial=0))
 
     @cached_property
     def _steps(self):
-        """The descent tables, built at the first sample or unrank.
+        """The descent tables, built at the first unrank.
 
         A step is a pair (bounds, letters): the candidate signed letters in
         ascending order and, for each, the number of words that precede its
@@ -222,8 +202,20 @@ class _WordTables:
         it leaves out the inverse of x and letters with no completion.
         ``later`` and its innermost lists are indexed by signed letter: they
         have 2m + 1 entries, and a negative letter reads its entry from the
-        end."""
-        n, back = 2 * self.m, self.back
+        end.
+
+        The counts come from a dynamic program: back[a][rem][c] is the number
+        of completions of a reduced word with first letter a and current last
+        letter c by rem more letters, the final one not inverse to a."""
+        n = 2 * self.m
+        back = []
+        for a in range(n):
+            rows = [[int(c != n - 1 - a) for c in range(n)]]
+            for _ in range(1, self.maxlen):
+                prev = rows[-1]
+                tot = sum(prev)
+                rows.append([tot - prev[n - 1 - c] for c in range(n)])
+            back.append(rows)
         letter = [_index_letter(j, self.m) for j in range(n)]
 
         def step(weights: list[int]) -> tuple[list[int], tuple[int, ...]]:
@@ -247,20 +239,8 @@ class _WordTables:
         return first, later
 
     def sample(self, rng) -> Word:
-        """Draw a uniform element of B_maxlen: a length, then each letter in
-        proportion to its completions."""
-        target = rng.randrange(self.total)
-        length = bisect_right(self.cumulative, target)
-        first, later = self._steps
-        bounds, letters = first[length]
-        x = letters[bisect_right(bounds, rng.randrange(bounds[-1])) - 1]
-        out = [x]
-        steps = later[x]
-        for rem in range(length - 2, -1, -1):
-            bounds, letters = steps[rem][x]
-            x = letters[bisect_right(bounds, rng.randrange(bounds[-1])) - 1]
-            out.append(x)
-        return _trusted_word(tuple(out))
+        """A uniform element of B_maxlen: the word of a uniform rank."""
+        return self.unrank(rng.randrange(self.total))
 
     def unrank(self, index: int) -> Word:
         """The index-th word in length-then-lex order, 0 <= index < total."""
@@ -300,8 +280,15 @@ def count_cyclically_reduced_exact(m: int, length: int) -> int:
 
 
 def count_cyclically_reduced_upto(m: int, maxlen: int) -> int:
-    """|B_maxlen|: cyclically reduced words of length 1..maxlen."""
-    return word_tables(m, maxlen).total
+    """|B_maxlen|: cyclically reduced words of length 1..maxlen. Summed over
+    L, the closed form gives q(q^l - 1)/(q - 1) + m l - (m-1)(l mod 2) with
+    q = 2m-1 and l = maxlen."""
+    if m < 2:
+        raise DomainError(f"m must be >= 2, got {m}")
+    if maxlen < 1:
+        raise DomainError(f"maxlen must be >= 1, got {maxlen}")
+    q = 2 * m - 1
+    return q * (q ** maxlen - 1) // (q - 1) + m * maxlen - (m - 1) * (maxlen % 2)
 
 
 def reduced_words(m: int, length: int) -> Iterator[tuple[int, ...]]:
@@ -333,16 +320,14 @@ def cyclically_reduced_words(m: int, length: int) -> Iterator[Word]:
     return (Word(w) for w in reduced_words(m, length) if w[0] != -w[-1])
 
 
-def enumerate_cyclically_reduced(
-    m: int, maxlen: int, *, limit: int = ENUMERATION_LIMIT
-) -> Iterator[Word]:
+def enumerate_cyclically_reduced(m: int, maxlen: int) -> Iterator[Word]:
     """Yield every element of B_maxlen once, in length-then-lex order."""
     if m < 2 or maxlen < 1:
         raise DomainError(f"need m >= 2 and maxlen >= 1, got m={m}, maxlen={maxlen}")
-    if (2 * m - 1) ** maxlen > limit:
+    if (2 * m - 1) ** maxlen > ENUMERATION_LIMIT:
         raise FeasibilityError(
             f"enumeration of B_{maxlen} over {2*m} letters exceeds limit "
-            f"({(2*m-1)**maxlen} > {limit})",
+            f"({(2*m-1)**maxlen} > {ENUMERATION_LIMIT})",
             estimate=(2 * m - 1) ** maxlen,
         )
     for length in range(1, maxlen + 1):

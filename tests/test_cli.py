@@ -20,6 +20,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which Python
+    writes by default but JSON does not allow."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def test_words_enumerate(capsys):
     code, out, _ = run(capsys, "words", "enumerate", "--m", "2", "--maxlen", "2")
     assert code == 0
@@ -58,7 +68,7 @@ def test_stallings_fold_file_roundtrip(tmp_path, capsys):
     assert code == 0
     folded = graph_from_text(dst.read_text())
     assert folded.num_edges == 2 and folded.num_vertices == 2
-    manifest = json.loads((tmp_path / "folded.txt.manifest.json").read_text())
+    manifest = strict_json((tmp_path / "folded.txt.manifest.json").read_text())
     assert manifest["output_sha256"]
     assert str(src) in manifest["inputs"]
 
@@ -68,7 +78,7 @@ def test_stallings_readable(tmp_path, capsys):
     src.write_text("V 1\nE 0 0 a\n")
     code, out, _ = run(capsys, "stallings", "readable", "--in", str(src), "--L", "3")
     assert code == 0
-    data = json.loads(out)
+    data = strict_json(out)
     assert data == {"length": 3, "paths": 2, "words": 2}
 
 
@@ -85,7 +95,7 @@ def test_diagrams_enumerate_and_certify(tmp_path, capsys):
     code, out, _ = run(capsys, "diagrams", "enumerate", "--relators", str(rel),
                        "--K", "1")
     assert code == 0
-    data = json.loads(out)
+    data = strict_json(out)
     assert data["count"] == 1
     graph = tmp_path / "loop.txt"
     graph.write_text("V 1\nE 0 0 a\n")
@@ -94,7 +104,7 @@ def test_diagrams_enumerate_and_certify(tmp_path, capsys):
     code, out, _ = run(capsys, "diagrams", "certify", "--relators", str(rel2),
                        "--graph", str(graph), "--K", "1", "--lambda", "4.0")
     assert code == 0
-    report = json.loads(out)
+    report = strict_json(out)
     assert report["holds"] is False and report["max_ratio"] == 1.0
 
 
@@ -130,7 +140,7 @@ def test_words_enumerate_streams_its_output(tmp_path, capsys):
     assert dispatch(argv) == 0
     text = capsys.readouterr().out
     assert path.read_text() == text
-    manifest = json.loads((tmp_path / "words.txt.manifest.json").read_text())
+    manifest = strict_json((tmp_path / "words.txt.manifest.json").read_text())
     assert manifest["output_sha256"] == hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -143,7 +153,7 @@ def test_abstract_pipeline(tmp_path, capsys):
     path.write_text(abstract_to_json(add))
     code, out, _ = run(capsys, "abstract", "classify", "--in", str(path))
     assert code == 0
-    data = json.loads(out)
+    data = strict_json(out)
     not_free = [k for k, v in data["classes"].items() if v == "not-free-to-fill"]
     assert sorted(not_free) == ["1,4", "2,1", "2,2"]
 
@@ -152,7 +162,7 @@ def test_abstract_pipeline(tmp_path, capsys):
     code, out, _ = run(capsys, "abstract", "bound", "--in", str(path), "--m", "3",
                        "--r", "2", "--graph-size", "2")
     assert code == 0
-    assert json.loads(out)["log_bound"] > 0
+    assert strict_json(out)["log_bound"] > 0
 
 
 @pytest.mark.parametrize("m, r, size", [("1", "1", "2"), ("2", "0", "2"), ("2", "2", "2"),
@@ -182,7 +192,7 @@ def test_abstract_fillings(tmp_path, capsys):
     code, out, _ = run(capsys, "abstract", "fillings", "--in", str(path), "--m", "2",
                        "--maxlen", "2", "--graph", str(graph))
     assert code == 0
-    assert json.loads(out)["count"] == 12
+    assert strict_json(out)["count"] == 12
 
 
 def test_abstract_fillings_rejects_one_generator(tmp_path, capsys):
@@ -217,7 +227,7 @@ def _triangle_with(edit):
     from freiheit.abstract_diagrams import AbstractDistortionDiagram, \
         _one_face_abstract, abstract_to_json
 
-    data = json.loads(abstract_to_json(
+    data = strict_json(abstract_to_json(
         AbstractDistortionDiagram(_one_face_abstract(3), 0, 0)))
     edit(data)
     return json.dumps(data)
@@ -245,8 +255,8 @@ def test_sweep_reproducible_with_manifest(tmp_path, capsys):
     assert dispatch(["--out", str(out2), "experiments", "sweep", "--config", str(cfg)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
-    m1 = json.loads((tmp_path / "a.csv.manifest.json").read_text())
-    m2 = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+    m1 = strict_json((tmp_path / "a.csv.manifest.json").read_text())
+    m2 = strict_json((tmp_path / "b.csv.manifest.json").read_text())
     assert m1["output_sha256"] == m2["output_sha256"]
     assert m1["seed"] == 11
 
@@ -369,8 +379,10 @@ def test_experiments_collapse_runs_past_the_float_range(capsys, r, d):
     code, out, _ = run(capsys, "--seed", "1", "experiments", "collapse", "--m", "3",
                        "--r", r, "--maxlen", "700", "--d", d)
     assert code == 0
-    data = json.loads(out)
-    assert data["fast_path"] and data["relator_count"] > 1e195
+    data = strict_json(out)
+    # At d = 0.95 the relator count itself is past the float range: null.
+    count = data["relator_count"]
+    assert data["fast_path"] and (count is None if d == "0.95" else count > 1e195)
 
 
 @pytest.mark.parametrize("model", ["bernoulli", "count"])
@@ -387,7 +399,7 @@ def test_experiments_bound_cli(capsys):
     code, out, _ = run(capsys, "experiments", "bound", "--K", "2", "--m", "3",
                        "--r", "2", "--d", "0.1")
     assert code == 0
-    data = json.loads(out)
+    data = strict_json(out)
     assert data["crossover"] == 4852
 
 

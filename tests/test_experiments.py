@@ -21,7 +21,7 @@ from freiheit.stallings import LabeledGraph, wedge_of_words
 from freiheit.words import (Word, _WordTables, count_cyclically_reduced_upto,
                             enumerate_cyclically_reduced)
 
-from oracles import canonical_triviality_probe
+from oracles import canonical_triviality_probe, chi2_critical
 
 
 def test_critical_density_r1_is_half():
@@ -456,6 +456,28 @@ def test_fast_path_trial_shape():
         for gen, w in res.collapse_result.substitutions.items():
             assert all(abs(x) <= 2 for x in w.letters)
             assert res.collapse_result.sampled_witnesses
+
+
+@pytest.mark.parametrize("m, r, maxlen", [(2, 1, 4), (3, 2, 3)])
+def test_fast_path_witness_is_uniform_over_its_class(m, r, maxlen):
+    # Every member of x_m's collapse class (38 and 90 of them), drawn 60
+    # times each on average; chi-squared at alpha = 0.001. Each witness is
+    # what collapse_probe reports on the set of its one relator.
+    members = [w.letters for w in enumerate_cyclically_reduced(m, maxlen)
+               if [x for x in w if abs(x) > r] in ([m], [-m])]
+    assert len(members) == count_collapse_class(m, r, m, maxlen)
+    counts = dict.fromkeys(members, 0)
+    rng = random.Random(3)
+    trials = 60 * len(members)
+    for _ in range(trials):
+        wit = experiments._sample_collapse_witness(m, r, m, maxlen, rng)
+        counts[wit.relator.letters] += 1
+        probed = collapse_probe(make_relator_set(m, maxlen, [wit.relator]), r)
+        assert probed.witnesses[m] == wit
+    assert len(counts) == len(members)
+    expect = trials / len(members)
+    stat = sum((c - expect) ** 2 / expect for c in counts.values())
+    assert stat < chi2_critical(len(members) - 1)
 
 
 @pytest.mark.parametrize("maxlen, d", [(20, 0.9), (6, 0.3)], ids=["fast-path", "materialized"])

@@ -86,14 +86,38 @@ def test_cyclically_reduced_counts_match_brute_force():
 
 
 def test_cyclically_reduced_closed_form_matches_tables():
+    # The descent tables' first-step totals come from their dynamic program,
+    # not from the closed form, so they check it independently.
     for m in range(2, 7):
-        tables = word_tables(m, 20)
+        first, _ = word_tables(m, 20)._steps
         for L in range(1, 21):
-            assert count_cyclically_reduced_exact(m, L) == tables.count_by_len[L], (m, L)
+            assert count_cyclically_reduced_exact(m, L) == first[L][0][-1], (m, L)
     assert count_cyclically_reduced_exact(2, 0) == 1
     for m, L in ((1, 3), (0, 3), (2, -1)):
         with pytest.raises(DomainError):
             count_cyclically_reduced_exact(m, L)
+
+
+def test_count_upto_is_the_closed_form_sum_and_builds_no_table():
+    def table_calls():
+        info = word_tables.cache_info()
+        return info.hits + info.misses
+
+    calls = table_calls()
+    for m in (2, 3):
+        for maxlen in range(1, 7):
+            assert count_cyclically_reduced_upto(m, maxlen) == \
+                len(brute_cyclically_reduced(m, maxlen)), (m, maxlen)
+    assert count_cyclically_reduced_upto(26, 3000) > 51 ** 3000
+    assert table_calls() == calls
+    for m in range(2, 7):
+        first, _ = word_tables(m, 20)._steps
+        for maxlen in range(1, 21):
+            assert count_cyclically_reduced_upto(m, maxlen) == \
+                sum(first[L][0][-1] for L in range(1, maxlen + 1)), (m, maxlen)
+    for m, maxlen in ((1, 3), (0, 3), (2, 0)):
+        with pytest.raises(DomainError):
+            count_cyclically_reduced_upto(m, maxlen)
 
 
 def test_cyclically_reduced_words_one_length():
