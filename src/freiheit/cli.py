@@ -119,10 +119,11 @@ def _cmd_words_enumerate(args) -> int:
 
 
 def _cmd_words_sample(args) -> int:
+    if args.count < 0:
+        raise DomainError(f"need count >= 0, got count={args.count}")
     rng = rng_for(_seed(args), "words-sample")
-    lines = [word_to_text(sample_cyclically_reduced(args.m, args.maxlen, rng))
-             for _ in range(args.count)]
-    _emit(args, "\n".join(lines) + "\n", [])
+    words = (sample_cyclically_reduced(args.m, args.maxlen, rng) for _ in range(args.count))
+    _emit(args, _lines(map(word_to_text, words)), [])
     return 0
 
 
@@ -307,6 +308,11 @@ def _cmd_experiments_bound(args) -> int:
 # Parser.
 
 
+# The commands that spell words or graphs over all m letters, as a..z, A..Z.
+_SPELLS_ALL_LETTERS = frozenset({_cmd_words_enumerate, _cmd_words_sample,
+                                 _cmd_density_sample, _cmd_stallings_enumerate})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freiheit",
@@ -421,6 +427,8 @@ def dispatch(argv=None) -> int:
     args._command = " ".join(["freiheit"] + argv)
     args._started = time.time()
     try:
+        if args.func in _SPELLS_ALL_LETTERS and args.m > 26:
+            raise DomainError(f"need m <= 26 to spell letters as a..z, got m={args.m}")
         return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

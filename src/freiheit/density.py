@@ -355,6 +355,8 @@ def intersection_experiment(d_a: float, d_b: float, m: int, lengths: Iterable[in
     When d_a + d_b > 1 the intersection densities trend to d_a + d_b - 1;
     when d_a + d_b < 1 the intersection is almost always empty.
     """
+    if trials < 0:
+        raise DomainError(f"need trials >= 0, got trials={trials}")
     model_a, model_b = DensityModel(kind, d_a, seed), DensityModel(kind, d_b, seed)
     rows = []
     for li, maxlen in enumerate(lengths):

@@ -8,15 +8,13 @@ of reduced and cyclically reduced words.
 Counting is exact and in closed form: 2m(2m-1)^(L-1) reduced words and
 (2m-1)^L + m + (m-1)(-1)^L cyclically reduced words of length L, and the
 geometric sum of the latter for B_l, so a count builds no table.  Unranking
-inverts the length-then-lex order by descent tables, built at the first
-unrank from a dynamic program keyed on (first letter, current last letter):
-for each first letter, number of letters left and last letter, the
-candidate next letters with the running count of words before each.  A
-letter is then one bisect over those bounds; the tables hold O(m^3 maxlen)
-integers, none per word, so huge universes are addressed by index without
-being enumerated.  A uniform sample is the word of a uniform rank.  Words
-built by the samplers are valid by construction and skip the letter
-check; ``Word`` and the text and file readers keep it.
+inverts the length-then-lex order with closed forms too: a letter's branch
+holds the same number of words as every other branch at that step but one,
+which holds one more or one fewer, so a letter is one divmod.  The tables
+hold O(m^2 + maxlen) integers, none per word, so huge universes are
+addressed by index without being enumerated.  A uniform sample is the word
+of a uniform rank.  Words built by the samplers are valid by construction
+and skip the letter check; ``Word`` and the text and file readers keep it.
 
 ``min_cyclic_rotation``, the canonical rotation used as a dictionary key
 by the probes, compares only the rotations that start at the least
@@ -30,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -169,97 +167,71 @@ def count_reduced_exact(m: int, length: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Counting tables.  Letters are indexed 0..2m-1 in ascending signed order
-# (-m..-1, 1..m); the inverse of index j is 2m-1-j.
-
-
-def _index_letter(j: int, m: int) -> int:
-    return j - m if j < m else j - m + 1
+# Ranks of B_l.
 
 
 class _WordTables:
-    """Length-then-lex ranks of B_maxlen: the number of words before each
-    length, from the closed form, and the descent tables that unrank."""
+    """Length-then-lex ranks of B_maxlen, all from closed forms.
+
+    Let q = 2m-1 and a be the first letter, which starts C_L/2m of the C_L
+    words of length L.  A reduced word of n letters from s ends in a letter
+    t != s^±1 in (q^(n-1) - (-1)^(n-1))/2m ways, and in s in one more way
+    than in s^-1.  So after a letter x with r letters still to follow, every
+    next letter y != x^-1 has ``weights[r]`` = q^r - (q^r - (-1)^r)/2m
+    completions that do not end in a^-1, except one: a has one more when r
+    is odd, a^-1 one fewer when r is even.  ``after[x]`` lists the letters
+    allowed after x in ascending order, and ``exception[a][r % 2][x]`` the
+    position of that exception among them (2m if absent); both are indexed
+    by signed letter, a negative one from the end."""
 
     def __init__(self, m: int, maxlen: int):
         self.m = m
-        self.maxlen = maxlen
         self.total = count_cyclically_reduced_upto(m, maxlen)
         self.cumulative = list(accumulate(
             (count_cyclically_reduced_exact(m, length) for length in range(1, maxlen + 1)),
             initial=0))
-
-    @cached_property
-    def _steps(self):
-        """The descent tables, built at the first unrank.
-
-        A step is a pair (bounds, letters): the candidate signed letters in
-        ascending order and, for each, the number of words that precede its
-        branch; the bounds end with the step's total, so a letter is one
-        bisect over them. ``first[L]`` is the step for the first letter of a
-        word of length L. ``later[a][rem][x]`` is the step after letter x in
-        a word that starts with a and has rem letters left after this one;
-        it leaves out the inverse of x and letters with no completion.
-        ``later`` and its innermost lists are indexed by signed letter: they
-        have 2m + 1 entries, and a negative letter reads its entry from the
-        end.
-
-        The counts come from a dynamic program: back[a][rem][c] is the number
-        of completions of a reduced word with first letter a and current last
-        letter c by rem more letters, the final one not inverse to a."""
-        n = 2 * self.m
-        back = []
-        for a in range(n):
-            rows = [[int(c != n - 1 - a) for c in range(n)]]
-            for _ in range(1, self.maxlen):
-                prev = rows[-1]
-                tot = sum(prev)
-                rows.append([tot - prev[n - 1 - c] for c in range(n)])
-            back.append(rows)
-        letter = [_index_letter(j, self.m) for j in range(n)]
-
-        def step(weights: list[int]) -> tuple[list[int], tuple[int, ...]]:
-            kept = [c for c in range(n) if weights[c]]
-            return (list(accumulate((weights[c] for c in kept), initial=0)),
-                    tuple(letter[c] for c in kept))
-
-        def by_letter(values: list) -> list:
-            out = [None] * (n + 1)
-            for j, value in enumerate(values):
-                out[letter[j]] = value
-            return out
-
-        first = [None] + [step([back[c][length - 1][c] for c in range(n)])
-                          for length in range(1, self.maxlen + 1)]
-        later = by_letter([
-            [by_letter([step([0 if c == n - 1 - x else back[a][rem][c] for c in range(n)])
-                        for x in range(n)])
-             for rem in range(self.maxlen - 1)]
-            for a in range(n)])
-        return first, later
-
-    def sample(self, rng) -> Word:
-        """A uniform element of B_maxlen: the word of a uniform rank."""
-        return self.unrank(rng.randrange(self.total))
+        n, q = 2 * m, 2 * m - 1
+        self.weights = [q ** r - (q ** r - (-1) ** r) // n for r in range(maxlen)]
+        self.letters = tuple(x for x in range(-m, m + 1) if x)
+        self.after = [tuple(y for y in self.letters if y != -x)
+                      for x in (0, *range(1, m + 1), *range(-m, 0))]
+        self.exception = [None] * (n + 1)
+        for a in self.letters:
+            self.exception[a] = tuple([row.index(e) if e in row else n for row in self.after]
+                                      for e in (-a, a))
 
     def unrank(self, index: int) -> Word:
         """The index-th word in length-then-lex order, 0 <= index < total."""
         if not 0 <= index < self.total:
             raise DomainError(f"index {index} out of range [0, {self.total})")
-        length = bisect_right(self.cumulative, index)
-        offset = index - self.cumulative[length - 1]
-        first, later = self._steps
-        bounds, letters = first[length]
-        i = bisect_right(bounds, offset) - 1
-        offset -= bounds[i]
-        x = letters[i]
+        cumulative = self.cumulative
+        length = bisect_right(cumulative, index)
+        start = cumulative[length - 1]
+        i, offset = divmod(index - start, (cumulative[length] - start) // (2 * self.m))
+        x = self.letters[i]
         out = [x]
-        steps = later[x]
-        for rem in range(length - 2, -1, -1):
-            bounds, letters = steps[rem][x]
-            i = bisect_right(bounds, offset) - 1
-            offset -= bounds[i]
-            x = letters[i]
+        after, weights = self.after, self.weights
+        even, odd = self.exception[x]
+        for r in range(length - 2, -1, -1):
+            w = weights[r]
+            i, offset = divmod(offset, w)
+            # Past the exception, at position odd[x] or even[x], every
+            # letter starts one later (r odd) or one earlier (r even).
+            if r & 1:
+                p = odd[x]
+                if i > p:
+                    if offset:
+                        offset -= 1
+                    else:
+                        i -= 1
+                        offset = w if i == p else w - 1
+            elif i >= even[x]:
+                if offset == w - 1:
+                    i += 1
+                    offset = 0
+                elif i > even[x]:
+                    offset += 1
+            x = after[x][i]
             out.append(x)
         return _trusted_word(tuple(out))
 
@@ -336,7 +308,8 @@ def enumerate_cyclically_reduced(m: int, maxlen: int) -> Iterator[Word]:
 
 def sample_cyclically_reduced(m: int, maxlen: int, seed_or_rng) -> Word:
     """Exactly uniform draw from B_maxlen; deterministic given (m, maxlen, seed)."""
-    return word_tables(m, maxlen).sample(as_rng(seed_or_rng))
+    tables = word_tables(m, maxlen)
+    return tables.unrank(as_rng(seed_or_rng).randrange(tables.total))
 
 
 def word_at_index(m: int, maxlen: int, index: int) -> Word:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with different algorithms from the
 production code: stack reduction instead of pointer scanning, exhaustive
-search instead of transfer matrices, union-find folding instead of the
+search instead of transfer matrices, a dynamic program over end states
+instead of closed-form counts, union-find folding instead of the
 worklist, whole-word comparison instead of period arithmetic, a lookup of
 every relator by canonical rotation instead of one pass with bigram keys,
 every rewrite rule at every position instead of a letter index, every
@@ -64,6 +65,42 @@ def brute_cyclically_reduced(m: int, maxlen: int) -> list[tuple[int, ...]]:
             if length == 1 or tup[0] != -tup[-1]:
                 out.append(tup)
     return out
+
+
+def end_state_counts(m: int, maxlen: int) -> dict[int, list[dict[int, int]]]:
+    """counts[a][k][c]: the ways to extend a reduced word that starts with a
+    and ends with c by k more letters, keeping it reduced and its last letter
+    not a^-1.  A dynamic program over the end state (first letter, last
+    letter): k + 1 letters are a next letter other than c^-1, then k."""
+    letters = [x for x in range(-m, m + 1) if x]
+    counts = {}
+    for a in letters:
+        rows = [{c: int(c != -a) for c in letters}]
+        for _ in range(1, maxlen):
+            prev = rows[-1]
+            total = sum(prev.values())
+            rows.append({c: total - prev[-c] for c in letters})
+        counts[a] = rows
+    return counts
+
+
+def cyclically_reduced_count_dp(counts, length: int) -> int:
+    """Cyclically reduced words of ``length`` letters, from end_state_counts."""
+    return sum(counts[a][length - 1][a] for a in counts)
+
+
+def length_lex_rank(counts, word) -> int:
+    """The rank of a cyclically reduced word in the length-then-lex order of
+    B_l, l <= the maxlen of ``counts``: the words of every shorter length,
+    then for each letter the words that branch off below it."""
+    word = tuple(word)
+    a = word[0]
+    rank = sum(cyclically_reduced_count_dp(counts, L) for L in range(1, len(word)))
+    rank += sum(counts[b][len(word) - 1][b] for b in counts if b < a)
+    for i in range(1, len(word)):
+        rank += sum(counts[a][len(word) - 1 - i][y] for y in counts
+                    if y < word[i] and y != -word[i - 1])
+    return rank
 
 
 def union_find_fold(g: LabeledGraph) -> LabeledGraph:

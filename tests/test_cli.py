@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -393,6 +394,67 @@ def test_density_sample_draws_indices_past_sys_maxsize(capsys, model):
     assert code == 0
     words = out.splitlines()[1:]
     assert words and all(len(w) <= 30 for w in words)
+
+
+def _limit_address_space():
+    limit = 10 ** 9
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_density_sample_at_26_letters_runs_in_a_gigabyte():
+    # Unranking at m = 26, l = 100 needs no table per length and letter pair.
+    src = str(Path(freiheit.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "freiheit", "--seed", "7", "density", "sample", "--model",
+         "bernoulli", "--d", "0.01", "--m", "26", "--maxlen", "100"],
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=_limit_address_space,
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0].endswith(" size=49")
+    assert len(done.stdout.splitlines()) == 50
+
+
+def _spelling_commands(m):
+    # density sample exited 0 or 1 by seed at m = 27 before the alphabet check.
+    m = str(m)
+    return [["words", "enumerate", "--m", m, "--maxlen", "1"],
+            ["words", "sample", "--m", m, "--maxlen", "3"],
+            ["stallings", "enumerate", "--m", m, "--max-edges", "1", "--max-betti", "1"],
+            *(["--seed", str(seed), "density", "sample", "--model", "bernoulli", "--m", m,
+               "--maxlen", "3", "--d", "0.2"] for seed in range(1, 7))]
+
+
+@pytest.mark.parametrize("argv", _spelling_commands(27))
+def test_spelling_commands_refuse_more_than_26_letters(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "domain error: need m <= 26 to spell letters as a..z, got m=27\n"
+
+
+@pytest.mark.parametrize("argv", _spelling_commands(26))
+def test_spelling_commands_run_at_26_letters(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+
+
+def test_words_sample_refuses_a_negative_count(capsys):
+    code, out, err = run(capsys, "words", "sample", "--m", "2", "--maxlen", "3",
+                         "--count", "-1")
+    assert code == 1 and out == ""
+    assert err == "domain error: need count >= 0, got count=-1\n"
+
+
+def test_words_sample_of_no_words_prints_nothing(capsys):
+    code, out, err = run(capsys, "words", "sample", "--m", "2", "--maxlen", "3",
+                         "--count", "0")
+    assert code == 0 and out == "" and err == ""
+
+
+def test_density_intersect_refuses_a_negative_trial_count(capsys):
+    code, out, err = run(capsys, "density", "intersect", "--da", "0.5", "--db", "0.5",
+                         "--m", "2", "--lengths", "4", "--trials", "-1")
+    assert code == 1 and out == ""
+    assert err == "domain error: need trials >= 0, got trials=-1\n"
 
 
 def test_experiments_bound_cli(capsys):

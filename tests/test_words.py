@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freiheit.errors import DomainError, FeasibilityError, MalformedWordError
-from freiheit.words import (Word, canonical_cyclic, count_cyclically_reduced_exact,
+from freiheit.words import (Word, _WordTables, canonical_cyclic,
+                            count_cyclically_reduced_exact,
                             count_cyclically_reduced_upto, count_reduced_exact,
                             cyclic_reduce, cyclically_reduced_words,
                             enumerate_cyclically_reduced, free_reduce,
@@ -15,6 +16,7 @@ from freiheit.words import (Word, canonical_cyclic, count_cyclically_reduced_exa
                             word_at_index, word_from_text, word_tables, word_to_text)
 
 from oracles import (brute_cyclically_reduced, brute_reduced_words, chi2_critical,
+                     cyclically_reduced_count_dp, end_state_counts, length_lex_rank,
                      stack_reduce, triple_concat_cyclic_reduce)
 
 letters_strategy = st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0)
@@ -86,12 +88,13 @@ def test_cyclically_reduced_counts_match_brute_force():
 
 
 def test_cyclically_reduced_closed_form_matches_tables():
-    # The descent tables' first-step totals come from their dynamic program,
-    # not from the closed form, so they check it independently.
+    # The end-state dynamic program counts without the closed form, so it
+    # checks it independently.
     for m in range(2, 7):
-        first, _ = word_tables(m, 20)._steps
+        counts = end_state_counts(m, 20)
         for L in range(1, 21):
-            assert count_cyclically_reduced_exact(m, L) == first[L][0][-1], (m, L)
+            assert count_cyclically_reduced_exact(m, L) == \
+                cyclically_reduced_count_dp(counts, L), (m, L)
     assert count_cyclically_reduced_exact(2, 0) == 1
     for m, L in ((1, 3), (0, 3), (2, -1)):
         with pytest.raises(DomainError):
@@ -111,13 +114,40 @@ def test_count_upto_is_the_closed_form_sum_and_builds_no_table():
     assert count_cyclically_reduced_upto(26, 3000) > 51 ** 3000
     assert table_calls() == calls
     for m in range(2, 7):
-        first, _ = word_tables(m, 20)._steps
+        counts = end_state_counts(m, 20)
         for maxlen in range(1, 21):
             assert count_cyclically_reduced_upto(m, maxlen) == \
-                sum(first[L][0][-1] for L in range(1, maxlen + 1)), (m, maxlen)
+                sum(cyclically_reduced_count_dp(counts, L) for L in range(1, maxlen + 1)), \
+                (m, maxlen)
     for m, maxlen in ((1, 3), (0, 3), (2, 0)):
         with pytest.raises(DomainError):
             count_cyclically_reduced_upto(m, maxlen)
+
+
+@pytest.mark.parametrize("m, maxlen", [(2, 40), (3, 20), (5, 30), (26, 40)])
+def test_rank_inverts_unrank(m, maxlen):
+    # The rank oracle reads the end-state dynamic program, not the closed
+    # forms that unrank divides by.
+    counts = end_state_counts(m, maxlen)
+    tables = word_tables(m, maxlen)
+    rng = random.Random(m * maxlen)
+    indices = [rng.randrange(tables.total) for _ in range(300)]
+    for length in range(1, maxlen + 1):
+        indices += [tables.cumulative[length - 1], tables.cumulative[length] - 1]
+    for i in indices:
+        word = word_at_index(m, maxlen, i)
+        assert word.is_cyclically_reduced() and length_lex_rank(counts, word) == i, i
+
+
+def test_unrank_tables_stay_small():
+    # O(m^2 + maxlen) small integers: no table per length and letter pair.
+    tracemalloc.start()
+    try:
+        word = _WordTables(26, 12).unrank(10 ** 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(word) == 12 and peak < 2 ** 20, peak
 
 
 def test_cyclically_reduced_words_one_length():
