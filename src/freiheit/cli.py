@@ -429,6 +429,8 @@ def dispatch(argv=None) -> int:
     try:
         if args.func in _SPELLS_ALL_LETTERS and args.m > 26:
             raise DomainError(f"need m <= 26 to spell letters as a..z, got m={args.m}")
+        if args.func is _cmd_experiments_collapse and args.r > 26:
+            raise DomainError(f"need r <= 26 to spell substitutions as a..z, got r={args.r}")
         return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -30,12 +30,13 @@ from .complexes import (ComplexReport, FaceLabelledMap, PlanarComplex,
                         map_to_data, polygon)
 from .density import RelatorSet
 from .errors import DomainError, FeasibilityError
-from .stallings import LabeledGraph
+from .stallings import LabeledGraph, longest_readable_prefix
 from .words import Word, as_word, canonical_cyclic, cyclic_reduce_letters
 from .words import letter_to_char, char_to_letter, min_cyclic_rotation
 
 MAX_DIAGRAM_FACES = 3
 DEFAULT_CANDIDATE_LIMIT = 2_000_000
+_BUDGET_KEYS = frozenset({"max_length", "max_steps", "max_states"})
 
 
 @dataclass(frozen=True)
@@ -281,6 +282,13 @@ def _matches(rules: list, state: tuple[int, ...]) -> Iterator[tuple]:
             yield state, rule, pos
 
 
+def check_triviality_budget(budget: dict) -> None:
+    """Raise DomainError naming each budget key bounded_triviality does not read."""
+    if not _BUDGET_KEYS.issuperset(budget):
+        unknown = ", ".join(sorted(map(str, budget.keys() - _BUDGET_KEYS)))
+        raise DomainError(f"unknown budget keys: {unknown}")
+
+
 def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
                        budget: dict | None = None) -> TrivialityVerdict:
     """Breadth-first search for a rewrite path from w to the empty word.
@@ -316,15 +324,16 @@ def bounded_triviality(relators: RelatorSet, w: Word | Iterable[int],
 
     Budgets: ``max_steps`` states expanded (10,000 by default),
     ``max_states`` matches counted as states are expanded (by default
-    ``max(2000, 10 * max_steps)``), ``max_length`` letters per state.
-    ``budget_exhausted`` is set when a cap stops the search or a dequeued
-    successor is clipped for its length, so ``unknown`` without it means
-    the search ran out of states within the budget.
+    ``max(2000, 10 * max_steps)``), ``max_length`` letters per state; any
+    other key raises DomainError.  ``budget_exhausted`` is set when a cap
+    stops the search or a dequeued successor is clipped for its length, so
+    ``unknown`` without it means the search ran out of states within the budget.
     """
     word = as_word(w)
     if not word.is_cyclically_reduced():
         raise DomainError("bounded_triviality expects a cyclically reduced word")
-    budget = dict(budget or {})
+    budget = budget or {}
+    check_triviality_budget(budget)
     max_length = budget.get("max_length", 3 * relators.maxlen)
     max_steps = budget.get("max_steps", 10_000)
     max_states = budget.get("max_states", max(2000, 10 * max_steps))
@@ -456,26 +465,10 @@ class BilipschitzReport:
 def longest_readable_subpaths(d: VanKampenDiagram, graph: LabeledGraph) -> list[int]:
     """For each outer start position, the longest boundary subpath whose
     label is readable on the graph (capped at the boundary length)."""
-    outer = d.complex.outer
-    n = len(outer)
-    out = graph.out_map()
-    if out is None:
-        raise DomainError("certification requires a label-deterministic graph")
-    result = []
-    for start in range(n):
-        best = 0
-        for v0 in range(graph.num_vertices):
-            v = v0
-            t = 0
-            while t < n:
-                nv = out.get((v, d.dart_labels[outer[(start + t) % n]]))
-                if nv is None:
-                    break
-                v = nv
-                t += 1
-            best = max(best, t)
-        result.append(best)
-    return result
+    labels = [d.dart_labels[x] for x in d.complex.outer]
+    n = len(labels)
+    doubled = labels + labels
+    return [longest_readable_prefix(graph, doubled[start:start + n]) for start in range(n)]
 
 
 def certify_bilipschitz(relators: RelatorSet, graph: LabeledGraph, max_faces: int,

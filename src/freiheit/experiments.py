@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 from .density import (DensityModel, ModelKind, RelatorSet, expected_relator_count,
                       make_relator_set, model_problems, sample_relator_set)
-from .diagrams import TrivialityVerdict, bounded_triviality
+from .diagrams import TrivialityVerdict, bounded_triviality, check_triviality_budget
 from .errors import DomainError
 from .seeds import rng_for
 from .stallings import LabeledGraph, iter_reduced_loops
@@ -400,11 +400,12 @@ def _loop_classes(graph: LabeledGraph, word_length: int) -> tuple[tuple[Word, Wo
 
 def freeness_probe(relators: RelatorSet, graph: LabeledGraph,
                    budget: dict | None = None) -> FreenessReport:
-    """Run the bounded word problem on every reduced loop word of the graph
-    up to the budgeted length, one per rotation class of its cyclic core;
-    ``no collapse found`` is not a proof."""
+    """Run ``bounded_triviality``, under the other budget keys, on every
+    reduced loop word of the graph up to ``word_length`` letters (6 by default),
+    one per rotation class of its cyclic core; ``no collapse found`` is not a proof."""
     budget = dict(budget or {})
     word_length = budget.pop("word_length", 6)
+    check_triviality_budget(budget)
     checked = 0
     exhausted = 0
     for loop_word, core in _loop_classes(graph, word_length):

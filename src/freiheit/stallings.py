@@ -6,6 +6,10 @@ when no two darts with the same label leave one vertex and no vertex has
 degree 1; reduced graphs are label-deterministic, which makes readability
 checks and canonical codes cheap.
 
+A label-deterministic graph reads a word along at most one path from each
+vertex, and distinct starts end at distinct vertices, so every reader here
+reads words by the set of vertices reached (``_read``).
+
 Folding repeatedly merges the endpoints of same-label darts leaving a common
 vertex and prunes degree-1 vertices.  The result is independent of the fold
 order; the test suite asserts this confluence rather than assuming it.
@@ -332,12 +336,9 @@ class ReadableCount:
     words: int
 
 
-def _dart_successors(g: LabeledGraph) -> list[list[int]]:
-    succ: list[list[int]] = []
-    for d in range(2 * g.num_edges):
-        h = g.dart_head(d)
-        succ.append([e for e in g.darts_at(h) if e != (d ^ 1)])
-    return succ
+def _read(out: dict[tuple[int, int], int], heads, x: int) -> frozenset[int]:
+    """The vertices that a dart labeled x leads to from ``heads``."""
+    return frozenset([h for v in heads if (h := out.get((v, x))) is not None])
 
 
 def readable_words(g: LabeledGraph, length: int) -> ReadableCount:
@@ -345,102 +346,48 @@ def readable_words(g: LabeledGraph, length: int) -> ReadableCount:
 
     The path count is the quantity bounded by 2|G|(2r-1)^L; on a simple cycle
     it is exactly 2|G| for every L >= 1 because the first dart determines the
-    path.  Distinct-word counting determinizes the dart automaton, so two
-    paths spelling one word are counted once.
+    path.  Words are counted by the vertex sets that read them, a subset
+    construction over (last letter, vertex set) states from the empty word
+    (last letter 0, every vertex); each vertex of a set ends one path.
     """
     if length < 1:
         raise DomainError("length must be >= 1")
-    if g.num_edges == 0:
-        return ReadableCount(0, 0)
-    succ = _dart_successors(g)
-    nd = 2 * g.num_edges
-
-    counts = [1] * nd
-    for _ in range(length - 1):
-        counts = [sum(counts[e] for e in succ[d]) for d in range(nd)]
-    paths = sum(counts)
-
-    out_det = g.out_map()
-    if out_det is None:
+    out = g.out_map()
+    if out is None:
         raise DomainError("word counting requires a label-deterministic graph")
-    # mask transition: dart d, letter x -> unique continuation dart or None
-    letters = sorted({g.dart_label(d) for d in range(nd)})
-    step: list[dict[int, int]] = [dict() for _ in range(nd)]
-    for d in range(nd):
-        for e in succ[d]:
-            step[d][g.dart_label(e)] = e
-    init: dict[int, int] = {}
-    for x in letters:
-        mask = 0
-        for d in range(nd):
-            if g.dart_label(d) == x:
-                mask |= 1 << d
-        init[x] = mask
-
-    frontier: dict[int, int] = {}
-    for x in letters:
-        frontier[init[x]] = frontier.get(init[x], 0) + 1
-    words = sum(frontier.values())
-    for _ in range(length - 1):
-        nxt: dict[int, int] = {}
-        for mask, c in frontier.items():
+    letters = sorted({x for (_, x) in out})
+    states = {(0, frozenset(range(g.num_vertices))): 1}
+    for _ in range(length):
+        nxt: dict[tuple[int, frozenset[int]], int] = {}
+        for (last, heads), c in states.items():
             for x in letters:
-                nm = 0
-                mm = mask
-                while mm:
-                    low = mm & -mm
-                    d = low.bit_length() - 1
-                    e = step[d].get(x)
-                    if e is not None:
-                        nm |= 1 << e
-                    mm ^= low
-                if nm:
-                    nxt[nm] = nxt.get(nm, 0) + c
-        frontier = nxt
-        words = sum(frontier.values())
-    return ReadableCount(paths, words)
+                if x != -last:
+                    ends = _read(out, heads, x)
+                    if ends:
+                        nxt[x, ends] = nxt.get((x, ends), 0) + c
+        states = nxt
+    return ReadableCount(sum(c * len(ends) for (_, ends), c in states.items()),
+                         sum(states.values()))
 
 
-def iter_readable_words(g: LabeledGraph, length: int) -> Iterator[Word]:
-    """Yield the distinct reduced words of exactly ``length`` readable on g."""
-    succ = _dart_successors(g)
-    nd = 2 * g.num_edges
-    level: dict[tuple[int, ...], frozenset[int]] = {}
-    for d in range(nd):
-        key = (g.dart_label(d),)
-        level[key] = level.get(key, frozenset()) | {d}
-    for _ in range(length - 1):
-        nxt: dict[tuple[int, ...], frozenset[int]] = {}
-        for prefix, darts in level.items():
-            for d in darts:
-                for e in succ[d]:
-                    key = prefix + (g.dart_label(e),)
-                    nxt[key] = nxt.get(key, frozenset()) | {e}
-        level = nxt
-    for prefix in sorted(level):
-        yield Word(prefix)
+def longest_readable_prefix(g: LabeledGraph, letters: Sequence[int]) -> int:
+    """Length of the longest prefix of ``letters`` that some path of g
+    spells; g must be label-deterministic."""
+    out = g.out_map()
+    if out is None:
+        raise DomainError("reading words requires a label-deterministic graph")
+    heads = range(g.num_vertices)
+    for t, x in enumerate(letters):
+        heads = _read(out, heads, x)
+        if not heads:
+            return t
+    return len(letters)
 
 
 def is_readable(g: LabeledGraph, w: Word | Iterable[int]) -> bool:
     """Whether some path of g spells w; g must be label-deterministic."""
     word = as_word(w)
-    out = g.out_map()
-    if out is None:
-        raise DomainError("readability check requires a label-deterministic graph")
-    if not word.letters:
-        return True
-    for start in range(g.num_vertices):
-        v = start
-        ok = True
-        for x in word.letters:
-            nv = out.get((v, x))
-            if nv is None:
-                ok = False
-                break
-            v = nv
-        if ok:
-            return True
-    return False
+    return longest_readable_prefix(g, word.letters) == len(word)
 
 
 def iter_reduced_loops(g: LabeledGraph, max_length: int) -> Iterator[Word]:

@@ -7,7 +7,8 @@ instead of closed-form counts, union-find folding instead of the
 worklist, whole-word comparison instead of period arithmetic, a lookup of
 every relator by canonical rotation instead of one pass with bigram keys,
 every rewrite rule at every position instead of a letter index, every
-root of a map encoded in full instead of a minimum that drops losing roots.
+root of a map encoded in full instead of a minimum that drops losing roots,
+every start vertex and subpath length instead of one read of a vertex set.
 """
 
 from __future__ import annotations
@@ -180,6 +181,28 @@ def dfs_reduced_paths(g: LabeledGraph, length: int) -> list[tuple[int, ...]]:
             if e != (d ^ 1):
                 stack.append((e, prefix + (g.dart_label(e),)))
     return words
+
+
+def brute_readable_subpaths(d, g: LabeledGraph) -> list[int]:
+    """For each start position on the diagram's outer walk, the longest
+    subpath (at most one full turn) spelled by a walk in the
+    label-deterministic graph g, trying every start vertex and every length
+    and following darts one at a time."""
+    labels = d.dart_word(d.complex.outer).letters
+    n = len(labels)
+
+    def spells(v: int, word) -> bool:
+        for x in word:
+            heads = [g.dart_head(e) for e in g.darts_at(v) if g.dart_label(e) == x]
+            if not heads:
+                return False
+            v = heads[0]
+        return True
+
+    return [max(length for length in range(n + 1)
+                if any(spells(v, [labels[(p + i) % n] for i in range(length)])
+                       for v in range(g.num_vertices)))
+            for p in range(n)]
 
 
 def reducible_pair_oracle(diagram, relators) -> bool:

@@ -83,6 +83,27 @@ def test_stallings_readable(tmp_path, capsys):
     assert data == {"length": 3, "paths": 2, "words": 2}
 
 
+@pytest.mark.parametrize("text, expected", [
+    # a lollipop: a loop at the end of a two-edge stick
+    ("V 3\nE 0 1 a\nE 1 2 b\nE 2 2 c\n", '{"length": 3, "paths": 12, "words": 12}\n'),
+    # a two-cycle and two loops labeled a, so two paths spell each of aaa, AAA
+    ("V 4\nE 0 1 a\nE 1 0 b\nE 2 2 a\nE 3 3 a\n", '{"length": 3, "paths": 8, "words": 6}\n'),
+], ids=["lollipop", "disconnected"])
+def test_stallings_readable_output_is_pinned(tmp_path, capsys, text, expected):
+    src = tmp_path / "graph.txt"
+    src.write_text(text)
+    code, out, _ = run(capsys, "stallings", "readable", "--in", str(src), "--L", "3")
+    assert code == 0 and out == expected
+
+
+def test_stallings_readable_refuses_a_graph_that_is_not_label_deterministic(tmp_path, capsys):
+    src = tmp_path / "graph.txt"
+    src.write_text("V 2\nE 0 1 a\nE 0 0 a\n")
+    code, out, err = run(capsys, "stallings", "readable", "--in", str(src), "--L", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("domain error:")
+
+
 def test_stallings_enumerate(capsys):
     code, out, _ = run(capsys, "stallings", "enumerate", "--m", "2",
                        "--max-edges", "1", "--max-betti", "1")
@@ -435,6 +456,21 @@ def test_spelling_commands_refuse_more_than_26_letters(capsys, argv):
 def test_spelling_commands_run_at_26_letters(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_collapse_refuses_more_than_26_generators_before_any_draw(capsys, seed):
+    # At r = 27 the substitutions over X_r failed to print at some seeds only.
+    code, out, err = run(capsys, "--seed", str(seed), "experiments", "collapse", "--m", "28",
+                         "--r", "27", "--maxlen", "3", "--d", "0.45")
+    assert code == 1 and out == ""
+    assert err.startswith("domain error:")
+
+
+def test_collapse_runs_at_26_generators(capsys):
+    code, out, _ = run(capsys, "--seed", "8", "experiments", "collapse", "--m", "27", "--r",
+                       "26", "--maxlen", "3", "--d", "0.45")
+    assert code == 0 and strict_json(out)["r"] == 26
 
 
 def test_words_sample_refuses_a_negative_count(capsys):

@@ -20,7 +20,8 @@ from freiheit.words import (Word, canonical_cyclic, cyclic_reduce_letters,
                             min_cyclic_rotation, sample_cyclically_reduced,
                             word_from_text)
 
-from oracles import reducible_pair_oracle, scan_bounded_triviality, scan_matches
+from oracles import (brute_readable_subpaths, reducible_pair_oracle, scan_bounded_triviality,
+                     scan_matches)
 
 COMMUTATOR = make_relator_set(2, 4, [Word((1, 2, -1, -2))])
 SMALL = make_relator_set(2, 4, [Word((1, 2)), Word((1, 1, 2)), Word((2, 2, -1))])
@@ -440,6 +441,22 @@ def test_bounded_triviality_counts_in_order_at_a_rotated_relator():
     assert statuses == ["unknown"] * room + ["trivial"] * 10
 
 
+@pytest.mark.parametrize("budget", [{"max_step": 30}, {"word_length": 4},
+                                    {"max_steps": 30, 7: 1}])
+def test_bounded_triviality_refuses_unknown_budget_keys(budget):
+    with pytest.raises(DomainError, match="unknown budget keys"):
+        bounded_triviality(COMMUTATOR, Word((1, 2, -1, -2)), budget)
+
+
+def test_freeness_probe_refuses_unknown_budget_keys():
+    graph = wedge_of_words([Word((1,)), Word((2,))])
+    with pytest.raises(DomainError, match="max_state"):
+        freeness_probe(COMMUTATOR, graph, {"word_length": 4, "max_state": 400})
+    # Checked at entry: a graph with no loop words runs no search.
+    with pytest.raises(DomainError, match="max_step"):
+        freeness_probe(COMMUTATOR, LabeledGraph(1, []), {"max_step": 30})
+
+
 def test_bounded_triviality_requires_cyclically_reduced():
     with pytest.raises(DomainError):
         bounded_triviality(COMMUTATOR, Word((1, 2, -1)))
@@ -467,6 +484,44 @@ def test_certify_sampled_reports_ratio():
     report = certify_bilipschitz(rel, graph, 2, 5.0)
     assert 0.0 <= report.max_ratio <= 1.0
     assert report.diagrams_checked >= len(rel.relators)
+
+
+def _certifier_graphs():
+    """Graphs with several vertices, whose reads depend on the start vertex."""
+    rng = random.Random(3)
+    wedges = [fold(wedge_of_words([[rng.choice([-2, -1, 1, 2])
+                                    for _ in range(rng.randrange(2, 6))]
+                                   for _ in range(rng.randrange(2, 4))]))
+              for _ in range(12)]
+    theta = LabeledGraph(2, [(0, 1, 1), (0, 1, 2), (1, 0, 1)])
+    cycle = LabeledGraph(5, [(i, (i + 1) % 5, x) for i, x in enumerate((1, 2, -1, 2, 2))])
+    return [theta, cycle] + [g for g in wedges if g.num_vertices > 1]
+
+
+@pytest.mark.parametrize("rel", [COMMUTATOR, SMALL], ids=["commutator", "small"])
+def test_certifier_matches_brute_force_on_graphs_with_several_vertices(rel):
+    diags = list(enumerate_reduced_disk_diagrams(rel, 3))
+    graphs = _certifier_graphs()
+    assert len(graphs) >= 8
+    for graph in graphs:
+        worst = 0.0
+        for d in diags:
+            longest = brute_readable_subpaths(d, graph)
+            assert diagrams.longest_readable_subpaths(d, graph) == longest
+            worst = max(worst, max(longest) / d.boundary_length())
+        for lam in (1.0, 3.0):
+            report = certify_bilipschitz(rel, graph, 3, lam)
+            assert report.diagrams_checked == len(diags)
+            assert report.max_ratio == worst
+            assert report.holds == (worst <= lam / (1.0 + lam))
+            assert report.worst.p_length / report.worst.diagram.boundary_length() == worst
+
+
+def test_certify_refuses_a_graph_that_is_not_label_deterministic():
+    # Two darts labeled a leave vertex 0.
+    graph = LabeledGraph(2, [(0, 1, 1), (0, 0, 1)])
+    with pytest.raises(DomainError):
+        certify_bilipschitz(COMMUTATOR, graph, 1, 3.0)
 
 
 def test_json_roundtrip():

@@ -8,11 +8,11 @@ from freiheit.stallings import (GraphStats, LabeledGraph, betti, canonical_code,
                                 enumerate_reduced_graphs, enumerate_topological_types,
                                 fold, graph_from_text, graph_stats, graph_to_text,
                                 graphs_isomorphic, is_connected, is_readable,
-                                is_reduced_graph, iter_readable_words,
-                                iter_reduced_loops, readable_words, wedge_of_words)
+                                is_reduced_graph, iter_reduced_loops, readable_words,
+                                wedge_of_words)
 from freiheit.words import Word, free_reduce
 
-from oracles import dfs_reduced_paths, union_find_fold
+from oracles import brute_reduced_words, dfs_reduced_paths, union_find_fold
 
 
 def figure_eight():
@@ -121,7 +121,6 @@ def test_readable_words_loop_exact():
     for L in (1, 2, 5):
         rc = readable_words(loop, L)
         assert rc.paths == 2 and rc.words == 2
-    assert sorted(w.text() for w in iter_readable_words(loop, 2)) == ["AA", "aa"]
 
 
 def test_readable_words_figure_eight():
@@ -139,14 +138,42 @@ def test_readable_words_periodic_cycle_word_deficit():
         assert rc.paths == 8 and rc.words == 4
 
 
+def _readable_family():
+    """Reduced graphs, folded random wedges at m = 3 (with several vertices
+    and reads that depend on the start), a lollipop (a loop at the end of a
+    stick, so one vertex of degree 1) and a disconnected graph."""
+    rng = random.Random(31)
+    wedges = [fold(wedge_of_words([[rng.choice([-3, -2, -1, 1, 2, 3])
+                                    for _ in range(rng.randrange(1, 6))]
+                                   for _ in range(rng.randrange(1, 4))]))
+              for _ in range(30)]
+    lollipop = LabeledGraph(3, [(0, 1, 1), (1, 2, 2), (2, 2, 3)])
+    disconnected = LabeledGraph(4, [(0, 1, 1), (1, 0, 2), (2, 2, 1), (3, 3, 1)])
+    return [*enumerate_reduced_graphs(2, 3, 3), *wedges, lollipop, disconnected]
+
+
 def test_readable_counts_match_dfs_oracle():
-    for g in enumerate_reduced_graphs(2, 3, 3):
-        for L in (1, 2, 3, 4):
+    graphs = _readable_family()
+    assert sum(g.num_vertices > 1 for g in graphs) > 20
+    for g in graphs:
+        for L in range(1, 7):
             paths = dfs_reduced_paths(g, L)
             rc = readable_words(g, L)
+            readable = set(paths)
             assert rc.paths == len(paths)
-            assert rc.words == len(set(paths))
-            assert {w.letters for w in iter_readable_words(g, L)} == set(paths)
+            assert rc.words == len(readable)
+            if L <= 3:
+                for word in brute_reduced_words(3, L):
+                    assert is_readable(g, Word(word)) == (word in readable)
+
+
+def test_readers_refuse_a_graph_that_is_not_label_deterministic():
+    # Two darts labeled a leave vertex 0.
+    g = LabeledGraph(2, [(0, 1, 1), (0, 0, 1)])
+    with pytest.raises(DomainError):
+        readable_words(g, 2)
+    with pytest.raises(DomainError):
+        is_readable(g, Word((1,)))
 
 
 def test_is_readable():
