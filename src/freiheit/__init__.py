@@ -19,8 +19,8 @@ from .stallings import (LabeledGraph, wedge_of_words, fold, betti,
                         is_reduced_graph, graph_stats, readable_words,
                         enumerate_topological_types, enumerate_reduced_graphs,
                         graph_from_text, graph_to_text)
-from .complexes import PlanarComplex, check_complex
-from .diagrams import (VanKampenDiagram, DistortionDiagram, validate,
+from .complexes import PlanarComplex, DistortionDiagram, check_complex
+from .diagrams import (VanKampenDiagram, validate,
                        boundary_word, is_reduced, isoperimetric_ratio,
                        enumerate_reduced_disk_diagrams, bounded_triviality,
                        certify_bilipschitz)

@@ -24,7 +24,8 @@ from itertools import product
 import math
 from typing import Iterator, Sequence
 
-from .complexes import (FaceLabelledMap, PlanarComplex, canonical_map_code,
+from .complexes import (DistortionDiagram as AbstractDistortionDiagram,
+                        FaceLabelledMap, PlanarComplex, canonical_map_code,
                         glue_face, has_mirror_pair, level_search, map_from_json,
                         map_to_data, polygon)
 from .diagrams import VanKampenDiagram
@@ -65,35 +66,6 @@ class AbstractDiagram(FaceLabelledMap):
 
     def max_length(self) -> int:
         return max(self.lengths().values())
-
-
-@dataclass(frozen=True)
-class AbstractDistortionDiagram:
-    base: AbstractDiagram
-    p_start: int = 0
-    p_length: int = 0
-
-    def __post_init__(self):
-        n = self.base.boundary_length()
-        if not 0 <= self.p_length <= n:
-            raise DomainError(f"p length {self.p_length} out of range 0..{n}")
-        if not 0 <= self.p_start < max(n, 1):
-            raise DomainError(f"p start {self.p_start} out of range")
-
-    def p_darts(self) -> tuple[int, ...]:
-        outer = self.base.complex.outer
-        n = len(outer)
-        return tuple(outer[(self.p_start + i) % n] for i in range(self.p_length))
-
-    def p_edges(self) -> frozenset[int]:
-        return frozenset(d >> 1 for d in self.p_darts())
-
-    def p_endpoints(self) -> frozenset[int]:
-        if self.p_length == 0:
-            return frozenset()
-        darts = self.p_darts()
-        c = self.base.complex
-        return frozenset({c.tail(darts[0]), c.head(darts[-1])})
 
 
 @dataclass(frozen=True)
@@ -349,6 +321,29 @@ def underlying_abstract(d: VanKampenDiagram) -> tuple[AbstractDiagram, list[int]
     return AbstractDiagram(d.complex, tuple(labels)), order
 
 
+def _dart_refs(ad: AbstractDiagram) -> dict[int, list[tuple[int, int, int]]]:
+    """Per dart, the (abstract index, 0-based position, +-1) letters it reads."""
+    refs: dict[int, list[tuple[int, int, int]]] = {}
+    for fpos, (idx, _) in enumerate(ad.face_labels):
+        for j, dart in enumerate(ad.positive_boundary(fpos)):
+            refs.setdefault(dart, []).append((idx, j, 1))
+            refs.setdefault(dart ^ 1, []).append((idx, j, -1))
+    return refs
+
+
+def _dart_letters(refs: dict[int, list[tuple[int, int, int]]],
+                  relator_words: Sequence[Word]) -> dict[int, int] | None:
+    """The letter each dart of ``refs`` reads when abstract relator i is
+    filled with relator_words[i-1]; None when two readings of a dart clash."""
+    labels: dict[int, int] = {}
+    for dart, letters in refs.items():
+        for idx, j, direction in letters:
+            val = direction * relator_words[idx - 1].letters[j]
+            if labels.setdefault(dart, val) != val:
+                return None
+    return labels
+
+
 def fill(ad: AbstractDiagram, relator_words: Sequence[Word]) -> VanKampenDiagram:
     """Fill abstract relator i with relator_words[i-1]; raises DomainError if
     the words are inconsistent with the shared edges."""
@@ -360,14 +355,9 @@ def fill(ad: AbstractDiagram, relator_words: Sequence[Word]) -> VanKampenDiagram
             raise DomainError(
                 f"abstract relator {idx} has length {li}, word has "
                 f"{len(relator_words[idx - 1])}")
-    labels: dict[int, int] = {}
-    for fpos, (idx, _) in enumerate(ad.face_labels):
-        word = relator_words[idx - 1].letters
-        for j, dart in enumerate(ad.positive_boundary(fpos)):
-            x = word[j]
-            for dd, val in ((dart, x), (dart ^ 1, -x)):
-                if labels.setdefault(dd, val) != val:
-                    raise DomainError("words do not fill this diagram")
+    labels = _dart_letters(_dart_refs(ad), relator_words)
+    if labels is None:
+        raise DomainError("words do not fill this diagram")
     if len(labels) != ad.complex.num_darts:
         raise DomainError("fill left unlabeled darts (isolated edge)")
     dart_labels = tuple(labels[i] for i in range(ad.complex.num_darts))
@@ -400,32 +390,16 @@ def fillings_with_boundary(ad: AbstractDiagram, m: int
             estimate=estimate)
     pools = {idx: list(cyclically_reduced_words(m, lengths[idx])) for idx in indices}
 
-    # Positions of each abstract letter on each dart.
-    dart_letter: dict[int, list[tuple[int, int, int]]] = {}
-    for fpos, (idx, _) in enumerate(ad.face_labels):
-        for j, dart in enumerate(ad.positive_boundary(fpos)):
-            dart_letter.setdefault(dart, []).append((idx, j, 1))
-            dart_letter.setdefault(dart ^ 1, []).append((idx, j, -1))
-
+    refs = _dart_refs(ad)
     outer = ad.complex.outer
     results: list[tuple[tuple[Word, ...], tuple[int, ...]]] = []
-
-    def assign(tuple_words: list[Word]) -> tuple[int, ...] | None:
-        labels: dict[int, int] = {}
-        for dart, refs in dart_letter.items():
-            for idx, j, direction in refs:
-                val = direction * tuple_words[idx - 1].letters[j]
-                if labels.setdefault(dart, val) != val:
-                    return None
-        return tuple(labels[d] for d in outer)
-
     for combo in product(*(pools[idx] for idx in indices)):
         if len({w.letters for w in combo}) != len(combo):
             continue
-        boundary = assign(list(combo))
-        if boundary is None:
+        labels = _dart_letters(refs, combo)
+        if labels is None:
             continue
-        results.append((tuple(combo), boundary))
+        results.append((combo, tuple(labels[d] for d in outer)))
     return results
 
 

@@ -14,9 +14,10 @@ Concrete and abstract van Kampen diagrams are labelling layers over this
 module: both give every inner face a signed index (index >= 1, sign +-1;
 a face with sign -1 is read along its mirrored cycle), and concrete
 diagrams add a letter per dart.  The planar-map machinery they share lives
-here: the one-face polygon, gluing a face along a boundary arc, the
-level-by-level search with canonical-key deduplication, the mirror-pair
-test, canonical codes and the map half of the JSON codec.
+here: a diagram with a boundary subpath, the one-face polygon, gluing a
+face along a boundary arc, the level-by-level search with canonical-key
+deduplication, the mirror-pair test, canonical codes and the map half of
+the JSON codec.
 
 A canonical code is the least rooted code over the outer roots (and the
 mirror's).  Its first fields are the dart count and the vertex ids in
@@ -173,6 +174,38 @@ class FaceLabelledMap:
         along its mirrored cycle."""
         cycle = self.complex.faces[face_pos]
         return cycle if self.face_labels[face_pos][1] > 0 else mirror_cycle(cycle)
+
+
+@dataclass(frozen=True)
+class DistortionDiagram:
+    """A diagram D, concrete or abstract, with a boundary subpath p: the
+    ``p_length`` outer darts from outer position ``p_start`` on."""
+
+    base: FaceLabelledMap
+    p_start: int = 0
+    p_length: int = 0
+
+    def __post_init__(self):
+        n = self.base.boundary_length()
+        if not 0 <= self.p_length <= n:
+            raise DomainError(f"p length {self.p_length} out of range 0..{n}")
+        if not 0 <= self.p_start < max(n, 1):
+            raise DomainError(f"p start {self.p_start} out of range")
+
+    def p_darts(self) -> tuple[int, ...]:
+        outer = self.base.complex.outer
+        n = len(outer)
+        return tuple(outer[(self.p_start + i) % n] for i in range(self.p_length))
+
+    def p_edges(self) -> frozenset[int]:
+        return frozenset(d >> 1 for d in self.p_darts())
+
+    def p_endpoints(self) -> frozenset[int]:
+        if self.p_length == 0:
+            return frozenset()
+        darts = self.p_darts()
+        c = self.base.complex
+        return frozenset({c.tail(darts[0]), c.head(darts[-1])})
 
 
 # ---------------------------------------------------------------------------

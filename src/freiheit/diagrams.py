@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Iterator, Sequence
 
-from .complexes import (ComplexReport, FaceLabelledMap, PlanarComplex,
-                        canonical_map_code, check_complex, glue_face,
-                        has_mirror_pair, level_search, map_from_json,
-                        map_to_data, polygon)
+from .complexes import (ComplexReport, DistortionDiagram, FaceLabelledMap,
+                        PlanarComplex, canonical_map_code, check_complex,
+                        glue_face, has_mirror_pair, level_search,
+                        map_from_json, map_to_data, polygon)
 from .density import RelatorSet
 from .errors import DomainError, FeasibilityError
 from .stallings import LabeledGraph, longest_readable_prefix
@@ -49,23 +49,6 @@ class VanKampenDiagram(FaceLabelledMap):
 
     def dart_word(self, darts: Sequence[int]) -> Word:
         return Word(tuple(self.dart_labels[d] for d in darts))
-
-
-@dataclass(frozen=True)
-class DistortionDiagram:
-    """A diagram with a boundary subpath p = outer[start : start+length]."""
-
-    diagram: VanKampenDiagram
-    p_start: int
-    p_length: int
-
-    def p_darts(self) -> tuple[int, ...]:
-        outer = self.diagram.complex.outer
-        n = len(outer)
-        return tuple(outer[(self.p_start + i) % n] for i in range(self.p_length))
-
-    def p_word(self) -> Word:
-        return self.diagram.dart_word(self.p_darts())
 
 
 def validate(d: VanKampenDiagram, relators: RelatorSet) -> ComplexReport:
@@ -474,7 +457,10 @@ def longest_readable_subpaths(d: VanKampenDiagram, graph: LabeledGraph) -> list[
 def certify_bilipschitz(relators: RelatorSet, graph: LabeledGraph, max_faces: int,
                         lam: float) -> BilipschitzReport:
     """Check |p| <= lam/(1+lam) * |dD| over all reduced disk distortion
-    diagrams with at most max_faces faces; vacuously true with no diagrams."""
+    diagrams with at most max_faces faces; vacuously true with no diagrams,
+    but a graph that is not label-deterministic is refused at once."""
+    if graph.out_map() is None:
+        raise DomainError("reading words requires a label-deterministic graph")
     threshold = lam / (1.0 + lam)
     max_ratio = 0.0
     worst = None

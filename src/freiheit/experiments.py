@@ -22,13 +22,14 @@ so far by a rotation-invariant integer key, a weighted sum over the cyclic
 bigrams of a word, and deleting x_i from R changes R's key by three table
 lookups; only a key hit computes canonical rotations, to confirm the match.
 
-When the expected relator count is too large to materialize, the collapse
-event is simulated on its sub-universe: a Bernoulli subset meets a class of
-C elements with probability 1 - (1 - p)^C, and the collapse class size is
-counted exactly from its structure, so each per-generator event is drawn
-with its exact probability. Once every event is drawn, each hit draws its
-witness, a uniform member of its class, not a member of a materialized
-set. Triviality is not measured there: such a trial reports it as None.
+When the expected relator count is too large to materialize, a Bernoulli
+trial's collapse event is simulated on its sub-universe (a count-model
+trial is refused): a Bernoulli subset meets a class of C elements with
+probability 1 - (1 - p)^C, and the collapse class size is counted exactly
+from its structure, so each per-generator event is drawn with its exact
+probability. Once every event is drawn, each hit draws its witness, a
+uniform member of its class, not a member of a materialized set.
+Triviality is not measured there: such a trial reports it as None.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import NamedTuple
 from .density import (DensityModel, ModelKind, RelatorSet, expected_relator_count,
                       make_relator_set, model_problems, sample_relator_set)
 from .diagrams import TrivialityVerdict, bounded_triviality, check_triviality_budget
-from .errors import DomainError
+from .errors import DomainError, FeasibilityError
 from .seeds import rng_for
 from .stallings import LabeledGraph, iter_reduced_loops
 from .words import Word, count_cyclically_reduced_upto, cyclic_reduce, min_cyclic_rotation
@@ -514,14 +515,14 @@ def _sample_collapse_witness(m: int, r: int, gen: int, maxlen: int, rng) -> Coll
 
 def run_trial(m: int, r: int, maxlen: int, d: float, kind: str, rng,
               budgets: SweepBudgets = SweepBudgets()) -> TrialResult:
-    """One sampled presentation, probed; falls back to the exact
-    sub-universe simulation when materializing the set is infeasible.
+    """One sampled presentation, probed; a Bernoulli trial falls back to the
+    exact sub-universe simulation when materializing the set is infeasible.
 
-    On that fast path both models draw each collapse class event with the
-    Bernoulli probability and report the expected relator count
-    |B_maxlen|^d: the count model's per-element rate floor(n^d)/n is the
-    Bernoulli p = n^(d-1) up to the floor, and its inclusions are treated
-    as independent. The fast path does not measure triviality.
+    On that fast path each collapse class event is drawn with its exact
+    probability and the trial reports the expected relator count
+    |B_maxlen|^d; it does not measure triviality. A count-model trial past
+    the budget raises FeasibilityError: its inclusions are not independent,
+    so the Bernoulli law of the fast path does not hold for it.
     """
     _check_rank(m, r)
     expected = expected_relator_count(m, maxlen, d)
@@ -533,6 +534,10 @@ def run_trial(m: int, r: int, maxlen: int, d: float, kind: str, rng,
         trivial = triviality_probe(relators)
         return TrialResult(collapse.success, trivial.all_trivial,
                            float(len(relators)), False, collapse)
+    if kind == "count":
+        raise FeasibilityError(
+            f"count-model trial of {expected:.3g} expected relators exceeds "
+            f"materialization limit {budgets.materialize_limit}", estimate=expected)
 
     # Every class event is drawn before any witness, so the collapse outcome
     # does not depend on how the witnesses are drawn.

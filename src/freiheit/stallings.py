@@ -98,8 +98,6 @@ class LabeledGraph:
 
 
 def is_connected(g: LabeledGraph) -> bool:
-    if g.num_vertices == 1:
-        return True
     seen = {0}
     stack = [0]
     while stack:
@@ -304,20 +302,9 @@ def graph_stats(g: LabeledGraph) -> GraphStats:
     if any(d <= 1 for d in degs):
         raise DomainError("graph_stats expects no vertices of degree 0 or 1")
     branch = [v for v in range(g.num_vertices) if degs[v] >= 3]
-    if not branch:
-        return GraphStats(0, 0)
-
-    inv = lambda d: d ^ 1
-    walks = 0
-    for v in branch:
-        for d0 in g.darts_at(v):
-            d = d0
-            while degs[g.dart_head(d)] == 2:
-                h = g.dart_head(d)
-                nxt = [e for e in g.darts_at(h) if e != inv(d)]
-                d = nxt[0]
-            walks += 1
-    arcs = walks // 2
+    # Every dart at a branch vertex starts one maximal arc, which runs
+    # through degree-2 vertices to a branch vertex: one count per arc end.
+    arcs = sum(degs[v] for v in branch) // 2
     r = betti(g)
     if len(branch) > 2 * (r - 1) or arcs > 3 * (r - 1):
         raise AssertionError("structure bounds violated; folding or counting bug")
@@ -456,40 +443,26 @@ def enumerate_topological_types(r: int) -> list[TopologicalType]:
 
         def rec(i: int, remaining: int, degs: list[int], chosen: list[tuple[int, int]]):
             if i == len(slots):
-                if remaining:
-                    return
-                if any(d < 3 for d in degs):
-                    return
                 edges = tuple(chosen)
-                parent = list(range(v))
-                for (u, w) in edges:
-                    ru, rw = _find(parent, u), _find(parent, w)
-                    if ru != rw:
-                        parent[max(ru, rw)] = min(ru, rw)
-                if len({_find(parent, x) for x in range(v)}) != 1:
+                if remaining or not is_connected(
+                        LabeledGraph(v, [(a, b, 1) for (a, b) in edges])):
                     return
                 key = (v, _type_canonical(v, edges))
                 if key not in found:
                     found[key] = TopologicalType(v, key[1])
                 return
             u, w = slots[i]
-            # Degree of u is final once all slots touching u are placed.
-            max_mult = remaining
-            for mult in range(max_mult + 1):
+            for mult in range(remaining + 1):
                 degs[u] += mult * (2 if u == w else 1)
                 if u != w:
                     degs[w] += mult
-                if i + 1 == len(slots) or slots[i + 1][0] > u:
-                    final_u_range = range(u, slots[i + 1][0]) if i + 1 < len(slots) else range(u, v)
-                    if all(degs[x] >= 3 for x in final_u_range):
-                        rec(i + 1, remaining - mult, degs, chosen + [(u, w)] * mult)
-                else:
+                # Slot (u, v - 1) is u's last: no later slot touches u, so
+                # its degree is final there and must be at least 3.
+                if w < v - 1 or degs[u] >= 3:
                     rec(i + 1, remaining - mult, degs, chosen + [(u, w)] * mult)
                 degs[u] -= mult * (2 if u == w else 1)
                 if u != w:
                     degs[w] -= mult
-                if mult + 1 > remaining:
-                    break
 
         rec(0, e, [0] * v, [])
     return sorted(found.values(), key=lambda t: (t.num_vertices, t.edge_multiset))

@@ -8,7 +8,8 @@ worklist, whole-word comparison instead of period arithmetic, a lookup of
 every relator by canonical rotation instead of one pass with bigram keys,
 every rewrite rule at every position instead of a letter index, every
 root of a map encoded in full instead of a minimum that drops losing roots,
-every start vertex and subpath length instead of one read of a vertex set.
+every start vertex and subpath length instead of one read of a vertex set,
+a walk along every maximal arc instead of a sum of branch-vertex degrees.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from freiheit.density import RelatorSet
 from freiheit.diagrams import RewriteStep, TrivialityVerdict
 from freiheit.errors import DomainError
 from freiheit.experiments import TrivialityEvidence, TrivialityWitness
-from freiheit.stallings import LabeledGraph
+from freiheit.stallings import GraphStats, LabeledGraph
 from freiheit.words import Word, as_word, cyclic_reduce_letters, min_cyclic_rotation
 
 
@@ -164,6 +165,24 @@ def union_find_fold(g: LabeledGraph) -> LabeledGraph:
     remap = {v: i for i, v in enumerate(used)}
     return LabeledGraph(len(used), [(remap[u], remap[v], a) for (u, v, a) in edges],
                         base=remap.get(base, 0))
+
+
+def arc_walk_stats(g: LabeledGraph) -> GraphStats:
+    """Branch vertices and maximal arcs of a connected graph with no vertex
+    of degree 0 or 1, found by walking from every dart at a branch vertex
+    through the degree-2 vertices to the arc's end; an arc is the set of
+    edges its walk crosses, met once from each end."""
+    degs = [g.degree(v) for v in range(g.num_vertices)]
+    branch = [v for v in range(g.num_vertices) if degs[v] >= 3]
+    arcs = set()
+    for v in branch:
+        for d in g.darts_at(v):
+            edges = {d >> 1}
+            while degs[g.dart_head(d)] == 2:
+                d = next(e for e in g.darts_at(g.dart_head(d)) if e != d ^ 1)
+                edges.add(d >> 1)
+            arcs.add(frozenset(edges))
+    return GraphStats(len(branch), len(arcs))
 
 
 def dfs_reduced_paths(g: LabeledGraph, length: int) -> list[tuple[int, ...]]:

@@ -74,6 +74,26 @@ def test_criterion_02_readable_word_bound():
     _report(2, True, f"readable-word bound on {len(_graph_family())} graphs, L <= 6")
 
 
+# The homeomorphism types of rank 3: (vertices, edge multiset).
+TYPES_R3 = [
+    (1, ((0, 0), (0, 0), (0, 0))),
+    (2, ((0, 0), (0, 0), (0, 1), (1, 1))),
+    (2, ((0, 0), (0, 1), (0, 1), (0, 1))),
+    (2, ((0, 0), (0, 1), (0, 1), (1, 1))),
+    (2, ((0, 1), (0, 1), (0, 1), (0, 1))),
+    (3, ((0, 0), (0, 1), (0, 1), (1, 2), (2, 2))),
+    (3, ((0, 0), (0, 1), (0, 2), (1, 1), (2, 2))),
+    (3, ((0, 0), (0, 1), (0, 2), (1, 2), (1, 2))),
+    (3, ((0, 0), (0, 1), (1, 2), (1, 2), (1, 2))),
+    (3, ((0, 1), (0, 1), (0, 2), (0, 2), (1, 2))),
+    (4, ((0, 0), (0, 1), (1, 2), (1, 2), (2, 3), (3, 3))),
+    (4, ((0, 0), (0, 1), (1, 2), (1, 3), (2, 2), (3, 3))),
+    (4, ((0, 0), (0, 1), (1, 2), (1, 3), (2, 3), (2, 3))),
+    (4, ((0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3))),
+    (4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+]
+
+
 def test_criterion_03_structure_bounds_and_types():
     for g in _graph_family():
         r = betti(g)
@@ -84,6 +104,9 @@ def test_criterion_03_structure_bounds_and_types():
     types2 = enumerate_topological_types(2)
     assert len(types2) == 3
     assert len(types2) <= (2 * 2) ** (6 * 2)
+    types3 = enumerate_topological_types(3)
+    assert len(types3) == 15
+    assert [(t.num_vertices, t.edge_multiset) for t in types3] == TYPES_R3
     _report(3, True, "arc/branch-vertex bounds and topological type counts")
 
 

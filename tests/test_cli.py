@@ -267,6 +267,73 @@ def test_abstract_classify_rejects_a_map_that_is_not_a_complex(tmp_path, capsys,
     assert err.startswith("domain error:")
 
 
+def _bigon_on_triangle_with(edit):
+    """A triangle labeled 1 and a bigon labeled 2 glued along one edge."""
+    from freiheit.abstract_diagrams import AbstractDiagram, AbstractDistortionDiagram, \
+        abstract_to_json
+    from freiheit.complexes import glue_face, polygon
+
+    ad = AbstractDiagram(glue_face(polygon(3), 0, 1, 2, 0), ((1, 1), (2, 1)))
+    data = strict_json(abstract_to_json(AbstractDistortionDiagram(ad, 0, 0)))
+    edit(data)
+    return json.dumps(data)
+
+
+def _refused(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"domain error: {message}") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("V 0\n", "graph needs at least one vertex"),
+    ("V 2\nB 2\nE 0 1 a\n", "base vertex 2 out of range"),
+    ("V 2\nE 0 2 a\n", "edge (0,2) out of range"),
+    ("V 1\nX 0\nE 0 0 a\n", "unrecognized graph line: 'X 0'"),
+    ("E 0 0 a\n", "graph text missing 'V n' line"),
+], ids=["no-vertices", "base-out-of-range", "edge-end-out-of-range", "unknown-tag",
+        "no-vertex-line"])
+def test_graph_file_refusals(tmp_path, capsys, text, message):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    _refused(capsys, ["stallings", "fold", "--in", str(path)], message)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data["darts"][0].update(id=7), "dart ids must be 0..2E-1"),
+    (lambda data: data["darts"][0].update(inverse=2), "dart pairing must be 2i <-> 2i+1"),
+    (lambda data: data["faces"][1].update(relator=1),
+     "faces labeled 1 have unequal boundary lengths"),
+    (lambda data: data.update(p={"start": 3, "length": 1}), "p start 3 out of range"),
+    (lambda data: data.update(p={"start": 0, "length": 4}), "p length 4 out of range 0..3"),
+], ids=["dart-ids-not-0-to-2E-1", "pairing-not-2i-2i+1", "one-index-unequal-lengths",
+        "p-start-out-of-range", "p-length-out-of-range"])
+def test_abstract_json_refusals(tmp_path, capsys, edit, message):
+    path = tmp_path / "bad.json"
+    path.write_text(_bigon_on_triangle_with(edit))
+    _refused(capsys, ["abstract", "classify", "--in", str(path)], message)
+
+
+def test_sweep_config_that_is_not_json_is_refused(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("{'m': 2}")
+    _refused(capsys, ["experiments", "sweep", "--config", str(path)], "config is not JSON")
+
+
+def test_sweep_refuses_a_count_model_cell_past_the_budget(tmp_path, capsys):
+    # |B_40|^0.5 ~ 4.3e9 relators at m = 2, past the budget: a count-model
+    # trial there has no fast path.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 2, "r": 1, "lengths": [40], "densities": [0.5],
+                               "trials": 2, "model": "count"}))
+    csv_path = tmp_path / "sweep.csv"
+    code, out, err = run(capsys, "--out", str(csv_path), "experiments", "sweep",
+                         "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert err.startswith("feasibility guard: count-model trial")
+    assert not csv_path.exists() and not (tmp_path / "sweep.csv.manifest.json").exists()
+
+
 def test_sweep_reproducible_with_manifest(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"m": 2, "r": 1, "lengths": [6],

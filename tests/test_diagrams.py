@@ -514,7 +514,7 @@ def test_certifier_matches_brute_force_on_graphs_with_several_vertices(rel):
             assert report.diagrams_checked == len(diags)
             assert report.max_ratio == worst
             assert report.holds == (worst <= lam / (1.0 + lam))
-            assert report.worst.p_length / report.worst.diagram.boundary_length() == worst
+            assert report.worst.p_length / report.worst.base.boundary_length() == worst
 
 
 def test_certify_refuses_a_graph_that_is_not_label_deterministic():
@@ -522,6 +522,14 @@ def test_certify_refuses_a_graph_that_is_not_label_deterministic():
     graph = LabeledGraph(2, [(0, 1, 1), (0, 0, 1)])
     with pytest.raises(DomainError):
         certify_bilipschitz(COMMUTATOR, graph, 1, 3.0)
+
+
+def test_certify_refuses_a_graph_that_is_not_label_deterministic_with_no_diagrams():
+    # No relators, so no diagram is read: the graph is refused at entry.
+    graph = LabeledGraph(2, [(0, 1, 1), (0, 0, 1)])
+    with pytest.raises(DomainError,
+                       match="reading words requires a label-deterministic graph"):
+        certify_bilipschitz(make_relator_set(2, 4, []), graph, 2, 3.0)
 
 
 def test_json_roundtrip():

@@ -8,7 +8,7 @@ import pytest
 
 from freiheit import experiments
 from freiheit.density import DensityModel, RelatorSet, make_relator_set, sample_relator_set
-from freiheit.errors import DomainError
+from freiheit.errors import DomainError, FeasibilityError
 from freiheit.experiments import (CollapseResult, SweepBudgets, TransitionConfig,
                                   collapse_probe, collapse_success_probability,
                                   count_collapse_class,
@@ -456,6 +456,14 @@ def test_fast_path_trial_shape():
         for gen, w in res.collapse_result.substitutions.items():
             assert all(abs(x) <= 2 for x in w.letters)
             assert res.collapse_result.sampled_witnesses
+
+
+def test_count_model_trial_past_the_budget_is_refused():
+    # |B_40|^0.5 ~ 4.3e9 relators at m = 2: past the budget, where only a
+    # Bernoulli trial has a fast path.
+    with pytest.raises(FeasibilityError, match="count-model trial"):
+        run_trial(2, 1, 40, 0.5, "count", random.Random(1))
+    assert run_trial(2, 1, 40, 0.5, "bernoulli", random.Random(1)).fast_path
 
 
 @pytest.mark.parametrize("m, r, maxlen", [(2, 1, 4), (3, 2, 3)])

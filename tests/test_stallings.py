@@ -12,7 +12,7 @@ from freiheit.stallings import (GraphStats, LabeledGraph, betti, canonical_code,
                                 wedge_of_words)
 from freiheit.words import Word, free_reduce
 
-from oracles import brute_reduced_words, dfs_reduced_paths, union_find_fold
+from oracles import arc_walk_stats, brute_reduced_words, dfs_reduced_paths, union_find_fold
 
 
 def figure_eight():
@@ -114,6 +114,37 @@ def test_graph_stats_examples():
     assert graph_stats(figure_eight()) == GraphStats(1, 2)
     with pytest.raises(DomainError):
         graph_stats(LabeledGraph(2, [(0, 1, 1), (0, 0, 2)]))  # degree-1 vertex
+
+
+def _subdivided(ttype, lengths):
+    """The type's graph with edge i subdivided into a path of lengths[i] edges."""
+    n = ttype.num_vertices
+    edges = []
+    for (u, w), k in zip(ttype.edge_multiset, lengths):
+        path = [u, *range(n, n + k - 1), w]
+        n += k - 1
+        edges += [(a, b, 1) for a, b in zip(path, path[1:])]
+    return LabeledGraph(n, edges)
+
+
+def test_graph_stats_matches_the_arc_walk():
+    rng = random.Random(11)
+    wedges = [fold(wedge_of_words([[rng.choice([-3, -2, -1, 1, 2, 3])
+                                    for _ in range(rng.randrange(1, 7))]
+                                   for _ in range(rng.randrange(1, 5))]))
+              for _ in range(60)]
+    wedges = [g for g in wedges if g.num_edges]
+    assert sum(graph_stats(g).degree3plus > 0 for g in wedges) >= 20
+    for g in wedges:
+        assert graph_stats(g) == arc_walk_stats(g)
+    # Every type of rank 2 and 3 (loops at branch vertices among them), its
+    # edges subdivided into arcs of up to 5 edges: the branch vertices and
+    # arcs are the type's vertices and edges.
+    for ttype in enumerate_topological_types(2) + enumerate_topological_types(3):
+        for _ in range(4):
+            g = _subdivided(ttype, [rng.randrange(1, 6) for _ in ttype.edge_multiset])
+            assert graph_stats(g) == arc_walk_stats(g) == GraphStats(
+                ttype.num_vertices, ttype.num_edges)
 
 
 def test_readable_words_loop_exact():
