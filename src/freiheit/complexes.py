@@ -20,10 +20,16 @@ deduplication, the mirror-pair test, canonical codes and the map half of
 the JSON codec.
 
 A canonical code is the least rooted code over the outer roots (and the
-mirror's).  Its first fields are the dart count and the vertex ids in
-breadth-first order, one per dart for every root, so a root is dropped at
-the first vertex id larger than the least sequence so far, and only the
-roots that tie the least sequence are serialized in full.
+mirror's).  Its fields are, in order: the dart count; the outer reading,
+the outer boundary read from the root (dart letters for a concrete
+diagram, and for a map without letters the (length, sign) of the face
+across each outer dart); the vertex ids in breadth-first order; the
+involution in that order; the inner faces; the outer walk; and the dart
+letters.  The reading is read off the outer cycle alone, so only the roots
+whose reading is the least rotation are ordered at all.  Among those a
+root is dropped at the first vertex id larger than the least sequence so
+far, and only the roots that tie the least sequence are serialized in
+full.
 """
 
 from __future__ import annotations
@@ -348,10 +354,11 @@ def _root_order(phi: list[int], dart_vertex: Sequence[int], start: int,
 
 
 def _rooted_code(c: PlanarComplex, face_infos: Sequence[tuple], start_idx: int,
-                 queue: list[int], vert_part: list[int],
+                 reading: tuple, queue: list[int], vert_part: list[int],
                  dart_labels: Sequence[int] | None, relabel_first_use: bool):
     """Serialize the map rooted at outer position ``start_idx``, given its
-    breadth-first dart order ``queue`` and vertex part.
+    outer reading from there, its breadth-first dart order ``queue`` and its
+    vertex part.
 
     ``face_infos`` holds one (label, period) pair per inner face: ``label``
     is the face's signed index (index, sign) and ``period`` the rotation
@@ -385,8 +392,31 @@ def _rooted_code(c: PlanarComplex, face_infos: Sequence[tuple], start_idx: int,
     if dart_labels is not None:
         label_part = tuple(dart_labels[d] for d in queue)
 
-    return (c.num_darts, tuple(vert_part), alpha_part, tuple(faces_part),
-            outer_part, label_part)
+    return (c.num_darts, reading, tuple(vert_part), alpha_part,
+            tuple(faces_part), outer_part, label_part)
+
+
+def _outer_readings(c: PlanarComplex, face_infos: Sequence[tuple],
+                    dart_labels: Sequence[int] | None) -> tuple[list, list]:
+    """The outer reading from outer position 0 of the map and of its mirror.
+
+    With ``dart_labels`` it is the letters along the outer cycle.  Without,
+    it is the (length, sign) of the inner face across each outer dart, or
+    (0, 0) where the face across is the outer face again; it holds no face
+    index, so renaming the indices leaves it alone.  The mirror's outer
+    cycle is this one reversed through the involution, and each face keeps
+    its length and flips its sign."""
+    outer = c.outer
+    if dart_labels is not None:
+        return ([dart_labels[d] for d in outer],
+                [dart_labels[d ^ 1] for d in reversed(outer)])
+    across = [(0, 0)] * c.num_darts
+    for cycle, ((_, sign), _) in zip(c.faces, face_infos):
+        mark = (len(cycle), sign)
+        for d in cycle:
+            across[d ^ 1] = mark
+    reading = [across[d] for d in outer]
+    return reading, [(length, -sign) for length, sign in reversed(reading)]
 
 
 def canonical_map_code(c: PlanarComplex,
@@ -397,39 +427,57 @@ def canonical_map_code(c: PlanarComplex,
     """Minimum code over outer roots and (optionally) the mirror map, whose
     faces carry the signs of ``face_infos`` flipped.
 
-    Every root's code starts with the same dart count and a vertex part of
-    the same length, so only the roots with the least vertex part can give
-    the minimum.  Each root's vertex part is built against the least one so
-    far and the root is dropped at its first larger id (``_root_order``);
-    only the roots that tie the least part are serialized
-    (``_rooted_code``), and the minimum is taken over those.  A map the
-    cycles do not partition raises DomainError before any root is built, a
-    disconnected one on the first root, which is never dropped."""
+    The code's fields are the dart count, the outer reading from the root
+    (``_outer_readings``), the vertex part, the involution, the faces, the
+    outer walk and the dart letters.  Every root's code starts with the
+    same dart count, so only the roots whose reading is the least rotation
+    of the readings can give the minimum, and only those get a
+    breadth-first order; the mirror map is built only if one of its roots
+    is among them.  Each kept root's vertex part is built against the least
+    one so far and the root is dropped at its first larger id
+    (``_root_order``); only the roots that tie the least part are
+    serialized (``_rooted_code``), and the minimum is taken over those.  A
+    map the cycles do not partition raises DomainError before any root is
+    built, a disconnected one on the first root, which is never dropped."""
+    if c.phi is None:
+        raise DomainError("cannot encode: darts not partitioned")
+    readings = _outer_readings(c, face_infos, dart_labels)
+    n = len(c.outer)
+    least = None
+    starts: list[tuple[int, int]] = []  # (variant, outer position) reading ``least``
+    for variant in range(2 if use_mirror else 1):
+        doubled = readings[variant] * 2
+        for start_idx in range(n):
+            rotated = doubled[start_idx:start_idx + n]
+            if least is None or rotated < least:
+                least = rotated
+                starts = [(variant, start_idx)]
+            elif rotated == least:
+                starts.append((variant, start_idx))
+    reading = tuple(least)
+
     variants = [(c, face_infos)]
-    if use_mirror:
+    if starts[-1][0]:  # the mirror's starts come last
         variants.append((mirror_complex(c), [((idx, -sign), period)
                                              for (idx, sign), period in face_infos]))
     best = None
     roots: list[tuple] = []  # the roots whose vertex part is ``best``
-    for cc, infos in variants:
-        phi = cc.phi
-        if phi is None:
-            raise DomainError("cannot encode: darts not partitioned")
-        for start_idx, start in enumerate(cc.outer):
-            found = _root_order(phi, cc.dart_vertex, start, best)
-            if found is None:
-                continue
-            queue, part, tied = found
-            if best is None:
-                if len(queue) != cc.num_darts:
-                    raise DomainError("cannot encode: complex is disconnected")
-            elif tied:
-                roots.append((cc, infos, start_idx, queue))
-                continue
-            best = part
-            roots = [(cc, infos, start_idx, queue)]
-    return min(_rooted_code(cc, infos, start_idx, queue, best, dart_labels,
-                            relabel_first_use)
+    for variant, start_idx in starts:
+        cc, infos = variants[variant]
+        found = _root_order(cc.phi, cc.dart_vertex, cc.outer[start_idx], best)
+        if found is None:
+            continue
+        queue, part, tied = found
+        if best is None:
+            if len(queue) != cc.num_darts:
+                raise DomainError("cannot encode: complex is disconnected")
+        elif tied:
+            roots.append((cc, infos, start_idx, queue))
+            continue
+        best = part
+        roots = [(cc, infos, start_idx, queue)]
+    return min(_rooted_code(cc, infos, start_idx, reading, queue, best,
+                            dart_labels, relabel_first_use)
                for cc, infos, start_idx, queue in roots)
 
 

@@ -498,7 +498,10 @@ def full_map_code(c: PlanarComplex,
     """The code of one root, which ``complexes.canonical_map_code``
     serializes only for the roots it keeps.
 
-    Serialize the rooted map.
+    Serialize the rooted map.  The field after the dart count is the outer
+    reading from the root, read here on the rooted outer walk itself: the
+    dart letters, or without letters the (length, sign) of the inner face
+    found to hold each outer dart's inverse, (0, 0) if none does.
 
     ``face_infos`` holds one (label, period) pair per inner face: ``label``
     is the face's signed index (index, sign) and ``period`` the rotation
@@ -522,6 +525,15 @@ def full_map_code(c: PlanarComplex,
                 queue.append(e)
     if len(order) != c.num_darts:
         raise DomainError("cannot encode: complex is disconnected")
+
+    walk = c.outer[start_idx:] + c.outer[:start_idx]
+    if dart_labels is not None:
+        reading = tuple(dart_labels[d] for d in walk)
+    else:
+        reading = tuple(
+            next(((len(cycle), sign) for cycle, ((_, sign), _) in zip(c.faces, face_infos)
+                  if d ^ 1 in cycle), (0, 0))
+            for d in walk)
 
     vert_id: dict[int, int] = {}
     vert_part = []
@@ -556,8 +568,8 @@ def full_map_code(c: PlanarComplex,
     if dart_labels is not None:
         label_part = tuple(dart_labels[queue[i]] for i in range(len(queue)))
 
-    return (c.num_darts, tuple(vert_part), alpha_part, tuple(faces_part),
-            outer_part, label_part)
+    return (c.num_darts, reading, tuple(vert_part), alpha_part,
+            tuple(faces_part), outer_part, label_part)
 
 
 def full_canonical_map_code(c: PlanarComplex,

@@ -4,13 +4,13 @@ import pytest
 
 from freiheit import abstract_diagrams, complexes, diagrams
 from freiheit.abstract_diagrams import enumerate_abstract_diagrams
-from freiheit.complexes import PlanarComplex, canonical_map_code
+from freiheit.complexes import PlanarComplex, canonical_map_code, check_complex
 from freiheit.density import make_relator_set
 from freiheit.diagrams import enumerate_reduced_disk_diagrams
 from freiheit.errors import DomainError
 from freiheit.words import word_from_text
 
-from oracles import full_canonical_map_code
+from oracles import abstract_iso_key, full_canonical_map_code
 
 
 @pytest.fixture
@@ -55,6 +55,39 @@ def test_canonical_codes_match_the_full_minimum_on_disk_diagrams(checked_codes):
     assert _disk_diagrams(("aab", "bba", "abAB", "aaBB"), 3) > 0
     assert _disk_diagrams(("abab", "aaa"), 2) > 0
     assert checked_codes["labels"] > 1000, checked_codes
+
+
+def test_iso_keys_partition_the_labelled_diagrams_as_the_oracle_does(monkeypatch):
+    # The oracle builds its own traversal codes and reads no boundary, so it
+    # checks that equal keys mean isomorphic diagrams with code they share
+    # nothing of.
+    real = abstract_diagrams._iso_key
+    labelled = []
+
+    def recorded(ad):
+        labelled.append(ad)
+        return real(ad)
+
+    monkeypatch.setattr(abstract_diagrams, "_iso_key", recorded)
+    enumerate_abstract_diagrams(2, 4)
+    assert len(labelled) == 786
+    pairs = {(real(ad), abstract_iso_key(ad)) for ad in labelled}
+    # One oracle class per key class and back: the two partitions agree.
+    assert len({key for key, _ in pairs}) == len({iso for _, iso in pairs}) \
+        == len(pairs) == 267
+
+
+def test_canonical_code_reads_an_edge_with_the_outer_face_on_both_sides():
+    # Two one-edge loops joined by a bridge: the outer walk crosses the
+    # bridge both ways, so no inner face lies across it in the reading.
+    dumbbell = PlanarComplex(2, (0, 0, 0, 1, 1, 1), ((0,), (4,)), (1, 2, 5, 3))
+    assert check_complex(dumbbell).ok
+    for infos in ([((1, 1), 1), ((1, -1), 1)], [((1, 1), 1), ((2, 1), 1)]):
+        assert canonical_map_code(dumbbell, infos)[1].count((0, 0)) == 2
+        for relabel in (False, True):
+            for mirror in (False, True):
+                args = (dumbbell, infos, None, relabel, mirror)
+                assert canonical_map_code(*args) == full_canonical_map_code(*args), args
 
 
 def test_canonical_code_rejects_a_map_it_cannot_encode():

@@ -621,26 +621,30 @@ def test_canonical_key_invariant_under_storage_changes():
     from freiheit.complexes import mirror_complex, mirror_cycle
 
     rng = _random.Random(314)
-    diagrams = list(enumerate_reduced_disk_diagrams(SMALL, 2))
-    for d in diagrams[:12]:
-        key = diagram_canonical_key(d, SMALL)
-        c = d.complex
-        # outer re-rooting
-        k = rng.randrange(len(c.outer))
-        rerooted = VanKampenDiagram(
-            type(c)(c.num_vertices, c.dart_vertex, c.faces,
-                    c.outer[k:] + c.outer[:k]), d.dart_labels, d.face_labels)
-        assert diagram_canonical_key(rerooted, SMALL) == key
-        # dart renumbering
-        perm = list(range(c.num_edges))
-        rng.shuffle(perm)
-        flips = [rng.random() < 0.5 for _ in range(c.num_edges)]
-        permuted = _permute_darts(d, perm, flips)
-        assert validate(permuted, SMALL).ok
-        assert diagram_canonical_key(permuted, SMALL) == key
-        # reflection with flipped face signs
-        mirrored = VanKampenDiagram(
-            mirror_complex(c), d.dart_labels,
-            tuple((idx, -sign) for idx, sign in d.face_labels))
-        assert validate(mirrored, SMALL).ok
-        assert diagram_canonical_key(mirrored, SMALL) == key
+    # The periodic set's boundary readings tie several roots: aaa's three
+    # over the map and its mirror, abab's two.
+    periodic = make_relator_set(2, 4, [word_from_text(w) for w in ("abab", "aaa")])
+    for relators in (SMALL, periodic):
+        diagrams = list(enumerate_reduced_disk_diagrams(relators, 2))
+        for d in diagrams[:12]:
+            key = diagram_canonical_key(d, relators)
+            c = d.complex
+            # outer re-rooting
+            k = rng.randrange(len(c.outer))
+            rerooted = VanKampenDiagram(
+                type(c)(c.num_vertices, c.dart_vertex, c.faces,
+                        c.outer[k:] + c.outer[:k]), d.dart_labels, d.face_labels)
+            assert diagram_canonical_key(rerooted, relators) == key
+            # dart renumbering
+            perm = list(range(c.num_edges))
+            rng.shuffle(perm)
+            flips = [rng.random() < 0.5 for _ in range(c.num_edges)]
+            permuted = _permute_darts(d, perm, flips)
+            assert validate(permuted, relators).ok
+            assert diagram_canonical_key(permuted, relators) == key
+            # reflection with flipped face signs
+            mirrored = VanKampenDiagram(
+                mirror_complex(c), d.dart_labels,
+                tuple((idx, -sign) for idx, sign in d.face_labels))
+            assert validate(mirrored, relators).ok
+            assert diagram_canonical_key(mirrored, relators) == key
