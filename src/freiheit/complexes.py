@@ -23,13 +23,12 @@ A canonical code is the least rooted code over the outer roots (and the
 mirror's).  Its fields are, in order: the dart count; the outer reading,
 the outer boundary read from the root (dart letters for a concrete
 diagram, and for a map without letters the (length, sign) of the face
-across each outer dart); the vertex ids in breadth-first order; the
-involution in that order; the inner faces; the outer walk; and the dart
-letters.  The reading is read off the outer cycle alone, so only the roots
-whose reading is the least rotation are ordered at all.  Among those a
-root is dropped at the first vertex id larger than the least sequence so
-far, and only the roots that tie the least sequence are serialized in
-full.
+across each outer dart); the involution in breadth-first order; the inner
+faces; the outer walk; and the dart letters.  No field holds the vertices:
+they are the orbits of phi o alpha, which the involution, the faces and
+the outer walk fix.
+The reading is read off the outer cycle alone, so only the roots whose
+reading is the least rotation are serialized at all.
 """
 
 from __future__ import annotations
@@ -322,43 +321,13 @@ def has_mirror_pair(d: FaceLabelledMap, period: Callable[[int], int]) -> bool:
 # face-root rotations where the caller grants that freedom).
 
 
-def _root_order(phi: list[int], dart_vertex: Sequence[int], start: int,
-                best: list[int] | None):
-    """The darts in breadth-first order from dart ``start`` (over the
-    involution, then the face permutation) and the vertex part of the code:
-    each dart's tail vertex, vertices numbered by first appearance.
-
-    The vertex part is compared id by id with ``best``, the least vertex part
-    of the roots before.  Returns None at the first id larger than
-    ``best``'s: no code of this root can be the minimum.  Otherwise returns
-    the order, the vertex part and whether it ties ``best`` (True when there
-    is no ``best``)."""
-    placed = {start}
-    queue = [start]
-    vert_id = {dart_vertex[start]: 0}
-    part = [0]
-    tied = True
-    for d in queue:
-        for e in (d ^ 1, phi[d]):
-            if e not in placed:
-                placed.add(e)
-                queue.append(e)
-                v = vert_id.setdefault(dart_vertex[e], len(vert_id))
-                if tied and best is not None:
-                    b = best[len(part)]
-                    if v > b:
-                        return None
-                    tied = v == b
-                part.append(v)
-    return queue, part, tied
-
-
 def _rooted_code(c: PlanarComplex, face_infos: Sequence[tuple], start_idx: int,
-                 reading: tuple, queue: list[int], vert_part: list[int],
-                 dart_labels: Sequence[int] | None, relabel_first_use: bool):
+                 reading: tuple, dart_labels: Sequence[int] | None,
+                 relabel_first_use: bool):
     """Serialize the map rooted at outer position ``start_idx``, given its
-    outer reading from there, its breadth-first dart order ``queue`` and its
-    vertex part.
+    outer reading from there.  The darts are numbered in breadth-first
+    order from the root dart, over the involution and then the face
+    permutation; a root that does not reach every dart raises DomainError.
 
     ``face_infos`` holds one (label, period) pair per inner face: ``label``
     is the face's signed index (index, sign) and ``period`` the rotation
@@ -366,7 +335,17 @@ def _rooted_code(c: PlanarComplex, face_infos: Sequence[tuple], start_idx: int,
     object.  With ``relabel_first_use`` the indices are renamed 1..k in
     order of first appearance (abstract-diagram isomorphism).
     """
-    order = {d: i for i, d in enumerate(queue)}
+    phi = c.phi
+    start = c.outer[start_idx]
+    order = {start: 0}
+    queue = [start]
+    for d in queue:
+        for e in (d ^ 1, phi[d]):
+            if e not in order:
+                order[e] = len(queue)
+                queue.append(e)
+    if len(queue) != c.num_darts:
+        raise DomainError("cannot encode: complex is disconnected")
     alpha_part = tuple(order[d ^ 1] for d in queue)
 
     faces_part = []
@@ -392,8 +371,8 @@ def _rooted_code(c: PlanarComplex, face_infos: Sequence[tuple], start_idx: int,
     if dart_labels is not None:
         label_part = tuple(dart_labels[d] for d in queue)
 
-    return (c.num_darts, reading, tuple(vert_part), alpha_part,
-            tuple(faces_part), outer_part, label_part)
+    return (c.num_darts, reading, alpha_part, tuple(faces_part), outer_part,
+            label_part)
 
 
 def _outer_readings(c: PlanarComplex, face_infos: Sequence[tuple],
@@ -428,17 +407,15 @@ def canonical_map_code(c: PlanarComplex,
     faces carry the signs of ``face_infos`` flipped.
 
     The code's fields are the dart count, the outer reading from the root
-    (``_outer_readings``), the vertex part, the involution, the faces, the
-    outer walk and the dart letters.  Every root's code starts with the
-    same dart count, so only the roots whose reading is the least rotation
-    of the readings can give the minimum, and only those get a
-    breadth-first order; the mirror map is built only if one of its roots
-    is among them.  Each kept root's vertex part is built against the least
-    one so far and the root is dropped at its first larger id
-    (``_root_order``); only the roots that tie the least part are
-    serialized (``_rooted_code``), and the minimum is taken over those.  A
-    map the cycles do not partition raises DomainError before any root is
-    built, a disconnected one on the first root, which is never dropped."""
+    (``_outer_readings``), the involution, the faces, the outer walk and
+    the dart letters; vertices are the orbits of phi o alpha, so the
+    involution, the faces and the outer walk already fix them.  Every
+    root's code starts with the same dart count, so only the roots whose
+    reading is the least rotation of the readings can give the minimum,
+    and only those are serialized (``_rooted_code``); the mirror map is
+    built only if one of its roots is among them.  A map the cycles do not
+    partition raises DomainError before any root is serialized, a
+    disconnected one on the first root."""
     if c.phi is None:
         raise DomainError("cannot encode: darts not partitioned")
     readings = _outer_readings(c, face_infos, dart_labels)
@@ -460,25 +437,9 @@ def canonical_map_code(c: PlanarComplex,
     if starts[-1][0]:  # the mirror's starts come last
         variants.append((mirror_complex(c), [((idx, -sign), period)
                                              for (idx, sign), period in face_infos]))
-    best = None
-    roots: list[tuple] = []  # the roots whose vertex part is ``best``
-    for variant, start_idx in starts:
-        cc, infos = variants[variant]
-        found = _root_order(cc.phi, cc.dart_vertex, cc.outer[start_idx], best)
-        if found is None:
-            continue
-        queue, part, tied = found
-        if best is None:
-            if len(queue) != cc.num_darts:
-                raise DomainError("cannot encode: complex is disconnected")
-        elif tied:
-            roots.append((cc, infos, start_idx, queue))
-            continue
-        best = part
-        roots = [(cc, infos, start_idx, queue)]
-    return min(_rooted_code(cc, infos, start_idx, reading, queue, best,
-                            dart_labels, relabel_first_use)
-               for cc, infos, start_idx, queue in roots)
+    return min(_rooted_code(*variants[variant], start_idx, reading, dart_labels,
+                            relabel_first_use)
+               for variant, start_idx in starts)
 
 
 # ---------------------------------------------------------------------------

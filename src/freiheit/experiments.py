@@ -66,16 +66,22 @@ def critical_density(m: int, r: int) -> CriticalDensity:
 
 
 def epsilon_d(m: int, r: int, d: float) -> float:
-    """(d_r - d) / 5 for d strictly below the critical density."""
+    """(d_r - d) / 5 for a density d in [0, d_r)."""
     d_r = critical_density(m, r).d_r
-    if d >= d_r:
-        raise DomainError(f"d={d} is not below the critical density {d_r}")
+    if not 0 <= d < d_r:
+        raise DomainError(f"need 0 <= d < d_r = {d_r}, got d={d}")
     return (d_r - d) / 5.0
+
+
+def _check_K(K: int) -> None:
+    if not K >= 1:
+        raise DomainError(f"need K >= 1, got K={K}")
 
 
 def fillability_bound(K: int, maxlen: int, m: int, r: int, d: float) -> float:
     """log of maxlen^(10 K^3) * (2m-1)^(-2 eps_d maxlen); vacuous (> 0) for
     small maxlen, eventually decreasing."""
+    _check_K(K)
     eps = epsilon_d(m, r, d)
     return 10 * K ** 3 * math.log(maxlen) - 2 * eps * maxlen * math.log(2 * m - 1)
 
@@ -85,6 +91,7 @@ def fillability_crossover(K: int, m: int, r: int, d: float) -> int | None:
 
     The log-bound rises like 10 K^3 log(maxlen) before the linear term wins,
     so the scan starts at the peak 10 K^3 / (2 eps_d ln(2m-1))."""
+    _check_K(K)
     eps = epsilon_d(m, r, d)
     c = 2 * eps * math.log(2 * m - 1)
     peak = max(1, math.ceil(10 * K ** 3 / c))
@@ -525,9 +532,9 @@ def run_trial(m: int, r: int, maxlen: int, d: float, kind: str, rng,
     so the Bernoulli law of the fast path does not hold for it.
     """
     _check_rank(m, r)
+    model = DensityModel(kind, d, 0)  # refuses a kind or density off the model
     expected = expected_relator_count(m, maxlen, d)
     if expected <= budgets.materialize_limit:
-        model = DensityModel(kind, d, 0)
         relators = sample_relator_set(m, maxlen, model, rng,
                                       materialize_limit=10 * budgets.materialize_limit)
         collapse = collapse_probe(relators, r)

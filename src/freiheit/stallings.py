@@ -275,10 +275,6 @@ def canonical_code(g: LabeledGraph):
     return best
 
 
-def graphs_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
-    return canonical_code(g1) == canonical_code(g2)
-
-
 # ---------------------------------------------------------------------------
 # Structure statistics (degree-3 vertices and maximal arcs).
 

@@ -79,13 +79,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple(-x for x in reversed(self.letters)))
 
-    def rotate(self, k: int) -> "Word":
-        ls = self.letters
-        if not ls:
-            return self
-        k %= len(ls)
-        return Word(ls[k:] + ls[:k])
-
     def text(self) -> str:
         return word_to_text(self)
 

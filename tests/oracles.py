@@ -7,7 +7,7 @@ instead of closed-form counts, union-find folding instead of the
 worklist, whole-word comparison instead of period arithmetic, a lookup of
 every relator by canonical rotation instead of one pass with bigram keys,
 every rewrite rule at every position instead of a letter index, every
-root of a map encoded in full instead of a minimum that drops losing roots,
+root of a map encoded in full instead of only the least-reading ones,
 every start vertex and subpath length instead of one read of a vertex set,
 a walk along every maximal arc instead of a sum of branch-vertex degrees.
 """
@@ -496,7 +496,7 @@ def full_map_code(c: PlanarComplex,
                   dart_labels: Sequence[int] | None = None,
                   relabel_first_use: bool = False):
     """The code of one root, which ``complexes.canonical_map_code``
-    serializes only for the roots it keeps.
+    serializes only for the roots whose outer reading is least.
 
     Serialize the rooted map.  The field after the dart count is the outer
     reading from the root, read here on the rooted outer walk itself: the
@@ -535,14 +535,6 @@ def full_map_code(c: PlanarComplex,
                   if d ^ 1 in cycle), (0, 0))
             for d in walk)
 
-    vert_id: dict[int, int] = {}
-    vert_part = []
-    for d in queue:
-        v = c.dart_vertex[d]
-        if v not in vert_id:
-            vert_id[v] = len(vert_id)
-        vert_part.append(vert_id[v])
-
     alpha_part = tuple(order[queue[i] ^ 1] for i in range(len(queue)))
 
     faces_part = []
@@ -568,8 +560,8 @@ def full_map_code(c: PlanarComplex,
     if dart_labels is not None:
         label_part = tuple(dart_labels[queue[i]] for i in range(len(queue)))
 
-    return (c.num_darts, reading, tuple(vert_part), alpha_part,
-            tuple(faces_part), outer_part, label_part)
+    return (c.num_darts, reading, alpha_part, tuple(faces_part), outer_part,
+            label_part)
 
 
 def full_canonical_map_code(c: PlanarComplex,
@@ -578,7 +570,7 @@ def full_canonical_map_code(c: PlanarComplex,
                             relabel_first_use: bool = False,
                             use_mirror: bool = True):
     """``complexes.canonical_map_code`` by encoding every root in full, which
-    the pruned minimum must match tuple for tuple.
+    the minimum over the least-reading roots must match tuple for tuple.
 
     Minimum code over outer roots and (optionally) the mirror map, whose
     faces carry the signs of ``face_infos`` flipped."""

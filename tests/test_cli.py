@@ -568,6 +568,40 @@ def test_experiments_bound_cli(capsys):
     assert data["crossover"] == 4852
 
 
+@pytest.mark.parametrize("d", ["1.5", "nan"])
+def test_experiments_collapse_refuses_a_density_off_the_model_on_the_fast_path(capsys, d):
+    # |B_30|^d is past the materialization limit, so the trial takes the
+    # fast path, which drew the collapse events at any d.
+    code, out, err = run(capsys, "--seed", "3", "experiments", "collapse", "--m", "3",
+                         "--r", "2", "--maxlen", "30", "--d", d)
+    assert code == 1 and out == ""
+    assert err.startswith("domain error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("lam", ["-1", "-3", "nan", "0"])
+def test_diagrams_certify_refuses_a_lambda_that_is_not_a_positive_number(
+        tmp_path, capsys, lam):
+    # lambda = -1 divided by zero, -3 gave the threshold 1.5 and nan printed NaN.
+    rel = tmp_path / "torsion.txt"
+    rel.write_text("aaaa\n")
+    graph = tmp_path / "loop.txt"
+    graph.write_text("V 1\nE 0 0 a\n")
+    code, out, err = run(capsys, "diagrams", "certify", "--relators", str(rel),
+                         "--graph", str(graph), "--K", "1", "--lambda", lam)
+    assert code == 1 and out == ""
+    assert err.startswith("domain error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("K, d", [("0", "0.1"), ("-2", "0.1"), ("2", "nan"),
+                                  ("2", "-0.1")])
+def test_experiments_bound_refuses_bad_inputs(capsys, K, d):
+    # K < 1 reported crossover 1 and d = nan died converting NaN to an int.
+    code, out, err = run(capsys, "experiments", "bound", "--K", K, "--m", "3",
+                         "--r", "2", "--d", d)
+    assert code == 1 and out == ""
+    assert err.startswith("domain error:") and len(err.splitlines()) == 1
+
+
 def test_python_m_freiheit_runs_the_cli():
     # A checkout runs the CLI without installing: PYTHONPATH=src python -m freiheit.
     src = str(Path(freiheit.__file__).resolve().parent.parent)

@@ -57,6 +57,39 @@ def test_canonical_codes_match_the_full_minimum_on_disk_diagrams(checked_codes):
     assert checked_codes["labels"] > 1000, checked_codes
 
 
+def _sigma_orbits(c):
+    """The darts' partition into the orbits of sigma = phi o alpha, phi read
+    off the stored cycles."""
+    phi = {d: cycle[(i + 1) % len(cycle)]
+           for cycle in c.all_cycles() for i, d in enumerate(cycle)}
+    seen = set()
+    orbits = set()
+    for d in range(c.num_darts):
+        orbit = set()
+        while d not in seen:
+            seen.add(d)
+            orbit.add(d)
+            d = phi[d ^ 1]
+        if orbit:
+            orbits.add(frozenset(orbit))
+    return orbits
+
+
+def test_vertices_are_the_orbits_of_phi_after_alpha():
+    # Canonical codes hold no vertex field: the involution and the cycles
+    # fix the vertices, because each one is a single orbit of sigma.
+    relators = make_relator_set(2, 4, [word_from_text(w)
+                                       for w in ("aab", "bba", "abAB", "aaBB")])
+    maps = [d.complex for d in enumerate_reduced_disk_diagrams(relators, 3)]
+    maps += [ad.complex for ad in enumerate_abstract_diagrams(2, 5).representatives]
+    assert len(maps) == 983 + 733
+    for c in maps:
+        by_vertex = {}
+        for d, v in enumerate(c.dart_vertex):
+            by_vertex.setdefault(v, set()).add(d)
+        assert _sigma_orbits(c) == {frozenset(darts) for darts in by_vertex.values()}
+
+
 def test_iso_keys_partition_the_labelled_diagrams_as_the_oracle_does(monkeypatch):
     # The oracle builds its own traversal codes and reads no boundary, so it
     # checks that equal keys mean isomorphic diagrams with code they share

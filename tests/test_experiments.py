@@ -55,11 +55,12 @@ def test_critical_density_domain():
 
 def test_epsilon_d():
     d_r = critical_density(3, 2).d_r
-    assert abs(epsilon_d(3, 2, d_r - 0.5) - 0.1) < 1e-12
+    assert abs(epsilon_d(3, 2, d_r - 0.25) - 0.05) < 1e-12
     assert abs(epsilon_d(3, 2, 0.1) - (d_r - 0.1) / 5) < 1e-12
     assert abs(epsilon_d(3, 2, 0.1) * 5 + 0.1 - d_r) < 1e-12
-    with pytest.raises(DomainError):
-        epsilon_d(3, 2, 0.4)
+    for d in (0.4, -0.1, math.nan):
+        with pytest.raises(DomainError):
+            epsilon_d(3, 2, d)
 
 
 def test_collapse_probe_examples():
@@ -140,6 +141,10 @@ def test_triviality_probe_bare_generator():
     assert ev.witnesses[1] is not None and ev.witnesses[1].partner is None
 
 
+def _rotation(w: Word, k: int) -> Word:
+    return Word(w[k:] + w[:k])
+
+
 def _planted_relator_sets(seed: int, count: int):
     """Random sorted relator sets at small m and l: a Bernoulli choice from
     B_l, plus rotations of chosen members (several relators of one rotation
@@ -152,12 +157,12 @@ def _planted_relator_sets(seed: int, count: int):
         p = rng.choice([0.01, 0.03, 0.1, 0.3])
         words = [w for w in universe if rng.random() < p]
         for w in rng.sample(words, min(4, len(words))):
-            words.append(w.rotate(rng.randrange(len(w))))
+            words.append(_rotation(w, rng.randrange(len(w))))
             if len(w) < maxlen:
                 gen = rng.randrange(1, m + 1)
-                pair = Word((gen,) + w.rotate(rng.randrange(len(w))).letters)
+                pair = Word((gen,) + _rotation(w, rng.randrange(len(w))).letters)
                 if pair.is_cyclically_reduced():
-                    words.append(pair.rotate(rng.randrange(len(pair))))
+                    words.append(_rotation(pair, rng.randrange(len(pair))))
         yield make_relator_set(m, maxlen, words)
 
 
@@ -166,7 +171,7 @@ def _coverage(rel, ev) -> set[str]:
     seen = set()
     classes = {}
     for w in rel.relators:
-        classes.setdefault(min(w.rotate(s).letters for s in range(len(w))), []).append(w)
+        classes.setdefault(min(w[s:] + w[:s] for s in range(len(w))), []).append(w)
         if len(w) <= 2:
             seen.add(f"length-{len(w)} relator")
         k = len(w)
@@ -179,7 +184,7 @@ def _coverage(rel, ev) -> set[str]:
             seen.add("bare generator")
             continue
         seen.add("pair")
-        cls = min(wit.partner.rotate(s).letters for s in range(len(wit.partner)))
+        cls = min(wit.partner[s:] + wit.partner[:s] for s in range(len(wit.partner)))
         if len(classes[cls]) > 1:
             seen.add("partner among rotations of one another")
         if wit.partner_rotation:
@@ -330,6 +335,11 @@ def test_fillability_bound_vacuous_then_crossover():
     assert fillability_bound(2, cx - 1, 3, 2, 0.1) >= 0
     with pytest.raises(DomainError):
         fillability_bound(2, 10, 3, 2, 0.4)
+    for K in (0, -2):
+        with pytest.raises(DomainError, match="K >= 1"):
+            fillability_bound(K, 10, 3, 2, 0.1)
+        with pytest.raises(DomainError, match="K >= 1"):
+            fillability_crossover(K, 3, 2, 0.1)
 
 
 def test_collapse_probability_oracle_matches_monte_carlo():
