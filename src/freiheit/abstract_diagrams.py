@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
 import math
 from typing import Iterator, Sequence
 
@@ -67,6 +67,13 @@ class AbstractDiagram(FaceLabelledMap):
     def max_length(self) -> int:
         return max(self.lengths().values())
 
+    @cached_property
+    def letter_table(self) -> LetterTable:
+        """The facts about the letters that no choice of p changes, built
+        once per diagram; an unfillable shape raises on every access, since
+        nothing is stored when the build raises."""
+        return _letter_table(self)
+
 
 @dataclass(frozen=True)
 class DecorationEntry:
@@ -110,17 +117,20 @@ class LetterClassification:
         return {letter for letter, cls in self.classes.items() if cls == NOT}
 
 
-def check_fillable_shape(ad: AbstractDiagram) -> dict[int, list[DecorationEntry]]:
-    """Reject single-edge certificates of unfillability; returns the
-    decoration table.
+@dataclass(frozen=True)
+class LetterTable:
+    """The decorations of a fillable-shaped diagram, and per abstract letter
+    (in relator-then-position order) the edges it decorates and whether it
+    is the least decoration on every one of them."""
 
-    Two patterns force a contradiction on any filling word: an edge
-    decorated twice by one abstract letter (same direction is a reducible
-    pair, opposite directions force a letter equal to its own inverse), and
-    an edge decorated by cyclically consecutive letters (i, j), (i, j+1) of
-    one relator with opposite directions, which forces the filling word to
-    cancel at position j and so never be (cyclically) reduced.
-    """
+    decorations: dict[int, list[DecorationEntry]]
+    letters: tuple[tuple[tuple[int, int], frozenset[int], bool], ...]
+    alpha: dict[int, int]
+    lengths: dict[int, int]
+
+
+def _checked_decorations(ad: AbstractDiagram) -> dict[int, list[DecorationEntry]]:
+    """``decorate``, then the two patterns of ``check_fillable_shape``."""
     decorations = decorate(ad)
     lengths = ad.lengths()
     for e, entries in decorations.items():
@@ -142,39 +152,57 @@ def check_fillable_shape(ad: AbstractDiagram) -> dict[int, list[DecorationEntry]
     return decorations
 
 
-def classify(add: AbstractDistortionDiagram) -> LetterClassification:
-    ad = add.base
-    decorations = check_fillable_shape(ad)
-    p_edges = add.p_edges()
-
-    edge_min: dict[int, tuple[int, int]] = {
-        e: entries[0].letter for e, entries in decorations.items()}
-    decorated_edges: dict[tuple[int, int], set[int]] = {}
+def _letter_table(ad: AbstractDiagram) -> LetterTable:
+    decorations = _checked_decorations(ad)
+    letter_edges: dict[tuple[int, int], list[int]] = {}
+    not_least: set[tuple[int, int]] = set()
     for e, entries in decorations.items():
         for rec in entries:
-            decorated_edges.setdefault(rec.letter, set()).add(e)
-
+            letter_edges.setdefault(rec.letter, []).append(e)
+        not_least.update(rec.letter for rec in entries[1:])
     lengths = ad.lengths()
-    classes: dict[tuple[int, int], str] = {}
-    for idx, li in lengths.items():
-        for j in range(1, li + 1):
-            letter = (idx, j)
-            edges = decorated_edges[letter]
-            if any(edge_min[e] != letter for e in edges):
-                classes[letter] = NOT
-            elif edges & p_edges:
-                classes[letter] = SEMI
-            else:
-                classes[letter] = FREE
-
-    alpha: dict[int, int] = {idx: 0 for idx in lengths}
+    letters = tuple(((idx, j), frozenset(letter_edges[(idx, j)]), (idx, j) not in not_least)
+                    for idx, li in lengths.items() for j in range(1, li + 1))
+    alpha = dict.fromkeys(lengths, 0)
     for idx, _ in ad.face_labels:
         alpha[idx] += 1
-    eta = {idx: sum(1 for j in range(1, lengths[idx] + 1)
-                    if classes[(idx, j)] == FREE) for idx in lengths}
-    eta_prime = {idx: sum(1 for j in range(1, lengths[idx] + 1)
-                          if classes[(idx, j)] == SEMI) for idx in lengths}
-    return LetterClassification(classes, alpha, eta, eta_prime, lengths)
+    return LetterTable(decorations, letters, alpha, lengths)
+
+
+def check_fillable_shape(ad: AbstractDiagram) -> dict[int, list[DecorationEntry]]:
+    """Reject single-edge certificates of unfillability; returns the
+    decoration table, which is the diagram's own and is not to be changed.
+
+    Two patterns force a contradiction on any filling word: an edge
+    decorated twice by one abstract letter (same direction is a reducible
+    pair, opposite directions force a letter equal to its own inverse), and
+    an edge decorated by cyclically consecutive letters (i, j), (i, j+1) of
+    one relator with opposite directions, which forces the filling word to
+    cancel at position j and so never be (cyclically) reduced.
+    """
+    return ad.letter_table.decorations
+
+
+def classify(add: AbstractDistortionDiagram) -> LetterClassification:
+    """A letter least on all its edges is semi-free-to-fill when one of them
+    lies on p and free-to-fill otherwise; only p is read here, the rest is
+    the diagram's ``letter_table``."""
+    table = add.base.letter_table
+    p_edges = add.p_edges()
+    classes: dict[tuple[int, int], str] = {}
+    eta = dict.fromkeys(table.lengths, 0)
+    eta_prime = dict.fromkeys(table.lengths, 0)
+    for letter, edges, minimal in table.letters:
+        if not minimal:
+            classes[letter] = NOT
+        elif edges.isdisjoint(p_edges):
+            classes[letter] = FREE
+            eta[letter[0]] += 1
+        else:
+            classes[letter] = SEMI
+            eta_prime[letter[0]] += 1
+    return LetterClassification(classes, dict(table.alpha), eta, eta_prime,
+                                dict(table.lengths))
 
 
 def edge_partition(ad: AbstractDiagram) -> dict[int, set[int]]:
@@ -371,7 +399,17 @@ def fill(ad: AbstractDiagram, relator_words: Sequence[Word]) -> VanKampenDiagram
 def fillings_with_boundary(ad: AbstractDiagram, m: int
                            ) -> list[tuple[tuple[Word, ...], tuple[int, ...]]]:
     """All tuples of distinct cyclically reduced words consistent with the
-    diagram, paired with the outer-walk labels they induce."""
+    diagram, paired with the outer-walk labels they induce, in the order of
+    the product of the word pools.
+
+    An edge read by two letters gives one equation s_a w_a[j_a] = s_b w_b[j_b]
+    between the words of abstract relators a and b, where s is the direction
+    in which each letter reads the edge's even dart. A face with sign -1 is
+    read reversed, so both letters may read the edge the same way. A pool
+    keeps the words that meet the equations inside it; the words of a later
+    relator are indexed by their letters at the positions an earlier word
+    fixes, and each partial tuple looks up the words that extend it.
+    """
     if ad.num_faces > MAX_ABSTRACT_FACES:
         raise FeasibilityError(
             f"filling enumeration capped at {MAX_ABSTRACT_FACES} faces")
@@ -382,25 +420,46 @@ def fillings_with_boundary(ad: AbstractDiagram, m: int
     indices = ad.indices()
     if indices != list(range(1, len(indices) + 1)):
         raise DomainError("abstract indices must be 1..k")
+    refs = _dart_refs(ad)
+    for e in range(ad.complex.num_edges):
+        if 2 * e not in refs:
+            raise DomainError(f"isolated edge {e}")
     # Sized by the closed-form counts, before any pool is built.
     estimate = math.prod(count_cyclically_reduced_exact(m, lengths[i]) for i in indices)
     if estimate > FILLING_PRODUCT_LIMIT:
         raise FeasibilityError(
             f"filling search space {estimate} exceeds limit {FILLING_PRODUCT_LIMIT}",
             estimate=estimate)
-    pools = {idx: list(cyclically_reduced_words(m, lengths[idx])) for idx in indices}
 
-    refs = _dart_refs(ad)
-    outer = ad.complex.outer
-    results: list[tuple[tuple[Word, ...], tuple[int, ...]]] = []
-    for combo in product(*(pools[idx] for idx in indices)):
-        if len({w.letters for w in combo}) != len(combo):
-            continue
-        labels = _dart_letters(refs, combo)
-        if labels is None:
-            continue
-        results.append((combo, tuple(labels[d] for d in outer)))
-    return results
+    # own[i]: (j, j', s) with w_i[j] = s w_i[j']; cross[i]: (j, a, j', s)
+    # with w_i[j] = s w_a[j'] for an earlier relator a < i.
+    own: dict[int, list[tuple[int, int, int]]] = {idx: [] for idx in indices}
+    cross: dict[int, list[tuple[int, int, int, int]]] = {idx: [] for idx in indices}
+    for dart in range(0, ad.complex.num_darts, 2):
+        (a, ja, sa), *others = refs[dart]
+        for b, jb, sb in others:
+            if a == b:
+                own[a].append((ja, jb, sa * sb))
+            elif a < b:
+                cross[b].append((jb, a, ja, sa * sb))
+            else:
+                cross[a].append((ja, b, jb, sa * sb))
+
+    partial: list[tuple[Word, ...]] = [()]
+    for idx in indices:
+        eqs = cross[idx]
+        buckets: dict[tuple[int, ...], list[Word]] = {}
+        for w in cyclically_reduced_words(m, lengths[idx]):
+            x = w.letters
+            if all(x[j] == s * x[jj] for j, jj, s in own[idx]):
+                buckets.setdefault(tuple(x[j] for j, _, _, _ in eqs), []).append(w)
+        partial = [combo + (w,) for combo in partial
+                   for w in buckets.get(tuple(s * combo[a - 1].letters[jj]
+                                              for _, a, jj, s in eqs), ())]
+
+    outer = [refs[d][0] for d in ad.complex.outer]
+    return [(combo, tuple(s * combo[idx - 1].letters[j] for idx, j, s in outer))
+            for combo in partial if len({w.letters for w in combo}) == len(combo)]
 
 
 def enumerate_fillings(add: AbstractDistortionDiagram, m: int, maxlen: int,
@@ -421,16 +480,15 @@ def enumerate_fillings(add: AbstractDistortionDiagram, m: int, maxlen: int,
 
 def filling_bound_exact(add: AbstractDistortionDiagram, m: int, r: int,
                         gamma_size: int) -> Fraction:
-    """(2m/(2m-1))^k (2|G|)^(3|D|^2 k) (2m-1)^(sum eta) (2r-1)^(sum eta')."""
+    """(2m/(2m-1))^k (2|G|)^(3|D|^2 k) (2m-1)^(sum eta) (2r-1)^(sum eta'),
+    one fraction of integer powers."""
     cl = classify(add)
     k = len(cl.alpha)
     size = add.base.num_faces
-    sum_eta = sum(cl.eta.values())
-    sum_eta_p = sum(cl.eta_prime.values())
-    return (Fraction(2 * m, 2 * m - 1) ** k
-            * Fraction(2 * gamma_size) ** (3 * size * size * k)
-            * Fraction(2 * m - 1) ** sum_eta
-            * Fraction(2 * r - 1) ** sum_eta_p)
+    q = 2 * m - 1
+    return Fraction((2 * m) ** k * (2 * gamma_size) ** (3 * size * size * k)
+                    * q ** sum(cl.eta.values()) * (2 * r - 1) ** sum(cl.eta_prime.values()),
+                    q ** k)
 
 
 def filling_bound(add: AbstractDistortionDiagram, m: int, r: int,
@@ -455,8 +513,10 @@ def abstract_is_reduced(ad: AbstractDiagram) -> bool:
 
 
 def _abstract_fillable_shaped(ad: AbstractDiagram) -> bool:
+    """The shape check alone: most candidates are dropped as duplicates, so
+    none of them is given a letter table."""
     try:
-        check_fillable_shape(ad)
+        _checked_decorations(ad)
         return True
     except (NotFillableError, DomainError):
         return False

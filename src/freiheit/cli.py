@@ -172,6 +172,8 @@ def _cmd_stallings_enumerate(args) -> int:
 
 
 def _cmd_diagrams_enumerate(args) -> int:
+    if args.K < 1:
+        raise DomainError(f"need K >= 1, got K={args.K}")
     relators = _read_relators(args.relators, args.m)
     out = [json.loads(diagram_to_json(d))
            for d in enumerate_reduced_disk_diagrams(relators, args.K)]

@@ -459,10 +459,12 @@ def certify_bilipschitz(relators: RelatorSet, graph: LabeledGraph, max_faces: in
                         lam: float) -> BilipschitzReport:
     """Check |p| <= lam/(1+lam) * |dD| over all reduced disk distortion
     diagrams with at most max_faces faces; vacuously true with no diagrams,
-    but a graph that is not label-deterministic, or a lam that is not a
-    finite number > 0, is refused at once."""
+    but a graph that is not label-deterministic, a lam that is not a finite
+    number > 0, or a face bound below 1 is refused at once."""
     if not 0 < lam < math.inf:
         raise DomainError(f"lambda must be a finite number > 0, got {lam!r}")
+    if max_faces < 1:
+        raise DomainError(f"need K >= 1, got K={max_faces}")
     if graph.out_map() is None:
         raise DomainError("reading words requires a label-deterministic graph")
     threshold = lam / (1.0 + lam)

@@ -9,7 +9,9 @@ every relator by canonical rotation instead of one pass with bigram keys,
 every rewrite rule at every position instead of a letter index, every
 root of a map encoded in full instead of only the least-reading ones,
 every start vertex and subpath length instead of one read of a vertex set,
-a walk along every maximal arc instead of a sum of branch-vertex degrees.
+a walk along every maximal arc instead of a sum of branch-vertex degrees,
+the whole product of the word pools labelled dart by dart instead of a join
+along shared edges.
 """
 
 from __future__ import annotations
@@ -280,6 +282,35 @@ def brute_letter_classes(add) -> dict[tuple[int, int], str]:
             else:
                 classes[letter] = FREE
     return classes
+
+
+def product_filter_fillings(ad, m: int) -> list[tuple[tuple, tuple[int, ...]]]:
+    """Fillings of an abstract diagram by brute force: every tuple of the
+    product of the word pools with distinct words, kept when writing each
+    word along its faces' positive boundaries (and its inverse on the
+    reversed darts) never gives a dart two letters."""
+    from freiheit.words import cyclically_reduced_words
+
+    lengths = ad.lengths()
+    pools = [list(cyclically_reduced_words(m, lengths[i])) for i in sorted(lengths)]
+
+    def dart_labels(combo):
+        labels: dict[int, int] = {}
+        for fpos, (idx, _) in enumerate(ad.face_labels):
+            for x, dart in zip(combo[idx - 1].letters, ad.positive_boundary(fpos)):
+                for d, val in ((dart, x), (dart ^ 1, -x)):
+                    if labels.setdefault(d, val) != val:
+                        return None
+        return labels
+
+    out = []
+    for combo in product(*pools):
+        if len({w.letters for w in combo}) != len(combo):
+            continue
+        labels = dart_labels(combo)
+        if labels is not None:
+            out.append((combo, tuple(labels[d] for d in ad.complex.outer)))
+    return out
 
 
 def chi2_critical(df: int, alpha: float = 0.001) -> float:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from freiheit import abstract_diagrams
 from freiheit.abstract_diagrams import (FREE, SEMI, AbstractDiagram,
                                         AbstractDistortionDiagram,
                                         abstract_from_json, abstract_is_reduced,
@@ -14,7 +15,7 @@ from freiheit.abstract_diagrams import (FREE, SEMI, AbstractDiagram,
                                         enumerate_fillings, fill, filling_bound,
                                         filling_bound_exact, fillings_with_boundary,
                                         underlying_abstract, _one_face_abstract)
-from freiheit.complexes import PlanarComplex, check_complex
+from freiheit.complexes import PlanarComplex, check_complex, glue_face, polygon
 from freiheit.density import make_relator_set
 from freiheit.diagrams import enumerate_reduced_disk_diagrams, validate
 from freiheit.errors import DomainError, FeasibilityError, NotFillableError
@@ -23,7 +24,7 @@ from freiheit.words import Word
 
 from fixtures import (fillable_aligned_pair, irreducible_mirror_pair,
                       reducible_pair, three_face_example, unfillable_pair)
-from oracles import brute_letter_classes
+from oracles import brute_letter_classes, product_filter_fillings
 
 LOOP = LabeledGraph(1, [(0, 0, 1)])
 FIG8 = fold(wedge_of_words([Word((1,)), Word((2,))]))
@@ -64,14 +65,55 @@ def test_fillable_shape_patterns():
     with pytest.raises(NotFillableError):
         check_fillable_shape(reducible_pair())
     assert abstract_is_reduced(unfillable_pair())
-    with pytest.raises(NotFillableError):
-        check_fillable_shape(unfillable_pair())
+    unfillable = unfillable_pair()
+    for _ in range(2):  # nothing is cached for a shape that raises
+        with pytest.raises(NotFillableError):
+            check_fillable_shape(unfillable)
+        with pytest.raises(NotFillableError):
+            classify(AbstractDistortionDiagram(unfillable, 0, 0))
     check_fillable_shape(irreducible_mirror_pair())
     check_fillable_shape(fillable_aligned_pair())
 
 
 def test_unfillable_pattern_has_no_fillings():
     assert fillings_with_boundary(unfillable_pair(), 2) == []
+
+
+def _signed_pairs():
+    """A triangle and a second face of another relator glued along one or
+    two edges, one or both read reversed; where exactly one is, both faces
+    read the shared edges along the same darts."""
+    for arc, length in ((1, 2), (1, 3), (2, 3)):
+        for omega in range(length):
+            glued = glue_face(polygon(3), 0, arc, length, omega)
+            for labels in (((1, 1), (2, -1)), ((1, -1), (2, 1)), ((1, -1), (2, -1))):
+                yield AbstractDiagram(glued, labels)
+
+
+def test_fillings_match_the_product_filter_oracle():
+    hand_built = [*_signed_pairs(), fillable_aligned_pair(), irreducible_mirror_pair(),
+                  unfillable_pair(), _one_face_abstract(3, -1), _one_face_abstract(4)]
+    reps = [rep for rep in enumerate_abstract_diagrams(2, 4).representatives
+            if rep.max_length() <= 3]
+    assert len(reps) > 50
+    total = 0
+    for ad in hand_built + reps:
+        fillings = fillings_with_boundary(ad, 2)
+        assert fillings == product_filter_fillings(ad, 2)
+        total += len(fillings)
+    assert total > 5000
+
+
+def test_fillings_refuse_an_isolated_edge():
+    # Two loops joined by edge 1, which has the outer face on both sides.
+    ad = AbstractDiagram(
+        PlanarComplex(2, (0, 0, 0, 1, 1, 1), ((0,), (4,)), (1, 2, 5, 3)),
+        ((1, 1), (2, 1)))
+    assert check_complex(ad.complex).ok
+    for refused in (lambda: fillings_with_boundary(ad, 2),
+                    lambda: classify(AbstractDistortionDiagram(ad, 0, 0))):
+        with pytest.raises(DomainError, match="isolated edge 1"):
+            refused()
 
 
 def test_fillings_need_two_generators():
@@ -125,12 +167,41 @@ def test_three_face_partition_and_segments():
     assert report.per_face_ok and report.global_ok
 
 
-def test_classification_matches_brute_oracle():
-    checked = 0
+def test_classification_matches_brute_oracle(monkeypatch):
+    decorated = []
+    build = abstract_diagrams.decorate
+    monkeypatch.setattr(abstract_diagrams, "decorate",
+                        lambda ad: decorated.append(ad) or build(ad))
+    reps = checked = 0
     for add in enumerate_abstract_distortion_diagrams(2, 3):
-        assert classify(add).classes == brute_letter_classes(add)
+        if add.p_length == 0:
+            # A copy of the representative whose letter table is not built yet.
+            ad = AbstractDiagram(add.base.complex, add.base.face_labels)
+            reps += 1
+            decorated.clear()
+        add = AbstractDistortionDiagram(ad, add.p_start, add.p_length)
+        cl = classify(add)
+        oracle = brute_letter_classes(add)
+        assert cl.classes == oracle
+        for idx, li in ad.lengths().items():
+            assert cl.eta[idx] == sum(oracle[(idx, j)] == FREE for j in range(1, li + 1))
+            assert cl.eta_prime[idx] == sum(oracle[(idx, j)] == SEMI
+                                            for j in range(1, li + 1))
+            assert cl.alpha[idx] == sum(i == idx for i, _ in ad.face_labels)
+        # The decorations are built once per diagram, across all its p.
+        assert len(decorated) == 1 and decorated[0] is ad
         checked += 1
-    assert checked > 100
+    assert checked > 100 and reps > 20
+
+
+def test_classification_shares_no_dict_with_the_letter_table():
+    add = three_face_example()
+    first = classify(add)
+    for table in (first.classes, first.alpha, first.eta, first.eta_prime, first.lengths):
+        table.clear()
+    again = classify(add)
+    assert again.alpha == {1: 2, 2: 1} and again.lengths == {1: 6, 2: 6}
+    assert len(again.classes) == 12
 
 
 def test_underlying_abstract_round_trip():

@@ -217,6 +217,24 @@ def test_abstract_fillings(tmp_path, capsys):
     assert strict_json(out)["count"] == 12
 
 
+def test_abstract_fillings_refuses_a_diagram_with_an_isolated_edge(tmp_path, capsys):
+    # Two loops joined by a bridge: fillings died with KeyError at the outer
+    # labels, while classify refused the same file.
+    from freiheit.abstract_diagrams import AbstractDiagram, AbstractDistortionDiagram, \
+        abstract_to_json
+    from freiheit.complexes import PlanarComplex
+
+    ad = AbstractDiagram(PlanarComplex(2, (0, 0, 0, 1, 1, 1), ((0,), (4,)), (1, 2, 5, 3)),
+                         ((1, 1), (2, 1)))
+    path = tmp_path / "dumbbell.json"
+    path.write_text(abstract_to_json(AbstractDistortionDiagram(ad, 0, 0)))
+    graph = tmp_path / "loop.txt"
+    graph.write_text("V 1\nE 0 0 a\n")
+    _refused(capsys, ["abstract", "fillings", "--in", str(path), "--m", "2",
+                      "--maxlen", "2", "--graph", str(graph)], "isolated edge 1")
+    _refused(capsys, ["abstract", "classify", "--in", str(path)], "isolated edge 1")
+
+
 def test_abstract_fillings_rejects_one_generator(tmp_path, capsys):
     from freiheit.abstract_diagrams import AbstractDistortionDiagram, \
         _one_face_abstract, abstract_to_json
@@ -590,6 +608,20 @@ def test_diagrams_certify_refuses_a_lambda_that_is_not_a_positive_number(
                          "--graph", str(graph), "--K", "1", "--lambda", lam)
     assert code == 1 and out == ""
     assert err.startswith("domain error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("K", ["0", "-1"])
+@pytest.mark.parametrize("op", ["enumerate", "certify"])
+def test_diagrams_refuse_a_face_bound_below_one(tmp_path, capsys, op, K):
+    # certify printed "holds": true with no diagram checked, and enumerate
+    # printed "count": 0.
+    rel = tmp_path / "commutator.txt"
+    rel.write_text("abAB\n")
+    graph = tmp_path / "loop.txt"
+    graph.write_text("V 1\nE 0 0 a\n")
+    extra = ["--graph", str(graph), "--lambda", "2"] if op == "certify" else []
+    _refused(capsys, ["diagrams", op, "--relators", str(rel), "--K", K, *extra],
+             "need K >= 1")
 
 
 @pytest.mark.parametrize("K, d", [("0", "0.1"), ("-2", "0.1"), ("2", "nan"),

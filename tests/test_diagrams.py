@@ -469,6 +469,14 @@ def test_certify_empty_presentation_vacuous():
     assert report.holds and report.diagrams_checked == 0
 
 
+def test_certify_refuses_a_face_bound_below_one():
+    # The bound K = 0 checked no diagram and reported that the bound holds.
+    loop = LabeledGraph(1, [(0, 0, 1)])
+    for max_faces in (0, -1):
+        with pytest.raises(DomainError, match="need K >= 1"):
+            certify_bilipschitz(COMMUTATOR, loop, max_faces, 3.0)
+
+
 def test_certify_torsion_fails_every_lambda():
     rel = make_relator_set(2, 4, [Word((1, 1, 1, 1))])
     loop = LabeledGraph(1, [(0, 0, 1)])
