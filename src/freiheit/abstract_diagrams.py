@@ -134,21 +134,18 @@ def _checked_decorations(ad: AbstractDiagram) -> dict[int, list[DecorationEntry]
     decorations = decorate(ad)
     lengths = ad.lengths()
     for e, entries in decorations.items():
-        letters = [rec.letter for rec in entries]
-        if len(letters) != len(set(letters)):
+        if len(entries) == 1:
+            continue
+        first, second = entries
+        (i, j), (i2, j2) = first.letter, second.letter
+        if (i, j) == (i2, j2):
             raise NotFillableError(
-                f"edge {e} decorated twice by abstract letter {letters[0]}")
-        for a in range(len(entries)):
-            for b in range(len(entries)):
-                if a == b:
-                    continue
-                (ia, ja), (ib, jb) = entries[a].letter, entries[b].letter
-                if ia != ib or entries[a].dart == entries[b].dart:
-                    continue
-                if jb == ja % lengths[ia] + 1:
-                    raise NotFillableError(
-                        f"edge {e} forces letter {ja}+1 of relator {ia} to "
-                        f"cancel letter {ja}")
+                f"edge {e} decorated twice by abstract letter {first.letter}")
+        if i == i2 and first.dart != second.dart and j2 in (j + 1, j + lengths[i] - 1):
+            cut = j if j2 == j + 1 else j2
+            raise NotFillableError(
+                f"edge {e} forces letter {cut}+1 of relator {i} to "
+                f"cancel letter {cut}")
     return decorations
 
 
@@ -349,32 +346,10 @@ def underlying_abstract(d: VanKampenDiagram) -> tuple[AbstractDiagram, list[int]
     return AbstractDiagram(d.complex, tuple(labels)), order
 
 
-def _dart_refs(ad: AbstractDiagram) -> dict[int, list[tuple[int, int, int]]]:
-    """Per dart, the (abstract index, 0-based position, +-1) letters it reads."""
-    refs: dict[int, list[tuple[int, int, int]]] = {}
-    for fpos, (idx, _) in enumerate(ad.face_labels):
-        for j, dart in enumerate(ad.positive_boundary(fpos)):
-            refs.setdefault(dart, []).append((idx, j, 1))
-            refs.setdefault(dart ^ 1, []).append((idx, j, -1))
-    return refs
-
-
-def _dart_letters(refs: dict[int, list[tuple[int, int, int]]],
-                  relator_words: Sequence[Word]) -> dict[int, int] | None:
-    """The letter each dart of ``refs`` reads when abstract relator i is
-    filled with relator_words[i-1]; None when two readings of a dart clash."""
-    labels: dict[int, int] = {}
-    for dart, letters in refs.items():
-        for idx, j, direction in letters:
-            val = direction * relator_words[idx - 1].letters[j]
-            if labels.setdefault(dart, val) != val:
-                return None
-    return labels
-
-
 def fill(ad: AbstractDiagram, relator_words: Sequence[Word]) -> VanKampenDiagram:
-    """Fill abstract relator i with relator_words[i-1]; raises DomainError if
-    the words are inconsistent with the shared edges."""
+    """Fill abstract relator i with relator_words[i-1], each decoration (i, j)
+    writing letter j on its dart and the inverse on the reversed dart; raises
+    DomainError if the words are inconsistent with the shared edges."""
     lengths = ad.lengths()
     for idx, li in lengths.items():
         if idx > len(relator_words):
@@ -383,13 +358,16 @@ def fill(ad: AbstractDiagram, relator_words: Sequence[Word]) -> VanKampenDiagram
             raise DomainError(
                 f"abstract relator {idx} has length {li}, word has "
                 f"{len(relator_words[idx - 1])}")
-    labels = _dart_letters(_dart_refs(ad), relator_words)
-    if labels is None:
-        raise DomainError("words do not fill this diagram")
-    if len(labels) != ad.complex.num_darts:
-        raise DomainError("fill left unlabeled darts (isolated edge)")
-    dart_labels = tuple(labels[i] for i in range(ad.complex.num_darts))
-    return VanKampenDiagram(ad.complex, dart_labels, ad.face_labels)
+    labels = [0] * ad.complex.num_darts
+    for entries in decorate(ad).values():
+        for rec in entries:
+            idx, j = rec.letter
+            x = relator_words[idx - 1].letters[j - 1]
+            for dart, val in ((rec.dart, x), (rec.dart ^ 1, -x)):
+                if labels[dart] not in (0, val):
+                    raise DomainError("words do not fill this diagram")
+                labels[dart] = val
+    return VanKampenDiagram(ad.complex, tuple(labels), ad.face_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +380,11 @@ def fillings_with_boundary(ad: AbstractDiagram, m: int
     diagram, paired with the outer-walk labels they induce, in the order of
     the product of the word pools.
 
-    An edge read by two letters gives one equation s_a w_a[j_a] = s_b w_b[j_b]
-    between the words of abstract relators a and b, where s is the direction
-    in which each letter reads the edge's even dart. A face with sign -1 is
-    read reversed, so both letters may read the edge the same way. A pool
+    An edge with two decorations (a, j_a) < (b, j_b) gives one equation
+    w_a[j_a] = s w_b[j_b], with s = +1 when both read the same dart and -1
+    otherwise. A face with sign -1 is read reversed, so both letters may
+    read the edge the same way. An outer dart reads the one decoration of
+    its edge, inverted unless that decoration reads this dart. A pool
     keeps the words that meet the equations inside it; the words of a later
     relator are indexed by their letters at the positions an earlier word
     fixes, and each partial tuple looks up the words that extend it.
@@ -420,11 +399,9 @@ def fillings_with_boundary(ad: AbstractDiagram, m: int
     indices = ad.indices()
     if indices != list(range(1, len(indices) + 1)):
         raise DomainError("abstract indices must be 1..k")
-    refs = _dart_refs(ad)
-    for e in range(ad.complex.num_edges):
-        if 2 * e not in refs:
-            raise DomainError(f"isolated edge {e}")
-    # Sized by the closed-form counts, before any pool is built.
+    decorations = decorate(ad)
+    # The product of the pools bounds the list the join returns, not just
+    # its work, so the guard sizes it by the closed-form counts.
     estimate = math.prod(count_cyclically_reduced_exact(m, lengths[i]) for i in indices)
     if estimate > FILLING_PRODUCT_LIMIT:
         raise FeasibilityError(
@@ -432,18 +409,19 @@ def fillings_with_boundary(ad: AbstractDiagram, m: int
             estimate=estimate)
 
     # own[i]: (j, j', s) with w_i[j] = s w_i[j']; cross[i]: (j, a, j', s)
-    # with w_i[j] = s w_a[j'] for an earlier relator a < i.
+    # with w_i[j] = s w_a[j'] for an earlier relator a < i; 0-based j.
     own: dict[int, list[tuple[int, int, int]]] = {idx: [] for idx in indices}
     cross: dict[int, list[tuple[int, int, int, int]]] = {idx: [] for idx in indices}
-    for dart in range(0, ad.complex.num_darts, 2):
-        (a, ja, sa), *others = refs[dart]
-        for b, jb, sb in others:
-            if a == b:
-                own[a].append((ja, jb, sa * sb))
-            elif a < b:
-                cross[b].append((jb, a, ja, sa * sb))
-            else:
-                cross[a].append((ja, b, jb, sa * sb))
+    for entries in decorations.values():
+        if len(entries) == 1:
+            continue
+        first, second = entries
+        (a, ja), (b, jb) = first.letter, second.letter
+        s = 1 if first.dart == second.dart else -1
+        if a == b:
+            own[a].append((ja - 1, jb - 1, s))
+        else:
+            cross[b].append((jb - 1, a, ja - 1, s))
 
     partial: list[tuple[Word, ...]] = [()]
     for idx in indices:
@@ -457,8 +435,9 @@ def fillings_with_boundary(ad: AbstractDiagram, m: int
                    for w in buckets.get(tuple(s * combo[a - 1].letters[jj]
                                               for _, a, jj, s in eqs), ())]
 
-    outer = [refs[d][0] for d in ad.complex.outer]
-    return [(combo, tuple(s * combo[idx - 1].letters[j] for idx, j, s in outer))
+    outer = [(*rec.letter, 1 if rec.dart == dart else -1)
+             for dart in ad.complex.outer for rec in decorations[dart >> 1]]
+    return [(combo, tuple(s * combo[idx - 1].letters[j - 1] for idx, j, s in outer))
             for combo in partial if len({w.letters for w in combo}) == len(combo)]
 
 
@@ -513,12 +492,13 @@ def abstract_is_reduced(ad: AbstractDiagram) -> bool:
 
 
 def _abstract_fillable_shaped(ad: AbstractDiagram) -> bool:
-    """The shape check alone: most candidates are dropped as duplicates, so
-    none of them is given a letter table."""
+    """The shape check alone, which also refuses every mirror pair (an edge
+    decorated twice by one letter); most candidates are dropped as
+    duplicates, so none of them is given a letter table."""
     try:
         _checked_decorations(ad)
         return True
-    except (NotFillableError, DomainError):
+    except DomainError:
         return False
 
 
@@ -578,7 +558,7 @@ def enumerate_abstract_diagrams(max_faces: int, maxlen: int) -> AbstractEnumerat
 
     def candidates(ad: AbstractDiagram) -> Iterator[AbstractDiagram]:
         return (cand for cand in _abstract_glue_candidates(ad, maxlen)
-                if abstract_is_reduced(cand) and _abstract_fillable_shaped(cand))
+                if _abstract_fillable_shaped(cand))
 
     reps: list[AbstractDiagram] = []
     iso_seen: set = set()

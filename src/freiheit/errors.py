@@ -10,7 +10,9 @@ class MalformedWordError(DomainError):
 
 
 class NotFillableError(DomainError):
-    """An abstract diagram contains an edge decorated twice by one abstract letter."""
+    """An abstract diagram contains an edge decorated twice by one abstract
+    letter, or by cyclically consecutive letters of one relator reading it in
+    opposite directions."""
 
 
 class FeasibilityError(RuntimeError):

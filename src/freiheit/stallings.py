@@ -499,6 +499,8 @@ def enumerate_reduced_graphs(m: int, max_edges: int,
     Classes are deduplicated by canonical code, so a cycle and its reversal
     (equivalently, relabeling every edge by its inverse) are one graph.
     """
+    if m < 2:
+        raise DomainError(f"need m >= 2, got m={m}")
     if max_edges > MAX_ENUMERATION_EDGES:
         raise FeasibilityError(
             f"reduced-graph enumeration capped at {MAX_ENUMERATION_EDGES} edges")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -111,7 +112,8 @@ def test_fillings_refuse_an_isolated_edge():
         ((1, 1), (2, 1)))
     assert check_complex(ad.complex).ok
     for refused in (lambda: fillings_with_boundary(ad, 2),
-                    lambda: classify(AbstractDistortionDiagram(ad, 0, 0))):
+                    lambda: classify(AbstractDistortionDiagram(ad, 0, 0)),
+                    lambda: fill(ad, [Word((1,)), Word((2,))])):
         with pytest.raises(DomainError, match="isolated edge 1"):
             refused()
 
@@ -221,8 +223,30 @@ def test_fill_rejects_inconsistent_words():
     # The aligned pair forces letter 2 to invert letter 4 across the shared
     # edge; a word violating that cannot fill the diagram.
     ad = fillable_aligned_pair()
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="words do not fill this diagram"):
         fill(ad, [Word((1, 2, 1, 2))])
+
+
+def test_fill_writes_every_filling_as_a_valid_diagram():
+    # fill and fillings_with_boundary both read the decorations: each
+    # filling fills without a clash, reads its boundary along the outer
+    # walk and validates against its own relators, the faces renamed to
+    # their words' places in the sorted relator set.
+    reps = [rep for rep in enumerate_abstract_diagrams(2, 4).representatives
+            if rep.max_length() <= 3]
+    total = 0
+    for ad in [*_signed_pairs(), fillable_aligned_pair(), irreducible_mirror_pair(), *reps]:
+        maxlen = ad.max_length()
+        for combo, boundary in fillings_with_boundary(ad, 2):
+            d = fill(ad, combo)
+            assert tuple(d.dart_labels[x] for x in ad.complex.outer) == boundary
+            relators = make_relator_set(2, maxlen, combo)
+            place = {w: k for k, w in enumerate(relators.relators, start=1)}
+            named = replace(d, face_labels=tuple((place[combo[idx - 1]], sign)
+                                                 for idx, sign in d.face_labels))
+            assert validate(named, relators).ok
+            total += 1
+    assert total > 5000
 
 
 def test_enumerate_fillings_one_face_length_two():
@@ -278,6 +302,26 @@ def test_enumeration_reports_both_counts():
         assert check_complex(ad.complex).ok
         assert abstract_is_reduced(ad)
         check_fillable_shape(ad)
+
+
+def test_shape_check_refuses_every_mirror_pair(monkeypatch):
+    # The enumeration keeps a candidate on the shape check alone: a mirror
+    # pair is an edge decorated twice by one letter, which the check refuses.
+    seen = []
+    glue = abstract_diagrams._abstract_glue_candidates
+
+    def recording(ad, maxlen):
+        for cand in glue(ad, maxlen):
+            seen.append(cand)
+            yield cand
+
+    monkeypatch.setattr(abstract_diagrams, "_abstract_glue_candidates", recording)
+    for max_faces, maxlen in ((2, 4), (2, 5), (1, 6)):
+        enumerate_abstract_diagrams(max_faces, maxlen)
+    mirror_pairs = [cand for cand in seen if not abstract_is_reduced(cand)]
+    assert mirror_pairs
+    assert not any(abstract_diagrams._abstract_fillable_shaped(cand)
+                   for cand in mirror_pairs)
 
 
 def test_enumeration_guards():

@@ -111,6 +111,14 @@ def test_stallings_enumerate(capsys):
     assert out.count("V 1") == 2
 
 
+@pytest.mark.parametrize("m", ["1", "0", "-2"])
+def test_stallings_enumerate_refuses_fewer_than_two_generators(capsys, m):
+    code, out, err = run(capsys, "stallings", "enumerate", "--m", m,
+                         "--max-edges", "3", "--max-betti", "2")
+    assert code == 1 and out == ""
+    assert err.startswith(f"domain error: need m >= 2, got m={m}")
+
+
 def test_diagrams_enumerate_and_certify(tmp_path, capsys):
     rel = tmp_path / "relators.txt"
     rel.write_text("abAB\n")

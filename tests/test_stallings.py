@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from freiheit import stallings
 from freiheit.errors import DomainError, FeasibilityError
 from freiheit.stallings import (GraphStats, LabeledGraph, betti, canonical_code,
                                 enumerate_reduced_graphs, enumerate_topological_types,
@@ -292,6 +293,16 @@ def test_enumerate_reduced_graphs_properties():
         code = canonical_code(g)
         assert code not in seen
         seen.add(code)
+
+
+def test_enumerate_reduced_graphs_needs_two_generators(monkeypatch):
+    def no_words(*args):
+        raise AssertionError("a word was listed")
+
+    monkeypatch.setattr(stallings, "reduced_words", no_words)
+    for m in (1, 0, -2):
+        with pytest.raises(DomainError, match=f"need m >= 2, got m={m}"):
+            list(enumerate_reduced_graphs(m, 3, 2))
 
 
 def test_enumeration_guard():
