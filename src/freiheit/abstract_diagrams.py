@@ -349,7 +349,11 @@ def underlying_abstract(d: VanKampenDiagram) -> tuple[AbstractDiagram, list[int]
 def fill(ad: AbstractDiagram, relator_words: Sequence[Word]) -> VanKampenDiagram:
     """Fill abstract relator i with relator_words[i-1], each decoration (i, j)
     writing letter j on its dart and the inverse on the reversed dart; raises
-    DomainError if the words are inconsistent with the shared edges."""
+    DomainError if the words are inconsistent with the shared edges.
+
+    Each face is named by the 1-based place of its word among the distinct
+    nonempty words, by length and then letters: its index in
+    ``make_relator_set`` of the same words."""
     lengths = ad.lengths()
     for idx, li in lengths.items():
         if idx > len(relator_words):
@@ -367,7 +371,10 @@ def fill(ad: AbstractDiagram, relator_words: Sequence[Word]) -> VanKampenDiagram
                 if labels[dart] not in (0, val):
                     raise DomainError("words do not fill this diagram")
                 labels[dart] = val
-    return VanKampenDiagram(ad.complex, tuple(labels), ad.face_labels)
+    place = {w: k for k, (_, w) in enumerate(
+        sorted({(len(w), w.letters) for w in relator_words if len(w)}), start=1)}
+    return VanKampenDiagram(ad.complex, tuple(labels), tuple(
+        (place[relator_words[idx - 1].letters], sign) for idx, sign in ad.face_labels))
 
 
 # ---------------------------------------------------------------------------

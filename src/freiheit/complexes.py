@@ -1,14 +1,15 @@
 """Planar 2-complexes as combinatorial maps.
 
-A complex stores darts (directed edge sides) with the involution given by
-pairing dart 2i with 2i+1, the tail vertex of every dart, the inner face
-boundaries as dart cycles, and the designated outer face walk.  Every dart
-belongs to exactly one stored cycle; the cycles are the orbits of the face
-permutation, so the vertex rotation system is derived rather than stored.
+A complex stores its inner face boundaries as dart cycles and the designated
+outer face walk; darts (directed edge sides) are paired by the involution
+alpha: 2i <-> 2i+1.  Every dart belongs to exactly one stored cycle; the
+cycles are the orbits of the face permutation phi, and the vertices are the
+orbits of sigma = phi o alpha, so the vertex of every dart is derived rather
+than stored.
 
-For a connected map the stored data describes a planar, simply connected
+For a connected map the stored cycles describe a planar, simply connected
 complex exactly when Euler's formula V - E + F = 2 holds with the outer face
-counted and the derived rotation orbits match the declared vertices.
+counted.
 
 Concrete and abstract van Kampen diagrams are labelling layers over this
 module: both give every inner face a signed index (index >= 1, sign +-1;
@@ -43,18 +44,35 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class PlanarComplex:
-    num_vertices: int
-    dart_vertex: tuple[int, ...]
     faces: tuple[tuple[int, ...], ...]
     outer: tuple[int, ...]
 
-    @property
+    @cached_property
     def num_darts(self) -> int:
-        return len(self.dart_vertex)
+        return sum(len(cycle) for cycle in self.all_cycles())
 
     @property
     def num_edges(self) -> int:
-        return len(self.dart_vertex) // 2
+        return self.num_darts // 2
+
+    @cached_property
+    def dart_vertex(self) -> tuple[int, ...]:
+        """The tail vertex of every dart: the orbits of sigma, numbered in
+        order of their least dart."""
+        sigma = rotation_next(self)
+        vertex = [-1] * self.num_darts
+        count = 0
+        for d in range(self.num_darts):
+            if vertex[d] == -1:
+                while vertex[d] == -1:
+                    vertex[d] = count
+                    d = sigma[d]
+                count += 1
+        return tuple(vertex)
+
+    @cached_property
+    def num_vertices(self) -> int:
+        return max(self.dart_vertex, default=-1) + 1
 
     def head(self, d: int) -> int:
         return self.dart_vertex[d ^ 1]
@@ -94,35 +112,12 @@ def face_permutation(c: PlanarComplex) -> list[int] | None:
 def check_complex(c: PlanarComplex) -> ComplexReport:
     if c.num_darts % 2 != 0:
         return ComplexReport(False, "involution", "odd number of darts")
-    if any(not 0 <= v < c.num_vertices for v in c.dart_vertex):
-        return ComplexReport(False, "involution", "dart tail out of range")
     if any(len(cycle) == 0 for cycle in c.all_cycles()):
         return ComplexReport(False, "involution", "empty face cycle")
     phi = c.phi
     if phi is None:
         return ComplexReport(False, "involution",
                              "darts are not partitioned by the face cycles")
-    # Walk consistency: the head of each dart is the tail of its successor.
-    for cycle in c.all_cycles():
-        for i, d in enumerate(cycle):
-            nxt = cycle[(i + 1) % len(cycle)]
-            if c.head(d) != c.tail(nxt):
-                return ComplexReport(False, "involution",
-                                     f"cycle breaks at dart {d} -> {nxt}")
-    # Derived rotation orbits must match the declared vertex set.
-    sigma = [phi[d ^ 1] for d in range(c.num_darts)]
-    seen = [False] * c.num_darts
-    orbits = 0
-    for d in range(c.num_darts):
-        if not seen[d]:
-            orbits += 1
-            x = d
-            while not seen[x]:
-                seen[x] = True
-                x = sigma[x]
-    if orbits != c.num_vertices:
-        return ComplexReport(False, "euler",
-                             f"rotation orbits {orbits} != vertices {c.num_vertices}")
     # Connectivity over alpha and phi.
     if c.num_darts:
         stack = [0]
@@ -147,12 +142,7 @@ def mirror_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
 
 def mirror_complex(c: PlanarComplex) -> PlanarComplex:
     """The reflected map: every cycle reversed through the involution."""
-    return PlanarComplex(
-        c.num_vertices,
-        c.dart_vertex,
-        tuple(mirror_cycle(f) for f in c.faces),
-        mirror_cycle(c.outer),
-    )
+    return PlanarComplex(tuple(mirror_cycle(f) for f in c.faces), mirror_cycle(c.outer))
 
 
 def rotation_next(c: PlanarComplex) -> list[int]:
@@ -220,12 +210,9 @@ class DistortionDiagram:
 def polygon(length: int) -> PlanarComplex:
     """One face bounded by ``length`` edges; dart 2i is its i-th side and
     the outer walk runs the other way round."""
-    dart_vertex = []
-    for i in range(length):
-        dart_vertex += [i, (i + 1) % length]
     cycle = tuple(2 * i for i in range(length))
     outer = tuple((2 * i) ^ 1 for i in reversed(range(length)))
-    return PlanarComplex(length, tuple(dart_vertex), (cycle,), outer)
+    return PlanarComplex((cycle,), outer)
 
 
 def glue_face(c: PlanarComplex, start: int, arc_length: int, length: int,
@@ -242,26 +229,11 @@ def glue_face(c: PlanarComplex, start: int, arc_length: int, length: int,
     outer = c.outer
     n = len(outer)
     arc = tuple(outer[(start + i) % n] for i in range(arc_length))
-    fresh_count = length - arc_length
-    nd = c.num_darts
-    nv = c.num_vertices
-    dart_vertex = list(c.dart_vertex)
-    prev = c.head(arc[-1])
-    fresh = []
-    for j in range(fresh_count):
-        if j == fresh_count - 1:
-            head = c.tail(arc[0])
-        else:
-            head = nv
-            nv += 1
-        dart_vertex += [prev, head]
-        fresh.append(nd + 2 * j)
-        prev = head
-    glued_cycle = arc + tuple(fresh)
+    fresh = tuple(range(c.num_darts, c.num_darts + 2 * (length - arc_length), 2))
+    glued_cycle = arc + fresh
     k = (length - omega) % length
     rest = tuple(outer[(start + arc_length + i) % n] for i in range(n - arc_length))
-    return PlanarComplex(nv, tuple(dart_vertex),
-                         c.faces + (glued_cycle[k:] + glued_cycle[:k],),
+    return PlanarComplex(c.faces + (glued_cycle[k:] + glued_cycle[:k],),
                          tuple((f ^ 1) for f in reversed(fresh)) + rest)
 
 
@@ -472,10 +444,12 @@ def map_from_json(text: str, build: Callable):
     ``build(complex, face_labels, data, darts)``, ``darts`` being the dart
     records in id order.
 
-    Files are a trust boundary: the map must pass ``check_complex`` and its
-    stored rotation must be the one the faces derive; a malformed document,
-    a missing key, a wrong type or a value ``build`` rejects all raise
-    DomainError.
+    Files are a trust boundary: the map must pass ``check_complex``, its
+    stored rotation must be the one the faces derive, and its vertex ids
+    0..V-1 must name the rotation orbits one-to-one.  The map keeps the
+    derived numbering, in order of each orbit's least dart.  A malformed
+    document, a missing key, a wrong type or a value ``build`` rejects all
+    raise DomainError.
     """
     try:
         data = json.loads(text)
@@ -485,12 +459,11 @@ def map_from_json(text: str, build: Callable):
         if any(rec["inverse"] != rec["id"] ^ 1 for rec in darts):
             raise DomainError("dart pairing must be 2i <-> 2i+1")
         faces = sorted(data["faces"], key=lambda f: f["id"])
-        cycles = tuple(tuple(f["darts"]) for f in faces)
         face_labels = tuple((f["relator"], f["sign"]) for f in faces)
-        c = PlanarComplex(data["num_vertices"],
-                          tuple(rec["vertex"] for rec in darts), cycles,
+        c = PlanarComplex(tuple(tuple(f["darts"]) for f in faces),
                           tuple(data["outer_face"]["darts"]))
-        numbers = [c.num_vertices, *c.dart_vertex,
+        vertices = [rec["vertex"] for rec in darts]
+        numbers = [data["num_vertices"], *vertices,
                    *(d for cycle in c.all_cycles() for d in cycle),
                    *(x for label in face_labels for x in label)]
         if any(type(x) is not int for x in numbers):
@@ -503,6 +476,13 @@ def map_from_json(text: str, build: Callable):
                               f"{report.detail}")
         if [rec["next_at_vertex"] for rec in darts] != rotation_next(c):
             raise DomainError("next_at_vertex disagrees with the face cycles")
+        # Now one record per dart: ids and orbits pair off one-to-one exactly
+        # when the ids, the orbits and the (id, orbit) pairs each number V.
+        v = c.num_vertices
+        if (data["num_vertices"] != v or sorted(set(vertices)) != list(range(v))
+                or len(set(zip(vertices, c.dart_vertex))) != v):
+            raise DomainError(f"num_vertices and the vertex ids must name the {v} "
+                              f"rotation orbits one-to-one as 0..{v - 1}")
         return build(c, face_labels, data, darts)
     except DomainError:
         raise

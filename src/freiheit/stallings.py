@@ -496,8 +496,10 @@ def enumerate_reduced_graphs(m: int, max_edges: int,
     """All reduced connected X-labeled graphs with at most ``max_edges``
     undirected edges and b1 <= max_betti, one per labeled-isomorphism class.
 
-    Classes are deduplicated by canonical code, so a cycle and its reversal
-    (equivalently, relabeling every edge by its inverse) are one graph.
+    A cycle and its reversal (equivalently, relabeling every edge by its
+    inverse) are one graph: the cycles are words up to rotation and
+    inversion, and the graphs with b1 >= 2 are deduplicated by canonical
+    code.
     """
     if m < 2:
         raise DomainError(f"need m >= 2, got m={m}")
@@ -511,21 +513,19 @@ def enumerate_reduced_graphs(m: int, max_edges: int,
         raise FeasibilityError(
             f"estimated labeling space {est:.3g} exceeds limit", estimate=est)
 
-    seen: set = set()
-
     # b1 = 1: simple labeled cycles, i.e. cyclically reduced words up to
     # rotation and inversion.
-    word_cache: dict[int, list[tuple[int, ...]]] = {}
     for n in range(1, max_edges + 1):
         cycles = {canonical_cyclic(word).letters for word in reduced_words(m, n)
                   if word[0] != -word[-1]}
         for word in sorted(cycles):
-            g = LabeledGraph(n, [(i, (i + 1) % n, x) for i, x in enumerate(word)], base=0)
-            code = canonical_code(g)
-            if code not in seen:
-                seen.add(code)
-                yield g
+            yield LabeledGraph(n, [(i, (i + 1) % n, x) for i, x in enumerate(word)], base=0)
 
+    # b1 >= 2: every arc labelling of a type whose branch vertices see no
+    # label twice is reduced, since arc words are reduced and every type
+    # vertex has degree >= 3.
+    seen: set = set()
+    word_cache: dict[int, list[tuple[int, ...]]] = {}
     for r in range(2, max_betti + 1):
         for ttype in enumerate_topological_types(r):
             arcs = ttype.num_edges
@@ -542,7 +542,7 @@ def enumerate_reduced_graphs(m: int, max_edges: int,
                     # the order `stallings enumerate` prints.
                     for chosen in product(*(pool[::-1] for pool in pools)):
                         g = _graph_from_arc_words(ttype, chosen)
-                        if g is not None and is_reduced_graph(g):
+                        if g is not None:
                             code = canonical_code(g)
                             if code not in seen:
                                 seen.add(code)

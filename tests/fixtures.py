@@ -16,18 +16,11 @@ def three_face_example() -> AbstractDistortionDiagram:
     (1, 4) upward by the left face and (1, 3) upward by the right one.
     Expected classification: not-free-to-fill = {(1,4), (2,1), (2,2)}.
     """
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
-             (7, 6), (6, 3), (4, 9), (9, 8), (8, 7),
-             (2, 12), (12, 11), (11, 10), (10, 6)]
-    dart_vertex = []
-    for (u, v) in edges:
-        dart_vertex += [u, v]
     face_left = (0, 2, 4, 6, 8, 10)
     face_right = (21, 19, 17, 7, 15, 13)
     face_bottom = (14, 5, 22, 24, 26, 28)
     outer = (11, 9, 16, 18, 20, 12, 29, 27, 25, 23, 3, 1)
-    c = PlanarComplex(13, tuple(dart_vertex),
-                      (face_left, face_right, face_bottom), outer)
+    c = PlanarComplex((face_left, face_right, face_bottom), outer)
     assert check_complex(c).ok
     ad = AbstractDiagram(c, ((1, 1), (1, -1), (2, 1)))
     return AbstractDistortionDiagram(ad, 0, 0)

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -108,7 +107,7 @@ def test_fillings_match_the_product_filter_oracle():
 def test_fillings_refuse_an_isolated_edge():
     # Two loops joined by edge 1, which has the outer face on both sides.
     ad = AbstractDiagram(
-        PlanarComplex(2, (0, 0, 0, 1, 1, 1), ((0,), (4,)), (1, 2, 5, 3)),
+        PlanarComplex(((0,), (4,)), (1, 2, 5, 3)),
         ((1, 1), (2, 1)))
     assert check_complex(ad.complex).ok
     for refused in (lambda: fillings_with_boundary(ad, 2),
@@ -230,8 +229,8 @@ def test_fill_rejects_inconsistent_words():
 def test_fill_writes_every_filling_as_a_valid_diagram():
     # fill and fillings_with_boundary both read the decorations: each
     # filling fills without a clash, reads its boundary along the outer
-    # walk and validates against its own relators, the faces renamed to
-    # their words' places in the sorted relator set.
+    # walk and validates against its own relators, since fill names the
+    # faces by their words' places in the sorted relator set.
     reps = [rep for rep in enumerate_abstract_diagrams(2, 4).representatives
             if rep.max_length() <= 3]
     total = 0
@@ -240,11 +239,7 @@ def test_fill_writes_every_filling_as_a_valid_diagram():
         for combo, boundary in fillings_with_boundary(ad, 2):
             d = fill(ad, combo)
             assert tuple(d.dart_labels[x] for x in ad.complex.outer) == boundary
-            relators = make_relator_set(2, maxlen, combo)
-            place = {w: k for k, w in enumerate(relators.relators, start=1)}
-            named = replace(d, face_labels=tuple((place[combo[idx - 1]], sign)
-                                                 for idx, sign in d.face_labels))
-            assert validate(named, relators).ok
+            assert validate(d, make_relator_set(2, maxlen, combo)).ok
             total += 1
     assert total > 5000
 
@@ -346,7 +341,7 @@ def test_abstract_json_rejects_malformed_input():
     edits = [lambda d: d.pop("faces"),                         # missing key
              lambda d: d["p"].update(length=1.5),              # wrong type
              lambda d: d["faces"][0].update(relator=0),        # bad face label
-             lambda d: d.update(num_vertices=d["num_vertices"] + 1)]  # not Euler
+             lambda d: d.update(num_vertices=d["num_vertices"] + 1)]  # not the orbits
     for edit in edits:
         broken = json.loads(json.dumps(data))
         edit(broken)
@@ -359,7 +354,7 @@ def test_lens_counterexample_to_literal_inequalities():
     # fillable (by any word xx), yet the alpha-weighted inequality fails
     # while the occurrence-summed form holds.
     ad = AbstractDiagram(
-        PlanarComplex(2, (0, 1, 1, 0, 1, 0), ((0, 2), (4, 3)), (5, 1)),
+        PlanarComplex(((0, 2), (4, 3)), (5, 1)),
         ((1, 1), (1, -1)))
     assert abstract_is_reduced(ad)
     check_fillable_shape(ad)

@@ -232,7 +232,7 @@ def test_abstract_fillings_refuses_a_diagram_with_an_isolated_edge(tmp_path, cap
         abstract_to_json
     from freiheit.complexes import PlanarComplex
 
-    ad = AbstractDiagram(PlanarComplex(2, (0, 0, 0, 1, 1, 1), ((0,), (4,)), (1, 2, 5, 3)),
+    ad = AbstractDiagram(PlanarComplex(((0,), (4,)), (1, 2, 5, 3)),
                          ((1, 1), (2, 1)))
     path = tmp_path / "dumbbell.json"
     path.write_text(abstract_to_json(AbstractDistortionDiagram(ad, 0, 0)))
@@ -284,7 +284,10 @@ def _triangle_with(edit):
 @pytest.mark.parametrize("edit", [
     lambda data: data["faces"][0].update(darts=[0, 2, 99]),
     lambda data: data["outer_face"].update(darts=[0, 2, 4]),
-], ids=["face-names-a-missing-dart", "outer-walk-reuses-face-darts"])
+    # Vertex 2's darts named as vertex 1: one id for two rotation orbits.
+    lambda data: [rec.update(vertex=1) for rec in data["darts"] if rec["vertex"] == 2],
+], ids=["face-names-a-missing-dart", "outer-walk-reuses-face-darts",
+        "vertex-ids-merge-two-orbits"])
 def test_abstract_classify_rejects_a_map_that_is_not_a_complex(tmp_path, capsys, edit):
     path = tmp_path / "bad.json"
     path.write_text(_triangle_with(edit))

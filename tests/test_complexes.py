@@ -1,12 +1,16 @@
+import json
 from collections import Counter
 
 import pytest
 
 from freiheit import abstract_diagrams, complexes, diagrams
-from freiheit.abstract_diagrams import enumerate_abstract_diagrams
+from freiheit.abstract_diagrams import (AbstractDistortionDiagram, _one_face_abstract,
+                                        abstract_from_json, abstract_to_json, classify,
+                                        enumerate_abstract_diagrams)
 from freiheit.complexes import PlanarComplex, canonical_map_code, check_complex
 from freiheit.density import make_relator_set
-from freiheit.diagrams import enumerate_reduced_disk_diagrams
+from freiheit.diagrams import (diagram_from_json, diagram_to_json,
+                               enumerate_reduced_disk_diagrams, one_face_diagram)
 from freiheit.errors import DomainError
 from freiheit.words import word_from_text
 
@@ -76,8 +80,8 @@ def _sigma_orbits(c):
 
 
 def test_vertices_are_the_orbits_of_phi_after_alpha():
-    # Canonical codes hold no vertex field: the involution and the cycles
-    # fix the vertices, because each one is a single orbit of sigma.
+    # A map stores no vertex: each one is a single orbit of sigma, and the
+    # orbits are numbered in order of their least dart.
     relators = make_relator_set(2, 4, [word_from_text(w)
                                        for w in ("aab", "bba", "abAB", "aaBB")])
     maps = [d.complex for d in enumerate_reduced_disk_diagrams(relators, 3)]
@@ -88,6 +92,7 @@ def test_vertices_are_the_orbits_of_phi_after_alpha():
         for d, v in enumerate(c.dart_vertex):
             by_vertex.setdefault(v, set()).add(d)
         assert _sigma_orbits(c) == {frozenset(darts) for darts in by_vertex.values()}
+        assert list(by_vertex) == list(range(c.num_vertices))
 
 
 def test_iso_keys_partition_the_labelled_diagrams_as_the_oracle_does(monkeypatch):
@@ -113,7 +118,7 @@ def test_iso_keys_partition_the_labelled_diagrams_as_the_oracle_does(monkeypatch
 def test_canonical_code_reads_an_edge_with_the_outer_face_on_both_sides():
     # Two one-edge loops joined by a bridge: the outer walk crosses the
     # bridge both ways, so no inner face lies across it in the reading.
-    dumbbell = PlanarComplex(2, (0, 0, 0, 1, 1, 1), ((0,), (4,)), (1, 2, 5, 3))
+    dumbbell = PlanarComplex(((0,), (4,)), (1, 2, 5, 3))
     assert check_complex(dumbbell).ok
     for infos in ([((1, 1), 1), ((1, -1), 1)], [((1, 1), 1), ((2, 1), 1)]):
         assert canonical_map_code(dumbbell, infos)[1].count((0, 0)) == 2
@@ -124,11 +129,80 @@ def test_canonical_code_reads_an_edge_with_the_outer_face_on_both_sides():
 
 
 def test_canonical_code_rejects_a_map_it_cannot_encode():
-    overlapping = PlanarComplex(1, (0, 0), ((0,),), (0,))
+    overlapping = PlanarComplex(((0,),), (0,))
     with pytest.raises(DomainError, match="partitioned"):
         canonical_map_code(overlapping, [((1, 1), 1)])
     # Two one-edge loops with no dart in common: the outer walk sees one.
-    disconnected = PlanarComplex(2, (0, 0, 1, 1), ((0,), (2,), (3,)), (1,))
+    disconnected = PlanarComplex(((0,), (2,), (3,)), (1,))
     for mirror in (True, False):
         with pytest.raises(DomainError, match="disconnected"):
             canonical_map_code(disconnected, [((1, 1), 1)] * 3, use_mirror=mirror)
+
+
+@pytest.mark.parametrize("c, violation, detail", [
+    (PlanarComplex(((0, 2),), (1,)), "involution", "odd number of darts"),
+    (PlanarComplex(((0,), ()), (1,)), "involution", "empty face cycle"),
+    (PlanarComplex(((0,),), (0,)), "involution", "partitioned"),
+    (PlanarComplex(((0,), (2,), (3,)), (1,)), "connectivity", "disconnected"),
+    # One vertex, three edges and two faces: a torus, V - E + F = 0.
+    (PlanarComplex(((0, 2, 1, 3, 4),), (5,)), "euler", "= 0 != 2"),
+], ids=["odd-darts", "empty-cycle", "overlapping-cycles", "disconnected", "genus-1"])
+def test_check_complex_refusals(c, violation, detail):
+    report = check_complex(c)
+    assert not report.ok and report.violation == violation and detail in report.detail
+
+
+# The two readers, each with a one-face file: the triangle (V = 3) as an
+# abstract diagram, the commutator square (V = 4) as a concrete one.
+READERS = {
+    "abstract": (abstract_from_json, abstract_to_json,
+                 AbstractDistortionDiagram(_one_face_abstract(3), 0, 0)),
+    "diagram": (diagram_from_json, diagram_to_json,
+                one_face_diagram(make_relator_set(2, 4, [word_from_text("abAB")]), 1)),
+}
+
+
+def _merge_last_two(data):
+    for rec in data["darts"]:
+        if rec["vertex"] == data["num_vertices"] - 1:
+            rec["vertex"] -= 1
+
+
+def _split_first(data, count=0):
+    data["darts"][0]["vertex"] = data["num_vertices"]
+    data["num_vertices"] += count
+
+
+@pytest.mark.parametrize("edit", [
+    _merge_last_two,
+    _split_first,
+    lambda data: _split_first(data, 1),
+    # Every id 0..V-1 still in use, but dart 0 named as vertex 1's.
+    lambda data: data["darts"][0].update(vertex=1),
+    lambda data: data.update(num_vertices=data["num_vertices"] + 1),
+    lambda data: data.update(num_vertices=data["num_vertices"] - 1),
+], ids=["merged-ids", "split-ids", "split-ids-counted", "one-dart-moved",
+        "one-vertex-too-many", "one-vertex-too-few"])
+@pytest.mark.parametrize("reader", list(READERS))
+def test_json_readers_refuse_vertex_ids_that_are_not_the_orbits(reader, edit):
+    read, write, diagram = READERS[reader]
+    data = json.loads(write(diagram))
+    edit(data)
+    with pytest.raises(DomainError, match="rotation orbits one-to-one"):
+        read(json.dumps(data))
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+def test_json_readers_take_any_one_to_one_vertex_ids(reader):
+    # A file may number the orbits in any order; the map read keeps the
+    # numbering by least dart, so it is written back as the original.
+    read, write, diagram = READERS[reader]
+    text = write(diagram)
+    data = json.loads(text)
+    v = data["num_vertices"]
+    for rec in data["darts"]:
+        rec["vertex"] = (rec["vertex"] + 1) % v
+    renumbered = read(json.dumps(data))
+    assert write(renumbered) == text
+    if reader == "abstract":
+        assert classify(renumbered) == classify(diagram)

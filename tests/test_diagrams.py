@@ -57,8 +57,7 @@ def test_boundary_word_canonical():
     assert boundary_word(d) == canonical_cyclic(Word((1, 2, -1, -2)))
     # Canonicalization is invariant under re-rooting the outer walk.
     c = d.complex
-    rotated = type(c)(c.num_vertices, c.dart_vertex, c.faces,
-                      c.outer[2:] + c.outer[:2])
+    rotated = type(c)(c.faces, c.outer[2:] + c.outer[:2])
     d2 = VanKampenDiagram(rotated, d.dart_labels, d.face_labels)
     assert boundary_word(d2) == boundary_word(d)
 
@@ -613,14 +612,12 @@ def _permute_darts(d, edge_perm, flips):
             mapping[a], mapping[b] = 2 * ne + 1, 2 * ne
         else:
             mapping[a], mapping[b] = 2 * ne, 2 * ne + 1
-    dart_vertex = [0] * (2 * n_edges)
     labels = [0] * (2 * n_edges)
     for old, new in mapping.items():
-        dart_vertex[new] = c.dart_vertex[old]
         labels[new] = d.dart_labels[old]
     faces = tuple(tuple(mapping[x] for x in cycle) for cycle in c.faces)
     outer = tuple(mapping[x] for x in c.outer)
-    c2 = type(c)(c.num_vertices, tuple(dart_vertex), faces, outer)
+    c2 = type(c)(faces, outer)
     return VanKampenDiagram(c2, tuple(labels), d.face_labels)
 
 
@@ -640,8 +637,7 @@ def test_canonical_key_invariant_under_storage_changes():
             # outer re-rooting
             k = rng.randrange(len(c.outer))
             rerooted = VanKampenDiagram(
-                type(c)(c.num_vertices, c.dart_vertex, c.faces,
-                        c.outer[k:] + c.outer[:k]), d.dart_labels, d.face_labels)
+                type(c)(c.faces, c.outer[k:] + c.outer[:k]), d.dart_labels, d.face_labels)
             assert diagram_canonical_key(rerooted, relators) == key
             # dart renumbering
             perm = list(range(c.num_edges))
