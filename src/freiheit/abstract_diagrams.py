@@ -22,11 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 import math
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .complexes import (DistortionDiagram as AbstractDistortionDiagram,
-                        FaceLabelledMap, PlanarComplex, canonical_map_code,
-                        glue_face, has_mirror_pair, level_search, map_from_json,
+                        FaceLabelledMap, PlanarComplex, glue_face, has_mirror_pair,
+                        least_reading_codes, level_search, map_from_json,
                         map_to_data, polygon)
 from .diagrams import VanKampenDiagram
 from .errors import DomainError, FeasibilityError, NotFillableError
@@ -513,14 +514,34 @@ def _face_infos(ad: AbstractDiagram) -> list:
     return [(label, len(cycle)) for label, cycle in zip(ad.face_labels, ad.complex.faces)]
 
 
-def _labeled_key(ad: AbstractDiagram):
-    """Invariant under outer re-rooting only."""
-    return canonical_map_code(ad.complex, _face_infos(ad), use_mirror=False)
+def _canonical(ad: AbstractDiagram) -> tuple[AbstractDiagram, tuple, list]:
+    """The one canonical pass over a diagram: the diagram, its key under
+    outer re-rooting and mirror (the least code, indices as they are), and
+    the ``(variant, code)`` of every least-reading root."""
+    codes = least_reading_codes(ad.complex, _face_infos(ad))
+    return ad, min(code for _, code in codes), codes
 
 
-def _iso_key(ad: AbstractDiagram):
-    """Invariant under outer re-rooting, mirror and first-use renaming."""
-    return canonical_map_code(ad.complex, _face_infos(ad), relabel_first_use=True)
+def _first_use_renamed(code: tuple) -> tuple:
+    """A code with its face indices renamed 1..k in order of first use. The
+    outer reading holds no index, and the faces are sorted by their dart
+    numbers, which are distinct, so only the labels change."""
+    rename: dict[int, int] = {}
+    darts, reading, alpha, faces, outer, letters = code
+    faces = tuple((numbers, (rename.setdefault(idx, len(rename) + 1), sign))
+                  for numbers, (idx, sign) in faces)
+    return darts, reading, alpha, faces, outer, letters
+
+
+def _class_of(entry: tuple) -> tuple[tuple, int]:
+    """From a diagram's canonical pass: its isomorphism key (the least code
+    after first-use renaming) and the number of labelled classes its
+    mirror class holds, 1 when the map and its mirror both attain the
+    least code (achiral) and 2 when only one does."""
+    _, least, codes = entry
+    attained = {variant for variant, code in codes if code == least}
+    return (min(_first_use_renamed(code) for _, code in codes),
+            1 if attained == {0, 1} else 2)
 
 
 def _abstract_glue_candidates(ad: AbstractDiagram, maxlen: int) -> Iterator[AbstractDiagram]:
@@ -546,13 +567,36 @@ class AbstractEnumeration:
     labeled_count: int
 
 
+def _mirror_classes(max_faces: int, maxlen: int
+                    ) -> Iterator[tuple[AbstractDiagram, tuple, int]]:
+    """The level search keyed by outer re-rooting and mirror: each new class
+    as its first diagram, its isomorphism key and its number of labelled
+    classes (``_class_of``), every candidate canonicalized once."""
+    seeds = (_canonical(_one_face_abstract(length, sign))
+             for length in range(1, maxlen + 1) for sign in (1, -1))
+
+    def candidates(entry: tuple) -> Iterator[tuple]:
+        return (_canonical(cand) for cand in _abstract_glue_candidates(entry[0], maxlen)
+                if _abstract_fillable_shaped(cand))
+
+    for entry in level_search(seeds, candidates, itemgetter(1), max_faces):
+        yield (entry[0], *_class_of(entry))
+
+
 def enumerate_abstract_diagrams(max_faces: int, maxlen: int) -> AbstractEnumeration:
     """All reduced, fillable-shaped disk-like abstract diagrams with at most
     max_faces faces and face lengths <= maxlen, built by arc gluings.
 
     Representatives are one per isomorphism class (outer re-rooting, mirror,
-    first-use index renaming); ``labeled_count`` counts classes under outer
-    re-rooting only, since the intended equivalence is left open.
+    first-use index renaming), each the first of its class the search
+    reaches. ``labeled_count`` counts the labelled classes (outer re-rooting
+    only) that the first-use gluing reaches: gluing commutes with
+    mirroring, so they come in mirror pairs, and an achiral class counts
+    once. It is not every labelled class of the representatives (786
+    against 926 at (2, 4)): a face is glued along at most length - 1 of its
+    darts, so a face that shares its whole boundary with another (a monogon,
+    or a bigon inside a triangle) is only reached as the first face, and a
+    labelling that gives it the later index is never reached.
     """
     if max_faces > MAX_ABSTRACT_FACES:
         raise FeasibilityError(
@@ -560,19 +604,11 @@ def enumerate_abstract_diagrams(max_faces: int, maxlen: int) -> AbstractEnumerat
     if maxlen > MAX_ABSTRACT_LENGTH:
         raise FeasibilityError(
             f"abstract enumeration capped at face length {MAX_ABSTRACT_LENGTH}")
-    seeds = (_one_face_abstract(length, sign)
-             for length in range(1, maxlen + 1) for sign in (1, -1))
-
-    def candidates(ad: AbstractDiagram) -> Iterator[AbstractDiagram]:
-        return (cand for cand in _abstract_glue_candidates(ad, maxlen)
-                if _abstract_fillable_shaped(cand))
-
     reps: list[AbstractDiagram] = []
     iso_seen: set = set()
     labeled_count = 0
-    for ad in level_search(seeds, candidates, _labeled_key, max_faces):
-        labeled_count += 1
-        iso = _iso_key(ad)
+    for ad, iso, labelled in _mirror_classes(max_faces, maxlen):
+        labeled_count += labelled
         if iso not in iso_seen:
             iso_seen.add(iso)
             reps.append(ad)

@@ -20,12 +20,12 @@ face along a boundary arc, the level-by-level search with canonical-key
 deduplication, the mirror-pair test, canonical codes and the map half of
 the JSON codec.
 
-A canonical code is the least rooted code over the outer roots (and the
-mirror's).  Its fields are, in order: the dart count; the outer reading,
-the outer boundary read from the root (dart letters for a concrete
-diagram, and for a map without letters the (length, sign) of the face
-across each outer dart); the involution in breadth-first order; the inner
-faces; the outer walk; and the dart letters.  No field holds the vertices:
+A canonical code is the least rooted code over the outer roots of the map
+and of its mirror.  Its fields are, in order: the dart count; the outer
+reading, the outer boundary read from the root (dart letters for a
+concrete diagram, and for a map without letters the (length, sign) of the
+face across each outer dart); the involution in breadth-first order; the
+inner faces; the outer walk; and the dart letters.  No field holds the vertices:
 they are the orbits of phi o alpha, which the involution, the faces and
 the outer walk fix.
 The reading is read off the outer cycle alone, so only the roots whose
@@ -97,14 +97,21 @@ class ComplexReport:
 
 
 def face_permutation(c: PlanarComplex) -> list[int] | None:
-    """phi: dart -> next dart in its cycle; None if darts are not partitioned."""
+    """phi: dart -> next dart in its cycle; None if darts are not partitioned.
+
+    The cycles list ``num_darts`` darts in all, so they partition
+    0..num_darts-1 exactly when every id is in range and every slot is
+    written: a repeated dart leaves a slot at -1, and a negative id, which
+    Python wraps onto a slot, is written as its predecessor's successor, so
+    one test for a negative entry covers both."""
     phi = [-1] * c.num_darts
-    for cycle in c.all_cycles():
-        for i, d in enumerate(cycle):
-            if not 0 <= d < c.num_darts or phi[d] != -1:
-                return None
-            phi[d] = cycle[(i + 1) % len(cycle)]
-    if any(x == -1 for x in phi):
+    try:
+        for cycle in c.all_cycles():
+            for d, e in zip(cycle, cycle[1:] + cycle[:1]):
+                phi[d] = e
+    except IndexError:
+        return None
+    if min(phi, default=0) < 0:
         return None
     return phi
 
@@ -225,6 +232,10 @@ def glue_face(c: PlanarComplex, start: int, arc_length: int, length: int,
     the arc begins at position ``omega`` of its cycle; the fresh part is
     embedded without self-identifications and replaces the arc in the outer
     walk.
+
+    The child's face permutation is the parent's, relinked where the
+    cycles changed: the new face, and the outer walk from the dart before
+    the fresh part to the dart after it.
     """
     outer = c.outer
     n = len(outer)
@@ -233,8 +244,15 @@ def glue_face(c: PlanarComplex, start: int, arc_length: int, length: int,
     glued_cycle = arc + fresh
     k = (length - omega) % length
     rest = tuple(outer[(start + arc_length + i) % n] for i in range(n - arc_length))
-    return PlanarComplex(c.faces + (glued_cycle[k:] + glued_cycle[:k],),
-                         tuple((f ^ 1) for f in reversed(fresh)) + rest)
+    new_outer = tuple((f ^ 1) for f in reversed(fresh)) + rest
+    child = PlanarComplex(c.faces + (glued_cycle[k:] + glued_cycle[:k],), new_outer)
+    phi = c.phi + [0] * (2 * len(fresh))
+    for i in range(length):
+        phi[glued_cycle[i - 1]] = glued_cycle[i]
+    for i in range(-1, len(fresh)):
+        phi[new_outer[i]] = new_outer[(i + 1) % len(new_outer)]
+    vars(child)["phi"] = phi  # where cached_property keeps its value
+    return child
 
 
 def level_search(seeds: Iterable, candidates: Callable[[object], Iterable],
@@ -243,7 +261,7 @@ def level_search(seeds: Iterable, candidates: Callable[[object], Iterable],
 
     Yields every seed and every candidate, taken from ``candidates(x)`` for
     each ``x`` of the previous level, whose ``key`` has not been seen; the
-    new ones form the next level.
+    new ones form the next level, and those of the last level are not kept.
     """
     seen = set()
     frontier = []
@@ -253,14 +271,15 @@ def level_search(seeds: Iterable, candidates: Callable[[object], Iterable],
             seen.add(k)
             frontier.append(x)
             yield x
-    for _level in range(2, max_faces + 1):
+    for level in range(2, max_faces + 1):
         nxt = []
         for x in frontier:
             for cand in candidates(x):
                 k = key(cand)
                 if k not in seen:
                     seen.add(k)
-                    nxt.append(cand)
+                    if level < max_faces:
+                        nxt.append(cand)
                     yield cand
         frontier = nxt
 
@@ -289,13 +308,13 @@ def has_mirror_pair(d: FaceLabelledMap, period: Callable[[int], int]) -> bool:
 
 # ---------------------------------------------------------------------------
 # Traversal codes.  A code is a renumbering-invariant serialization rooted at
-# one outer position; canonical forms minimize over roots (and mirrors, and
-# face-root rotations where the caller grants that freedom).
+# one outer position; canonical forms minimize over the roots of the map and
+# its mirror, and over face-root rotations where the caller grants that
+# freedom.
 
 
 def _rooted_code(c: PlanarComplex, face_infos: Sequence[tuple], start_idx: int,
-                 reading: tuple, dart_labels: Sequence[int] | None,
-                 relabel_first_use: bool):
+                 reading: tuple, dart_labels: Sequence[int] | None):
     """Serialize the map rooted at outer position ``start_idx``, given its
     outer reading from there.  The darts are numbered in breadth-first
     order from the root dart, over the involution and then the face
@@ -304,44 +323,40 @@ def _rooted_code(c: PlanarComplex, face_infos: Sequence[tuple], start_idx: int,
     ``face_infos`` holds one (label, period) pair per inner face: ``label``
     is the face's signed index (index, sign) and ``period`` the rotation
     step under which the face cycle may be re-rooted without changing the
-    object.  With ``relabel_first_use`` the indices are renamed 1..k in
-    order of first appearance (abstract-diagram isomorphism).
+    object.  Each face is written from its allowed offset with the least
+    number; the numbers are distinct, so that is its least rotation.
     """
     phi = c.phi
     start = c.outer[start_idx]
-    order = {start: 0}
+    order = [-1] * c.num_darts
+    order[start] = 0
     queue = [start]
     for d in queue:
-        for e in (d ^ 1, phi[d]):
-            if e not in order:
-                order[e] = len(queue)
-                queue.append(e)
+        e = d ^ 1
+        if order[e] < 0:
+            order[e] = len(queue)
+            queue.append(e)
+        e = phi[d]
+        if order[e] < 0:
+            order[e] = len(queue)
+            queue.append(e)
     if len(queue) != c.num_darts:
         raise DomainError("cannot encode: complex is disconnected")
-    alpha_part = tuple(order[d ^ 1] for d in queue)
+    number = order.__getitem__
+    alpha_part = tuple([order[d ^ 1] for d in queue])
 
     faces_part = []
     for cycle, (label, period) in zip(c.faces, face_infos):
-        best = min(tuple(order[d] for d in cycle[off:] + cycle[:off])
-                   for off in range(0, len(cycle), period))
-        faces_part.append((best, label))
+        numbers = list(map(number, cycle))
+        off = numbers.index(min(numbers[::period]))
+        faces_part.append((tuple(numbers[off:] + numbers[:off]), label))
     faces_part.sort()
-    if relabel_first_use:
-        rename: dict[int, int] = {}
-        renamed = []
-        for best, label in faces_part:
-            idx, sign = label
-            if idx not in rename:
-                rename[idx] = len(rename) + 1
-            renamed.append((best, (rename[idx], sign)))
-        faces_part = renamed
 
-    n = len(c.outer)
-    outer_part = tuple(order[c.outer[(start_idx + i) % n]] for i in range(n))
+    outer_part = tuple(map(number, c.outer[start_idx:] + c.outer[:start_idx]))
 
     label_part = None
     if dart_labels is not None:
-        label_part = tuple(dart_labels[d] for d in queue)
+        label_part = tuple(map(dart_labels.__getitem__, queue))
 
     return (c.num_darts, reading, alpha_part, tuple(faces_part), outer_part,
             label_part)
@@ -370,31 +385,29 @@ def _outer_readings(c: PlanarComplex, face_infos: Sequence[tuple],
     return reading, [(length, -sign) for length, sign in reversed(reading)]
 
 
-def canonical_map_code(c: PlanarComplex,
-                       face_infos: Sequence[tuple],
-                       dart_labels: Sequence[int] | None = None,
-                       relabel_first_use: bool = False,
-                       use_mirror: bool = True):
-    """Minimum code over outer roots and (optionally) the mirror map, whose
-    faces carry the signs of ``face_infos`` flipped.
+def least_reading_codes(c: PlanarComplex, face_infos: Sequence[tuple],
+                        dart_labels: Sequence[int] | None = None
+                        ) -> list[tuple[int, tuple]]:
+    """``(variant, code)`` for every root whose outer reading is the least
+    rotation of the readings of the map (variant 0) and of its mirror
+    (variant 1), whose faces carry the signs of ``face_infos`` flipped.
 
     The code's fields are the dart count, the outer reading from the root
     (``_outer_readings``), the involution, the faces, the outer walk and
     the dart letters; vertices are the orbits of phi o alpha, so the
     involution, the faces and the outer walk already fix them.  Every
-    root's code starts with the same dart count, so only the roots whose
-    reading is the least rotation of the readings can give the minimum,
-    and only those are serialized (``_rooted_code``); the mirror map is
-    built only if one of its roots is among them.  A map the cycles do not
-    partition raises DomainError before any root is serialized, a
-    disconnected one on the first root."""
+    root's code starts with the same dart count, so only these roots can
+    give the least code, and only they are serialized (``_rooted_code``);
+    the mirror map is built only if one of its roots is among them.  A map
+    the cycles do not partition raises DomainError before any root is
+    serialized, a disconnected one on the first root."""
     if c.phi is None:
         raise DomainError("cannot encode: darts not partitioned")
     readings = _outer_readings(c, face_infos, dart_labels)
     n = len(c.outer)
     least = None
     starts: list[tuple[int, int]] = []  # (variant, outer position) reading ``least``
-    for variant in range(2 if use_mirror else 1):
+    for variant in (0, 1):
         doubled = readings[variant] * 2
         for start_idx in range(n):
             rotated = doubled[start_idx:start_idx + n]
@@ -409,9 +422,15 @@ def canonical_map_code(c: PlanarComplex,
     if starts[-1][0]:  # the mirror's starts come last
         variants.append((mirror_complex(c), [((idx, -sign), period)
                                              for (idx, sign), period in face_infos]))
-    return min(_rooted_code(*variants[variant], start_idx, reading, dart_labels,
-                            relabel_first_use)
-               for variant, start_idx in starts)
+    return [(variant, _rooted_code(*variants[variant], start_idx, reading, dart_labels))
+            for variant, start_idx in starts]
+
+
+def canonical_map_code(c: PlanarComplex, face_infos: Sequence[tuple],
+                       dart_labels: Sequence[int] | None = None):
+    """The least code over the outer roots of the map and of its mirror:
+    the least of ``least_reading_codes``."""
+    return min(code for _, code in least_reading_codes(c, face_infos, dart_labels))
 
 
 # ---------------------------------------------------------------------------

@@ -121,11 +121,16 @@ def one_face_diagram(relators: RelatorSet, relator_index: int, sign: int = 1) ->
                             ((relator_index, sign),))
 
 
-def diagram_canonical_key(d: VanKampenDiagram, relators: RelatorSet):
-    # A word and its inverse have one period.
-    infos = [((idx, sign), _word_period(relators.relators[idx - 1].letters))
-             for idx, sign in d.face_labels]
+def _canonical_key(d: VanKampenDiagram, periods: dict[int, int]):
+    """The canonical code, given the period of each relator index the faces
+    use; a word and its inverse have one period."""
+    infos = [(label, periods[label[0]]) for label in d.face_labels]
     return canonical_map_code(d.complex, infos, dart_labels=d.dart_labels)
+
+
+def diagram_canonical_key(d: VanKampenDiagram, relators: RelatorSet):
+    return _canonical_key(d, {idx: _word_period(relators.relators[idx - 1].letters)
+                              for idx, _ in d.face_labels})
 
 
 def _glue_candidates(d: VanKampenDiagram, relators: RelatorSet) -> Iterator[VanKampenDiagram]:
@@ -190,9 +195,10 @@ def enumerate_reduced_disk_diagrams(relators: RelatorSet, max_faces: int
 
     seeds = (one_face_diagram(relators, idx, sign)
              for idx in range(1, len(relators.relators) + 1) for sign in (1, -1))
+    periods = {idx: _word_period(rel.letters)
+               for idx, rel in enumerate(relators.relators, start=1)}
     yield from level_search(seeds, reduced_candidates,
-                            lambda diag: diagram_canonical_key(diag, relators),
-                            max_faces)
+                            lambda diag: _canonical_key(diag, periods), max_faces)
 
 
 # ---------------------------------------------------------------------------

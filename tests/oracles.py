@@ -611,3 +611,39 @@ def full_canonical_map_code(c: PlanarComplex,
                                              for (idx, sign), period in face_infos]))
     return min(full_map_code(cc, infos, start_idx, dart_labels, relabel_first_use)
                for cc, infos in variants for start_idx in range(len(cc.outer)))
+
+
+def labelled_abstract_enumeration(max_faces: int, maxlen: int):
+    """``enumerate_abstract_diagrams`` by the labelled search: the level
+    search keyed by the code without the mirror (a class per outer
+    re-rooting), so that every labelled class it reaches is counted one by
+    one, and each of them then keyed by isomorphism (mirror and first-use
+    renaming) to pick the representatives. Both keys are full minimums over
+    every root. Returns ``(representatives, iso_count, labeled_count)``."""
+    from freiheit.abstract_diagrams import (_abstract_fillable_shaped,
+                                            _abstract_glue_candidates,
+                                            _one_face_abstract)
+    from freiheit.complexes import level_search
+
+    def infos(ad):
+        return [(label, len(cycle)) for label, cycle in zip(ad.face_labels, ad.complex.faces)]
+
+    def labelled_key(ad):
+        return full_canonical_map_code(ad.complex, infos(ad), use_mirror=False)
+
+    def candidates(ad):
+        return (cand for cand in _abstract_glue_candidates(ad, maxlen)
+                if _abstract_fillable_shaped(cand))
+
+    seeds = (_one_face_abstract(length, sign)
+             for length in range(1, maxlen + 1) for sign in (1, -1))
+    reps = []
+    iso_seen = set()
+    labeled_count = 0
+    for ad in level_search(seeds, candidates, labelled_key, max_faces):
+        labeled_count += 1
+        iso = full_canonical_map_code(ad.complex, infos(ad), relabel_first_use=True)
+        if iso not in iso_seen:
+            iso_seen.add(iso)
+            reps.append(ad)
+    return reps, len(iso_seen), labeled_count

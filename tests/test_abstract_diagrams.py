@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from freiheit.abstract_diagrams import (FREE, SEMI, AbstractDiagram,
                                         enumerate_fillings, fill, filling_bound,
                                         filling_bound_exact, fillings_with_boundary,
                                         underlying_abstract, _one_face_abstract)
-from freiheit.complexes import PlanarComplex, check_complex, glue_face, polygon
+from freiheit.complexes import (PlanarComplex, check_complex, glue_face, mirror_complex,
+                                polygon)
 from freiheit.density import make_relator_set
 from freiheit.diagrams import enumerate_reduced_disk_diagrams, validate
 from freiheit.errors import DomainError, FeasibilityError, NotFillableError
@@ -24,7 +26,8 @@ from freiheit.words import Word
 
 from fixtures import (fillable_aligned_pair, irreducible_mirror_pair,
                       reducible_pair, three_face_example, unfillable_pair)
-from oracles import brute_letter_classes, product_filter_fillings
+from oracles import (brute_letter_classes, full_canonical_map_code,
+                     labelled_abstract_enumeration, product_filter_fillings)
 
 LOOP = LabeledGraph(1, [(0, 0, 1)])
 FIG8 = fold(wedge_of_words([Word((1,)), Word((2,))]))
@@ -297,6 +300,54 @@ def test_enumeration_reports_both_counts():
         assert check_complex(ad.complex).ok
         assert abstract_is_reduced(ad)
         check_fillable_shape(ad)
+
+
+def _digest(reps):
+    digest = hashlib.sha256()
+    for rep in reps:
+        digest.update(abstract_to_json(AbstractDistortionDiagram(rep, 0, 0)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("max_faces, maxlen", [(2, 4), (2, 5), (1, 6)])
+def test_labelled_count_matches_the_labelled_search(max_faces, maxlen):
+    # The oracle keys its search by labelled class and counts every class it
+    # reaches; the library keys it by mirror class and counts each one once
+    # or twice by its chirality.
+    reps, iso_count, labeled_count = labelled_abstract_enumeration(max_faces, maxlen)
+    enum = enumerate_abstract_diagrams(max_faces, maxlen)
+    assert (enum.iso_count, enum.labeled_count) == (iso_count, labeled_count)
+    assert _digest(enum.representatives) == _digest(reps)
+
+
+def _labelled_classes(ad):
+    """The labelled classes of the diagram's mirror class, by the library's
+    one pass and by the oracle: 1 when the diagram and its mirror have one
+    code under outer re-rooting alone, 2 when not."""
+    _, labelled = abstract_diagrams._class_of(abstract_diagrams._canonical(ad))
+    infos = [(label, len(cycle)) for label, cycle in zip(ad.face_labels, ad.complex.faces)]
+    flipped = [((idx, -sign), period) for (idx, sign), period in infos]
+    same = (full_canonical_map_code(ad.complex, infos, use_mirror=False)
+            == full_canonical_map_code(mirror_complex(ad.complex), flipped,
+                                       use_mirror=False))
+    assert labelled == (1 if same else 2)
+    return labelled
+
+
+def test_an_achiral_diagram_counts_one_labelled_class_and_a_chiral_one_two():
+    # Two bigons of one relator, of opposite signs, glued along an edge so
+    # that the reflection through that edge swaps them with their starts:
+    # the diagram is its own mirror. It is a mirror pair, so the
+    # enumeration never reaches it: no reduced diagram of two faces of
+    # length <= 6 is achiral, and every labelled count there is twice the
+    # number of mirror classes.
+    achiral = AbstractDiagram(glue_face(polygon(2), 0, 1, 2, 0), ((1, 1), (1, -1)))
+    assert not abstract_is_reduced(achiral)
+    assert _labelled_classes(achiral) == 1
+    # The same gluing with the second face started one dart on.
+    chiral = AbstractDiagram(glue_face(polygon(2), 0, 1, 2, 1), ((1, 1), (1, -1)))
+    assert abstract_is_reduced(chiral)
+    assert _labelled_classes(chiral) == 2
 
 
 def test_shape_check_refuses_every_mirror_pair(monkeypatch):

@@ -7,7 +7,9 @@ from freiheit import abstract_diagrams, complexes, diagrams
 from freiheit.abstract_diagrams import (AbstractDistortionDiagram, _one_face_abstract,
                                         abstract_from_json, abstract_to_json, classify,
                                         enumerate_abstract_diagrams)
-from freiheit.complexes import PlanarComplex, canonical_map_code, check_complex
+from freiheit.complexes import (PlanarComplex, canonical_map_code, check_complex,
+                                face_permutation, glue_face, least_reading_codes,
+                                mirror_complex, polygon)
 from freiheit.density import make_relator_set
 from freiheit.diagrams import (diagram_from_json, diagram_to_json,
                                enumerate_reduced_disk_diagrams, one_face_diagram)
@@ -17,25 +19,42 @@ from freiheit.words import word_from_text
 from oracles import abstract_iso_key, full_canonical_map_code
 
 
+def check_least_reading_codes(c, face_infos, codes):
+    """Check what a map's least-reading codes give against the full
+    minimums over every root: the least code, the least code after
+    first-use renaming, and which of the map (variant 0) and its mirror
+    (variant 1) attain the least code, each alone."""
+    least = min(code for _, code in codes)
+    assert least == full_canonical_map_code(c, face_infos), c
+    assert min(abstract_diagrams._first_use_renamed(code) for _, code in codes) == \
+        full_canonical_map_code(c, face_infos, relabel_first_use=True), c
+    flipped = [((idx, -sign), period) for (idx, sign), period in face_infos]
+    alone = (full_canonical_map_code(c, face_infos, use_mirror=False),
+             full_canonical_map_code(mirror_complex(c), flipped, use_mirror=False))
+    assert {variant for variant, code in codes if code == least} == \
+        {variant for variant in (0, 1) if alone[variant] == least}, c
+
+
 @pytest.fixture
 def checked_codes(monkeypatch):
     """Route both diagram layers' canonical codes through a check against
-    the full minimum over every root; count the checked calls by kind."""
-    real = complexes.canonical_map_code
+    the full minimums over every root; count the checked calls by layer."""
     kinds = Counter()
 
-    def checked(c, face_infos, dart_labels=None, relabel_first_use=False,
-                use_mirror=True):
-        args = (c, face_infos, dart_labels, relabel_first_use, use_mirror)
-        code = real(*args)
-        assert code == full_canonical_map_code(*args), args
-        kinds["labels" if dart_labels is not None else
-              "iso" if relabel_first_use else
-              "mirror" if use_mirror else "no mirror"] += 1
+    def checked_code(c, face_infos, dart_labels=None):
+        code = complexes.canonical_map_code(c, face_infos, dart_labels)
+        assert code == full_canonical_map_code(c, face_infos, dart_labels), c
+        kinds["labels"] += 1
         return code
 
-    monkeypatch.setattr(diagrams, "canonical_map_code", checked)
-    monkeypatch.setattr(abstract_diagrams, "canonical_map_code", checked)
+    def checked_least(c, face_infos):
+        codes = complexes.least_reading_codes(c, face_infos)
+        check_least_reading_codes(c, face_infos, codes)
+        kinds["abstract"] += 1
+        return codes
+
+    monkeypatch.setattr(diagrams, "canonical_map_code", checked_code)
+    monkeypatch.setattr(abstract_diagrams, "least_reading_codes", checked_least)
     return kinds
 
 
@@ -45,11 +64,17 @@ def _disk_diagrams(words, max_faces):
 
 
 def test_canonical_codes_match_the_full_minimum_on_abstract_diagrams(checked_codes):
-    # The labelled key keeps the mirror out, the isomorphism key takes it in
-    # and renames the indices.
+    # One pass per candidate gives the mirror-invariant key, the isomorphism
+    # key (indices renamed) and the chirality. The candidates are the eight
+    # one-face seeds and the shape-checked gluings onto the four classes
+    # they form (a polygon and its mirror are one class).
     enumeration = enumerate_abstract_diagrams(2, 4)
     assert len(enumeration.representatives) > 0
-    assert checked_codes["no mirror"] > 500 and checked_codes["iso"] > 500, checked_codes
+    gluings = sum(1 for length in range(1, 5)
+                  for cand in abstract_diagrams._abstract_glue_candidates(
+                      _one_face_abstract(length), 4)
+                  if abstract_diagrams._abstract_fillable_shaped(cand))
+    assert checked_codes["abstract"] == 8 + gluings > 400, checked_codes
 
 
 def test_canonical_codes_match_the_full_minimum_on_disk_diagrams(checked_codes):
@@ -95,24 +120,36 @@ def test_vertices_are_the_orbits_of_phi_after_alpha():
         assert list(by_vertex) == list(range(c.num_vertices))
 
 
-def test_iso_keys_partition_the_labelled_diagrams_as_the_oracle_does(monkeypatch):
+def test_iso_keys_partition_the_mirror_classes_as_the_oracle_does():
     # The oracle builds its own traversal codes and reads no boundary, so it
     # checks that equal keys mean isomorphic diagrams with code they share
     # nothing of.
-    real = abstract_diagrams._iso_key
-    labelled = []
-
-    def recorded(ad):
-        labelled.append(ad)
-        return real(ad)
-
-    monkeypatch.setattr(abstract_diagrams, "_iso_key", recorded)
-    enumerate_abstract_diagrams(2, 4)
-    assert len(labelled) == 786
-    pairs = {(real(ad), abstract_iso_key(ad)) for ad in labelled}
+    classes = list(abstract_diagrams._mirror_classes(2, 4))
+    assert len(classes) == 393
+    assert sum(labelled for _, _, labelled in classes) == 786
+    pairs = {(iso, abstract_iso_key(ad)) for ad, iso, _ in classes}
     # One oracle class per key class and back: the two partitions agree.
     assert len({key for key, _ in pairs}) == len({iso for _, iso in pairs}) \
         == len(pairs) == 267
+
+
+def test_glued_maps_carry_the_face_permutation_of_their_cycles():
+    # glue_face relinks the parent's permutation instead of building it
+    # again; it must be the one the child's cycles give, on every gluing of
+    # a face onto the one- and two-face maps, the whole boundary included.
+    maps = [polygon(length) for length in range(1, 5)]
+    maps += [glue_face(polygon(3), 0, arc, 4, omega) for arc in (1, 2, 3) for omega in range(4)]
+    glued = 0
+    for c in maps:
+        n = len(c.outer)
+        for start in range(n):
+            for length in range(2, 6):
+                for arc in range(1, min(length - 1, n) + 1):
+                    for omega in range(length):
+                        child = glue_face(c, start, arc, length, omega)
+                        assert child.phi == face_permutation(child), (c, start, arc)
+                        glued += 1
+    assert glued > 1000
 
 
 def test_canonical_code_reads_an_edge_with_the_outer_face_on_both_sides():
@@ -122,10 +159,7 @@ def test_canonical_code_reads_an_edge_with_the_outer_face_on_both_sides():
     assert check_complex(dumbbell).ok
     for infos in ([((1, 1), 1), ((1, -1), 1)], [((1, 1), 1), ((2, 1), 1)]):
         assert canonical_map_code(dumbbell, infos)[1].count((0, 0)) == 2
-        for relabel in (False, True):
-            for mirror in (False, True):
-                args = (dumbbell, infos, None, relabel, mirror)
-                assert canonical_map_code(*args) == full_canonical_map_code(*args), args
+        check_least_reading_codes(dumbbell, infos, least_reading_codes(dumbbell, infos))
 
 
 def test_canonical_code_rejects_a_map_it_cannot_encode():
@@ -134,19 +168,22 @@ def test_canonical_code_rejects_a_map_it_cannot_encode():
         canonical_map_code(overlapping, [((1, 1), 1)])
     # Two one-edge loops with no dart in common: the outer walk sees one.
     disconnected = PlanarComplex(((0,), (2,), (3,)), (1,))
-    for mirror in (True, False):
+    for encode in (canonical_map_code, least_reading_codes):
         with pytest.raises(DomainError, match="disconnected"):
-            canonical_map_code(disconnected, [((1, 1), 1)] * 3, use_mirror=mirror)
+            encode(disconnected, [((1, 1), 1)] * 3)
 
 
 @pytest.mark.parametrize("c, violation, detail", [
     (PlanarComplex(((0, 2),), (1,)), "involution", "odd number of darts"),
     (PlanarComplex(((0,), ()), (1,)), "involution", "empty face cycle"),
     (PlanarComplex(((0,),), (0,)), "involution", "partitioned"),
+    # Dart -2 stands in for dart 2: every slot is written once.
+    (PlanarComplex(((0, -2),), (1, 3)), "involution", "partitioned"),
     (PlanarComplex(((0,), (2,), (3,)), (1,)), "connectivity", "disconnected"),
     # One vertex, three edges and two faces: a torus, V - E + F = 0.
     (PlanarComplex(((0, 2, 1, 3, 4),), (5,)), "euler", "= 0 != 2"),
-], ids=["odd-darts", "empty-cycle", "overlapping-cycles", "disconnected", "genus-1"])
+], ids=["odd-darts", "empty-cycle", "overlapping-cycles", "negative-dart-id",
+        "disconnected", "genus-1"])
 def test_check_complex_refusals(c, violation, detail):
     report = check_complex(c)
     assert not report.ok and report.violation == violation and detail in report.detail

@@ -39,15 +39,28 @@ def test_disk_enumeration_cli_output_is_pinned(tmp_path, capsys):
         "de7f714d1d98848b6b037852fda71ad0c925418fedc03ddc6c17824633941a35"
 
 
+def _representatives_digest(enum):
+    digest = hashlib.sha256()
+    for rep in enum.representatives:
+        digest.update(abstract_to_json(AbstractDistortionDiagram(rep, 0, 0)).encode())
+    return digest.hexdigest()
+
+
 def test_abstract_enumeration_json_is_pinned():
     enum = enumerate_abstract_diagrams(2, 4)
     assert (enum.iso_count, enum.labeled_count) == (267, 786)
     assert len(enum.representatives) == 267
-    digest = hashlib.sha256()
-    for rep in enum.representatives:
-        digest.update(abstract_to_json(AbstractDistortionDiagram(rep, 0, 0)).encode())
-    assert digest.hexdigest() == \
+    assert _representatives_digest(enum) == \
         "fac99faea0979feea825ee3b0c520d3a6fa813944c0f9df1d50730871a9e4119"
+
+
+def test_abstract_enumeration_json_is_pinned_at_face_length_5():
+    # A size the benchmark does not run.
+    enum = enumerate_abstract_diagrams(2, 5)
+    assert (enum.iso_count, enum.labeled_count) == (733, 2278)
+    assert len(enum.representatives) == 733
+    assert _representatives_digest(enum) == \
+        "27a06251fe73814c52cd7ef6cb75d24c9f9d2f3136cfa7c764980cd253b59a4a"
 
 
 def test_concrete_diagrams_forget_into_abstract_classes():
