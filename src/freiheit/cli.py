@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from functools import lru_cache
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -418,11 +419,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every ``dispatch`` in this process parses with: building
+    its subcommands costs more than a parse, and a parse leaves it as it was."""
+    return build_parser()
+
+
 def dispatch(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     args._argv = argv

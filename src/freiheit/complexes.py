@@ -148,8 +148,18 @@ def mirror_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
 
 
 def mirror_complex(c: PlanarComplex) -> PlanarComplex:
-    """The reflected map: every cycle reversed through the involution."""
-    return PlanarComplex(tuple(mirror_cycle(f) for f in c.faces), mirror_cycle(c.outer))
+    """The reflected map: every cycle reversed through the involution.
+
+    Its face permutation is the parent's read backwards: where phi takes
+    e to phi[e], the mirror takes phi[e] ^ 1 to e ^ 1."""
+    mirror = PlanarComplex(tuple(mirror_cycle(f) for f in c.faces), mirror_cycle(c.outer))
+    phi = c.phi
+    if phi is not None:
+        mirror_phi = [0] * len(phi)
+        for e, f in enumerate(phi):
+            mirror_phi[f ^ 1] = e ^ 1
+        vars(mirror)["phi"] = mirror_phi  # where cached_property keeps its value
+    return mirror
 
 
 def rotation_next(c: PlanarComplex) -> list[int]:

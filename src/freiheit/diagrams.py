@@ -182,6 +182,8 @@ def enumerate_reduced_disk_diagrams(relators: RelatorSet, max_faces: int
     lmax = max((len(r) for r in relators.relators), default=1)
     estimate = (2 * total) * (2 * total * (max_faces * lmax) ** 2) ** (max_faces - 1)
     built = count(1)
+    periods = {idx: _word_period(rel.letters)
+               for idx, rel in enumerate(relators.relators, start=1)}
 
     def reduced_candidates(diag: VanKampenDiagram) -> Iterator[VanKampenDiagram]:
         for cand in _glue_candidates(diag, relators):
@@ -190,13 +192,11 @@ def enumerate_reduced_disk_diagrams(relators: RelatorSet, max_faces: int
                     f"disk diagram enumeration exceeded {DEFAULT_CANDIDATE_LIMIT} "
                     f"candidates (upfront estimate {estimate:.3g})",
                     estimate=estimate)
-            if is_reduced(cand, relators):
+            if not has_mirror_pair(cand, periods.__getitem__):  # is_reduced, periods at hand
                 yield cand
 
     seeds = (one_face_diagram(relators, idx, sign)
              for idx in range(1, len(relators.relators) + 1) for sign in (1, -1))
-    periods = {idx: _word_period(rel.letters)
-               for idx, rel in enumerate(relators.relators, start=1)}
     yield from level_search(seeds, reduced_candidates,
                             lambda diag: _canonical_key(diag, periods), max_faces)
 

@@ -10,11 +10,16 @@ Counting is exact and in closed form: 2m(2m-1)^(L-1) reduced words and
 geometric sum of the latter for B_l, so a count builds no table.  Unranking
 inverts the length-then-lex order with closed forms too: a letter's branch
 holds the same number of words as every other branch at that step but one,
-which holds one more or one fewer, so a letter is one divmod.  The tables
-hold O(m^2 + maxlen) integers, none per word, so huge universes are
-addressed by index without being enumerated.  A uniform sample is the word
-of a uniform rank.  Words built by the samplers are valid by construction
-and skip the letter check; ``Word`` and the text and file readers keep it.
+which holds one more or one fewer.  The same holds for blocks of letters,
+the exceptions being the blocks that end in that letter, so a step reads a
+block of T letters with one divmod corrected by at most one, and the last
+block with one bisect.  T is the longest block whose count tables fit
+``_BLOCK_TABLE_LIMIT`` entries (5 at m = 2, 3 at m = 3, 1 from m = 5 on,
+where they hold O(m^2) integers); the tables depend on m only and none is
+per word, so huge universes are addressed by index without being
+enumerated.  A uniform sample is the word of a uniform rank.  Words built
+by the samplers are valid by construction and skip the letter check;
+``Word`` and the text and file readers keep it.
 
 ``min_cyclic_rotation``, the canonical rotation used as a dictionary key
 by the probes, compares only the rotations that start at the least
@@ -163,19 +168,73 @@ def count_reduced_exact(m: int, length: int) -> int:
 # Ranks of B_l.
 
 
+# Unranking steps by the longest blocks whose count tables, (2m)^2 (2m-1)^t
+# entries for blocks of t letters, fit this bound; by one letter if none do.
+_BLOCK_TABLE_LIMIT = 5_000
+
+
+@lru_cache(maxsize=64)
+def _block_tables(m: int):
+    """The tables a block step reads, which depend on m only.
+
+    T is the largest t >= 1 with (2m)^2 (2m-1)^t <= ``_BLOCK_TABLE_LIMIT``.
+    For t <= T, ``blocks[t][x]`` lists in ascending order the reduced blocks
+    of t letters allowed after the letter x.  For the first letter a,
+    ``by_first[a][t]`` holds three lists indexed by x: the number of the
+    first k of those blocks that end in a^-1, the same for a, and p_j - j
+    for the positions p_j of the blocks that end in a^-1.  Lists are
+    indexed by signed letter, a negative one from the end, and equal
+    tuples are stored once, which keeps T = 1 at O(m^2) entries."""
+    n, q = 2 * m, 2 * m - 1
+    size = 1
+    while n * n * q ** (size + 1) <= _BLOCK_TABLE_LIMIT:
+        size += 1
+    letters = tuple(x for x in range(-m, m + 1) if x)
+    single = {y: (y,) for y in letters}
+    blocks = [None, [None] * (n + 1)]
+    for x in letters:
+        blocks[1][x] = tuple(single[y] for y in letters if y != -x)
+    for t in range(2, size + 1):
+        blocks.append([None] * (n + 1))
+        for x in letters:
+            blocks[t][x] = tuple(c + single[y] for c in blocks[t - 1][x]
+                                 for y in letters if y != -c[-1])
+    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+    counts, skips = {}, {}  # by (t, last letter), lists indexed by x
+    for t in range(1, size + 1):
+        for e in letters:
+            counts[t, e], skips[t, e] = [None] * (n + 1), [None] * (n + 1)
+            for x in letters:
+                ends = [c[-1] == e for c in blocks[t][x]]
+                prefix = tuple(accumulate(ends, initial=0))
+                skip = tuple(p - j for j, p in enumerate(k for k, f in enumerate(ends) if f))
+                counts[t, e][x] = interned.setdefault(prefix, prefix)
+                skips[t, e][x] = interned.setdefault(skip, skip)
+    by_first = [None] * (n + 1)
+    for a in letters:
+        by_first[a] = [None] + [(counts[t, -a], counts[t, a], skips[t, -a])
+                                for t in range(1, size + 1)]
+    return size, blocks, by_first
+
+
 class _WordTables:
     """Length-then-lex ranks of B_maxlen, all from closed forms.
 
     Let q = 2m-1 and a be the first letter, which starts C_L/2m of the C_L
     words of length L.  A reduced word of n letters from s ends in a letter
     t != s^±1 in (q^(n-1) - (-1)^(n-1))/2m ways, and in s in one more way
-    than in s^-1.  So after a letter x with r letters still to follow, every
-    next letter y != x^-1 has ``weights[r]`` = q^r - (q^r - (-1)^r)/2m
-    completions that do not end in a^-1, except one: a has one more when r
-    is odd, a^-1 one fewer when r is even.  ``after[x]`` lists the letters
-    allowed after x in ascending order, and ``exception[a][r % 2][x]`` the
-    position of that exception among them (2m if absent); both are indexed
-    by signed letter, a negative one from the end."""
+    than in s^-1.  So a block of letters, with r letters still to follow
+    it, has ``weights[r]`` = q^r - (q^r - (-1)^r)/2m completions that do
+    not end in a^-1, one more if it ends in a and r is odd, one fewer if it
+    ends in a^-1 and r is even.  Block k after the letter x thus starts
+    k weights[r] ± E(k) completions in, E(k) counting the earlier blocks
+    that end in that exception letter; E(k) <= q^(t-1) < weights[r] for a
+    block of t <= r letters, so offset // weights[r] is off by at most one.
+    A step reads a block of T letters (``_block_tables``), the first maybe
+    a shorter one, so that T letters follow every block but the last; the
+    last block is the offset-th allowed one that does not end in a^-1.
+    ``plans[L]`` lists the (weights[r], t, r % 2) steps of length L and the
+    last block's length."""
 
     def __init__(self, m: int, maxlen: int):
         self.m = m
@@ -184,14 +243,17 @@ class _WordTables:
             (count_cyclically_reduced_exact(m, length) for length in range(1, maxlen + 1)),
             initial=0))
         n, q = 2 * m, 2 * m - 1
-        self.weights = [q ** r - (q ** r - (-1) ** r) // n for r in range(maxlen)]
+        weights = [q ** r - (q ** r - (-1) ** r) // n for r in range(maxlen)]
+        size, self.blocks, self.by_first = _block_tables(m)
         self.letters = tuple(x for x in range(-m, m + 1) if x)
-        self.after = [tuple(y for y in self.letters if y != -x)
-                      for x in (0, *range(1, m + 1), *range(-m, 0))]
-        self.exception = [None] * (n + 1)
-        for a in self.letters:
-            self.exception[a] = tuple([row.index(e) if e in row else n for row in self.after]
-                                      for e in (-a, a))
+        self.plans = [None]
+        for length in range(1, maxlen + 1):
+            steps, r = [], length - 1
+            while r > size:
+                t = r % size or size
+                r -= t
+                steps.append((weights[r], t, r & 1))
+            self.plans.append((tuple(steps), r))
 
     def unrank(self, index: int) -> Word:
         """The index-th word in length-then-lex order, 0 <= index < total."""
@@ -201,31 +263,33 @@ class _WordTables:
         length = bisect_right(cumulative, index)
         start = cumulative[length - 1]
         i, offset = divmod(index - start, (cumulative[length] - start) // (2 * self.m))
-        x = self.letters[i]
-        out = [x]
-        after, weights = self.after, self.weights
-        even, odd = self.exception[x]
-        for r in range(length - 2, -1, -1):
-            w = weights[r]
-            i, offset = divmod(offset, w)
-            # Past the exception, at position odd[x] or even[x], every
-            # letter starts one later (r odd) or one earlier (r even).
-            if r & 1:
-                p = odd[x]
-                if i > p:
-                    if offset:
-                        offset -= 1
-                    else:
-                        i -= 1
-                        offset = w if i == p else w - 1
-            elif i >= even[x]:
-                if offset == w - 1:
-                    i += 1
-                    offset = 0
-                elif i > even[x]:
-                    offset += 1
-            x = after[x][i]
-            out.append(x)
+        x = a = self.letters[i]
+        out = [a]
+        steps, last = self.plans[length]
+        blocks, tables = self.blocks, self.by_first[a]
+        for w, t, odd in steps:
+            k, offset = divmod(offset, w)
+            counts = tables[t][odd][x]
+            # Past k blocks the completions ran E(k) more (r odd) or fewer
+            # (r even) than k w, so k may be one too high or too low.
+            if odd:
+                if counts[k] > offset:
+                    k -= 1
+                    offset += w - counts[k]
+                else:
+                    offset -= counts[k]
+            else:
+                v = offset + counts[k + 1]
+                if v >= w:
+                    k += 1
+                    offset = v - w
+                else:
+                    offset += counts[k]
+            block = blocks[t][x][k]
+            out += block
+            x = block[-1]
+        if last:
+            out += blocks[last][x][offset + bisect_right(tables[last][2][x], offset)]
         return _trusted_word(tuple(out))
 
 

@@ -394,6 +394,28 @@ def test_sweep_seed_override(tmp_path, capsys):
     assert out2.read_text().splitlines()[1].endswith("11")
 
 
+def _no_parser():
+    raise AssertionError("dispatch built a second parser")
+
+
+def test_dispatch_parses_every_call_with_one_parser(tmp_path, capsys, monkeypatch):
+    # A refused parse leaves the parser as it was: two sweeps after it,
+    # with no parser built for them, write the same bytes.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 3, "r": 1, "lengths": [5, 9],
+                               "densities": [0.3, 0.6], "trials": 4, "seed": 5}))
+    assert dispatch(["experiments", "sweep"]) == 2
+    assert "required: --config" in capsys.readouterr().err
+    monkeypatch.setattr("freiheit.cli.build_parser", _no_parser)
+    out1 = tmp_path / "a.csv"
+    out2 = tmp_path / "b.csv"
+    assert dispatch(["--out", str(out1), "experiments", "sweep", "--config", str(cfg)]) == 0
+    assert dispatch(["--out", str(out2), "experiments", "sweep", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert out1.read_bytes() == out2.read_bytes()
+    assert len(out1.read_text().splitlines()) == 1 + 2 * 2
+
+
 def test_validate_config_collects_all_errors(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"m": 1, "r": 0, "lengths": [], "densities": [2.0],

@@ -134,9 +134,10 @@ def test_iso_keys_partition_the_mirror_classes_as_the_oracle_does():
 
 
 def test_glued_maps_carry_the_face_permutation_of_their_cycles():
-    # glue_face relinks the parent's permutation instead of building it
-    # again; it must be the one the child's cycles give, on every gluing of
-    # a face onto the one- and two-face maps, the whole boundary included.
+    # glue_face relinks the parent's permutation and mirror_complex reads it
+    # backwards instead of building it again; it must be the one the new
+    # map's cycles give, on every gluing of a face onto the one- and
+    # two-face maps, the whole boundary included, and on its mirror.
     maps = [polygon(length) for length in range(1, 5)]
     maps += [glue_face(polygon(3), 0, arc, 4, omega) for arc in (1, 2, 3) for omega in range(4)]
     glued = 0
@@ -148,6 +149,8 @@ def test_glued_maps_carry_the_face_permutation_of_their_cycles():
                     for omega in range(length):
                         child = glue_face(c, start, arc, length, omega)
                         assert child.phi == face_permutation(child), (c, start, arc)
+                        mirror = mirror_complex(child)
+                        assert mirror.phi == face_permutation(mirror), (c, start, arc)
                         glued += 1
     assert glued > 1000
 

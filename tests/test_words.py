@@ -132,15 +132,23 @@ def test_rank_inverts_unrank(m, maxlen):
     tables = word_tables(m, maxlen)
     rng = random.Random(m * maxlen)
     indices = [rng.randrange(tables.total) for _ in range(300)]
+    # Both ends of every (length, first letter) block: every block step of
+    # the first word takes its least branch, every step of the last its
+    # greatest.
     for length in range(1, maxlen + 1):
-        indices += [tables.cumulative[length - 1], tables.cumulative[length] - 1]
+        start, end = tables.cumulative[length - 1], tables.cumulative[length]
+        per_letter = (end - start) // (2 * m)
+        for j in range(2 * m):
+            indices += [start + j * per_letter, start + (j + 1) * per_letter - 1]
     for i in indices:
         word = word_at_index(m, maxlen, i)
         assert word.is_cyclically_reduced() and length_lex_rank(counts, word) == i, i
 
 
 def test_unrank_tables_stay_small():
-    # O(m^2 + maxlen) small integers: no table per length and letter pair.
+    # At m = 26 blocks are one letter long, and the count tables, stored
+    # once per distinct tuple, hold O(m^2 + maxlen) small integers: no table
+    # per length and letter pair.
     tracemalloc.start()
     try:
         word = _WordTables(26, 12).unrank(10 ** 20)
@@ -211,7 +219,9 @@ def test_enumeration_guard():
 
 
 def test_unrank_matches_enumeration():
-    for m, maxlen in [(2, 4), (2, 8), (3, 5)]:
+    # At (2, 9) and (3, 7) words run past T + 1 letters, so a middle step, a
+    # short head block or a full one, runs before the last block.
+    for m, maxlen in [(2, 4), (2, 8), (3, 5), (2, 9), (3, 7)]:
         count = 0
         for i, w in enumerate(enumerate_cyclically_reduced(m, maxlen)):
             assert word_at_index(m, maxlen, i) == w
