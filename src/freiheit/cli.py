@@ -313,7 +313,8 @@ def _cmd_experiments_bound(args) -> int:
 
 # The commands that spell words or graphs over all m letters, as a..z, A..Z.
 _SPELLS_ALL_LETTERS = frozenset({_cmd_words_enumerate, _cmd_words_sample,
-                                 _cmd_density_sample, _cmd_stallings_enumerate})
+                                 _cmd_density_sample, _cmd_stallings_enumerate,
+                                 _cmd_abstract_fillings})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,15 +10,18 @@ A label-deterministic graph reads a word along at most one path from each
 vertex, and distinct starts end at distinct vertices, so every reader here
 reads words by the set of vertices reached (``_read``).
 
-Folding repeatedly merges the endpoints of same-label darts leaving a common
-vertex and prunes degree-1 vertices.  The result is independent of the fold
-order; the test suite asserts this confluence rather than assuming it.
+Folding is one worklist pass over the darts: a dart whose label already
+leaves its tail's class merges the classes of the two heads, and the darts
+of the merged-away class go back on the worklist.  Pruning then removes
+degree-1 vertices from a stack of leaves.  The result is independent of the
+worklist order; the test suite asserts this confluence rather than assuming it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, FeasibilityError, MalformedWordError
@@ -29,11 +32,11 @@ from .words import (Word, as_word, canonical_cyclic, char_to_letter, letter_to_c
 MAX_ENUMERATION_EDGES = 12
 LABELING_SPACE_LIMIT = 200_000_000
 
-_UNBUILT = object()
-
 
 class LabeledGraph:
-    """Immutable-by-convention labeled multigraph with an optional base vertex."""
+    """Immutable-by-convention labeled multigraph with an optional base vertex.
+
+    Darts 2e and 2e+1 are the two orientations of edge e, read off ``edges``."""
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int, int]], base: int = 0):
         self.num_vertices = int(num_vertices)
@@ -48,18 +51,6 @@ class LabeledGraph:
                 raise DomainError(f"edge ({u},{v}) out of range")
             if a == 0:
                 raise MalformedWordError("edge labels are nonzero signed ints")
-        # darts 2e, 2e+1 are the two orientations of edge e
-        self._dart_tail: list[int] = []
-        self._dart_head: list[int] = []
-        self._dart_label: list[int] = []
-        for (u, v, a) in self.edges:
-            self._dart_tail += [u, v]
-            self._dart_head += [v, u]
-            self._dart_label += [a, -a]
-        self._out: dict[int, list[int]] = {v: [] for v in range(self.num_vertices)}
-        for d in range(len(self._dart_tail)):
-            self._out[self._dart_tail[d]].append(d)
-        self._out_map = _UNBUILT
 
     @property
     def num_edges(self) -> int:
@@ -68,46 +59,62 @@ class LabeledGraph:
     def __repr__(self):
         return f"LabeledGraph(V={self.num_vertices}, E={self.num_edges}, base={self.base})"
 
+    @cached_property
+    def _vertex_darts(self) -> list[list[int]]:
+        darts: list[list[int]] = [[] for _ in range(self.num_vertices)]
+        for e, (u, v, _) in enumerate(self.edges):
+            darts[u].append(2 * e)
+            darts[v].append(2 * e + 1)
+        return darts
+
     def darts_at(self, v: int) -> list[int]:
-        return self._out[v]
+        return self._vertex_darts[v]
 
     def dart_head(self, d: int) -> int:
-        return self._dart_head[d]
+        u, v, _ = self.edges[d >> 1]
+        return u if d & 1 else v
 
     def dart_label(self, d: int) -> int:
-        return self._dart_label[d]
+        a = self.edges[d >> 1][2]
+        return -a if d & 1 else a
 
     def degree(self, v: int) -> int:
-        return len(self._out[v])
+        return len(self._vertex_darts[v])
+
+    @cached_property
+    def _out_map(self) -> dict[tuple[int, int], int] | None:
+        out: dict[tuple[int, int], int] = {}
+        for (u, v, a) in self.edges:
+            for key, head in (((u, a), v), ((v, -a), u)):
+                if key in out:
+                    return None
+                out[key] = head
+        return out
 
     def out_map(self) -> dict[tuple[int, int], int] | None:
         """(vertex, letter) -> head vertex, or None if not label-deterministic.
 
         Built on the first call; every call returns that same dict, shared
         by all callers, so none may mutate it."""
-        if self._out_map is _UNBUILT:
-            out: dict[tuple[int, int], int] | None = {}
-            for d in range(2 * self.num_edges):
-                key = (self._dart_tail[d], self._dart_label[d])
-                if key in out:
-                    out = None
-                    break
-                out[key] = self._dart_head[d]
-            self._out_map = out
         return self._out_map
 
 
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def is_connected(g: LabeledGraph) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for d in g.darts_at(v):
-            h = g.dart_head(d)
-            if h not in seen:
-                seen.add(h)
-                stack.append(h)
-    return len(seen) == g.num_vertices
+    parent = list(range(g.num_vertices))
+    parts = g.num_vertices
+    for (u, v, _) in g.edges:
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+            parts -= 1
+    return parts == 1
 
 
 def betti(g: LabeledGraph) -> int:
@@ -118,9 +125,7 @@ def betti(g: LabeledGraph) -> int:
 
 
 def is_reduced_graph(g: LabeledGraph) -> bool:
-    if g.out_map() is None:
-        return False
-    return all(g.degree(v) != 1 for v in range(g.num_vertices))
+    return g.out_map() is not None and all(g.degree(v) != 1 for v in range(g.num_vertices))
 
 
 def wedge_of_words(ws: Sequence[Word | Iterable[int]]) -> LabeledGraph:
@@ -150,87 +155,58 @@ def _subdivided_arcs(n: int, ends: Sequence[tuple[int, int]],
 # Folding.
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 def fold(g: LabeledGraph, seed_or_rng=None, with_conjugator: bool = False):
     """Fold to a reduced graph (or a single vertex).
 
-    When a generator is supplied the foldable pair processed at each round is
-    chosen at random; the outcome is the same graph up to isomorphism for
-    every order (confluence).
+    Each class root keeps a dict from letter to head; a merge keeps the
+    smaller id as the root.  A generator shuffles the worklist; the outcome
+    is the same graph for every order (confluence).
 
     Pruning a degree-1 base re-roots it along the pruned edge, which
     conjugates the base loop language; with ``with_conjugator`` the result
     is (graph, c) where c is the label word of the pruned path, so loops w
-    at the old base correspond to c^-1 w c at the new one.
+    at the old base correspond to c^-1 w c at the new one.  On a graph that
+    folds to a point every loop is trivial, and c depends on the order.
     """
     if not is_connected(g):
         raise DomainError("fold expects a connected graph")
-    rng = None if seed_or_rng is None else as_rng(seed_or_rng)
     parent = list(range(g.num_vertices))
-    edges = list(g.edges)
+    out: list[dict[int, int]] = [{} for _ in range(g.num_vertices)]
+    work = [dart for (u, v, a) in g.edges for dart in ((u, a, v), (v, -a, u))]
+    if seed_or_rng is not None:
+        as_rng(seed_or_rng).shuffle(work)
+    while work:
+        u, a, v = work.pop()
+        u, v = _find(parent, u), _find(parent, v)
+        h = _find(parent, out[u].setdefault(a, v))
+        if h != v:
+            keep, gone = min(h, v), max(h, v)
+            parent[gone] = keep
+            work += [(keep, x, t) for x, t in out[gone].items()]
+            out[gone] = {}
 
-    while True:
-        # Normalize endpoints and merge parallel identical edges (a fold move).
-        norm = set()
-        for (u, v, a) in edges:
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru > rv or (ru == rv and a < 0):
-                ru, rv, a = rv, ru, -a
-            norm.add((ru, rv, a))
-        edges = sorted(norm)
-        # Find darts sharing (tail, label).
-        first: dict[tuple[int, int], int] = {}
-        conflicts = []
-        for (u, v, a) in edges:
-            for (src, dst, letter) in ((u, v, a), (v, u, -a)):
-                key = (src, letter)
-                if key in first:
-                    conflicts.append((first[key], dst))
-                else:
-                    first[key] = dst
-        if not conflicts:
-            break
-        t1, t2 = conflicts[0] if rng is None else rng.choice(conflicts)
-        r1, r2 = _find(parent, t1), _find(parent, t2)
-        if r1 != r2:
-            parent[max(r1, r2)] = min(r1, r2)
-        # If r1 == r2 the duplicate edge is removed by the next normalization.
-
+    # Heads at their roots; prune degree-1 vertices, re-rooting a pruned base.
+    out = [{a: _find(parent, h) for a, h in d.items()} for d in out]
     base = _find(parent, g.base)
     conjugator: list[int] = []
-    # Prune degree-1 vertices; re-root the base if it is pruned.
-    while True:
-        deg: dict[int, int] = {}
-        for (u, v, a) in edges:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        leaves = [v for v, d in deg.items() if d == 1]
-        if not leaves:
-            break
-        leaf = leaves[0]
-        keep = []
-        for (u, v, a) in edges:
-            if u == leaf or v == leaf:
-                if base == leaf:
-                    base = v if u == leaf else u
-                    conjugator.append(a if u == leaf else -a)
-            else:
-                keep.append((u, v, a))
-        edges = keep
+    leaves = [u for u, d in enumerate(out) if len(d) == 1]
+    while leaves:
+        leaf = leaves.pop()
+        if len(out[leaf]) != 1:
+            continue
+        ((a, h),) = out[leaf].items()
+        out[leaf].clear()
+        del out[h][-a]
+        if base == leaf:
+            base = h
+            conjugator.append(a)
+        if len(out[h]) == 1:
+            leaves.append(h)
 
-    if not edges:
-        folded = LabeledGraph(1, (), base=0)
-        return (folded, Word(tuple(conjugator))) if with_conjugator else folded
-    used = sorted({u for (u, v, _) in edges} | {v for (u, v, _) in edges})
+    used = [u for u, d in enumerate(out) if d] or [base]
     remap = {v: i for i, v in enumerate(used)}
-    if base not in remap:
-        base = used[0]
+    edges = sorted((u, v, a) for u, d in enumerate(out) for a, v in d.items()
+                   if v > u or (v == u and a > 0))
     folded = LabeledGraph(len(used), [(remap[u], remap[v], a) for (u, v, a) in edges],
                           base=remap[base])
     return (folded, Word(tuple(conjugator))) if with_conjugator else folded
@@ -411,20 +387,15 @@ class TopologicalType:
         return len(self.edge_multiset)
 
 
-def _type_canonical(v: int, edges: tuple[tuple[int, int], ...]):
-    from itertools import permutations
-
-    best = None
-    for perm in permutations(range(v)):
-        mapped = tuple(sorted(tuple(sorted((perm[u], perm[w]))) for (u, w) in edges))
-        if best is None or mapped < best:
-            best = mapped
-    return best
-
-
 def enumerate_topological_types(r: int) -> list[TopologicalType]:
     """All homeomorphism types of finite connected graphs with b1 = r and no
-    degree-1 vertices (no degree-2 vertices either, except the circle)."""
+    degree-1 vertices (no degree-2 vertices either, except the circle).
+
+    Orderly generation: candidates come in ascending lex order of their
+    sorted edge tuples, so the first member of each isomorphism class is its
+    least relabelling, the type's canonical form; its relabellings then mark
+    the rest of the class seen.  The list comes out sorted by vertex count,
+    then edge multiset."""
     if r < 1:
         raise DomainError("r must be >= 1")
     if r > 4:
@@ -432,36 +403,37 @@ def enumerate_topological_types(r: int) -> list[TopologicalType]:
     if r == 1:
         return [TopologicalType(1, ((0, 0),))]
 
-    found: dict[tuple, TopologicalType] = {}
+    found: list[TopologicalType] = []
     for v in range(1, 2 * (r - 1) + 1):
         e = v + r - 1
         slots = [(u, w) for u in range(v) for w in range(u, v)]
+        seen: set[tuple[tuple[int, int], ...]] = set()
 
         def rec(i: int, remaining: int, degs: list[int], chosen: list[tuple[int, int]]):
             if i == len(slots):
                 edges = tuple(chosen)
-                if remaining or not is_connected(
-                        LabeledGraph(v, [(a, b, 1) for (a, b) in edges])):
+                if remaining or edges in seen:
                     return
-                key = (v, _type_canonical(v, edges))
-                if key not in found:
-                    found[key] = TopologicalType(v, key[1])
+                seen.update(tuple(sorted(tuple(sorted((p[a], p[b]))) for (a, b) in edges))
+                            for p in permutations(range(v)))
+                if is_connected(LabeledGraph(v, [(a, b, 1) for (a, b) in edges])):
+                    found.append(TopologicalType(v, edges))
                 return
             u, w = slots[i]
-            for mult in range(remaining + 1):
-                degs[u] += mult * (2 if u == w else 1)
-                if u != w:
-                    degs[w] += mult
+            # More copies of a slot first: ascending lex order of the edges.
+            for mult in range(remaining, -1, -1):
+                degs[u] += mult
+                degs[w] += mult
+                # Degrees end >= 3 and sum to 2e, so none exceeds 2r + 1 - v.
                 # Slot (u, v - 1) is u's last: no later slot touches u, so
                 # its degree is final there and must be at least 3.
-                if w < v - 1 or degs[u] >= 3:
+                if max(degs[u], degs[w]) <= 2 * r + 1 - v and (w < v - 1 or degs[u] >= 3):
                     rec(i + 1, remaining - mult, degs, chosen + [(u, w)] * mult)
-                degs[u] -= mult * (2 if u == w else 1)
-                if u != w:
-                    degs[w] -= mult
+                degs[u] -= mult
+                degs[w] -= mult
 
         rec(0, e, [0] * v, [])
-    return sorted(found.values(), key=lambda t: (t.num_vertices, t.edge_multiset))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +453,11 @@ def _graph_from_arc_words(ttype: TopologicalType,
                           arc_words: Sequence[tuple[int, ...]]) -> LabeledGraph | None:
     """Subdivide each type edge into a labeled arc; None if not reduced."""
     v = ttype.num_vertices
-    out_labels: dict[int, list[int]] = {x: [] for x in range(v)}
+    out_labels: list[list[int]] = [[] for _ in range(v)]
     for (u, w), word in zip(ttype.edge_multiset, arc_words):
         out_labels[u].append(word[0])
         out_labels[w].append(-word[-1])
-    for labels in out_labels.values():
+    for labels in out_labels:
         if len(labels) != len(set(labels)):
             return None
     return LabeledGraph(*_subdivided_arcs(v, ttype.edge_multiset, arc_words), base=0)
@@ -512,6 +484,10 @@ def enumerate_reduced_graphs(m: int, max_edges: int,
     if est > LABELING_SPACE_LIMIT:
         raise FeasibilityError(
             f"estimated labeling space {est:.3g} exceeds limit", estimate=est)
+    # A graph of rank r has at least r edges.  The types come first, so the
+    # rank cap refuses before any graph is listed.
+    types = [t for r in range(2, min(max_betti, max_edges) + 1)
+             for t in enumerate_topological_types(r)]
 
     # b1 = 1: simple labeled cycles, i.e. cyclically reduced words up to
     # rotation and inversion.
@@ -525,28 +501,22 @@ def enumerate_reduced_graphs(m: int, max_edges: int,
     # label twice is reduced, since arc words are reduced and every type
     # vertex has degree >= 3.
     seen: set = set()
-    word_cache: dict[int, list[tuple[int, ...]]] = {}
-    for r in range(2, max_betti + 1):
-        for ttype in enumerate_topological_types(r):
-            arcs = ttype.num_edges
-            if arcs > max_edges:
-                continue
-            for total in range(arcs, max_edges + 1):
-                for comp in _compositions(total, arcs):
-                    pools = []
-                    for length in comp:
-                        if length not in word_cache:
-                            word_cache[length] = list(reduced_words(m, length))
-                        pools.append(word_cache[length])
-                    # Labelings in descending lex order of the arc words,
-                    # the order `stallings enumerate` prints.
-                    for chosen in product(*(pool[::-1] for pool in pools)):
-                        g = _graph_from_arc_words(ttype, chosen)
-                        if g is not None:
-                            code = canonical_code(g)
-                            if code not in seen:
-                                seen.add(code)
-                                yield g
+    descending: dict[int, list[tuple[int, ...]]] = {}
+    for ttype in types:
+        for total in range(ttype.num_edges, max_edges + 1):
+            for comp in _compositions(total, ttype.num_edges):
+                for n in comp:
+                    if n not in descending:
+                        descending[n] = list(reduced_words(m, n))[::-1]
+                # Labelings in descending lex order of the arc words,
+                # the order `stallings enumerate` prints.
+                for chosen in product(*(descending[n] for n in comp)):
+                    g = _graph_from_arc_words(ttype, chosen)
+                    if g is not None:
+                        code = canonical_code(g)
+                        if code not in seen:
+                            seen.add(code)
+                            yield g
 
 
 # ---------------------------------------------------------------------------

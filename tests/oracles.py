@@ -156,7 +156,7 @@ def union_find_fold(g: LabeledGraph) -> LabeledGraph:
         kept = []
         for (u, v, a) in edges:
             if u in drop or v in drop:
-                if base in (u, v):
+                if base in drop and base in (u, v):
                     base = v if u == base else u
             else:
                 kept.append((u, v, a))

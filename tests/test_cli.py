@@ -111,6 +111,25 @@ def test_stallings_enumerate(capsys):
     assert out.count("V 1") == 2
 
 
+@pytest.mark.parametrize("edges, betti, capped", [("3", "4", "3"), ("4", "5", "4")])
+def test_stallings_enumerate_caps_the_rank_at_the_edge_count(capsys, edges, betti, capped):
+    # A graph of rank r has at least r edges: ranks above --max-edges add
+    # nothing, and no rank-5 type is built at four edges.
+    args = ["stallings", "enumerate", "--m", "2", "--max-edges", edges, "--max-betti"]
+    code, out, err = run(capsys, *args, betti)
+    assert code == 0 and out and err == ""
+    assert run(capsys, *args, capped) == (code, out, err)
+
+
+@pytest.mark.parametrize("edges", ["5", "7"])
+def test_stallings_enumerate_guards_rank_five_from_five_edges(capsys, edges):
+    # The rank cap refuses before any graph of rank <= 4 is listed.
+    code, out, err = run(capsys, "stallings", "enumerate", "--m", "2", "--max-edges", edges,
+                         "--max-betti", "5")
+    assert code == 3 and out == ""
+    assert err == "feasibility guard: topological type enumeration capped at r = 4, got 5\n"
+
+
 @pytest.mark.parametrize("m", ["1", "0", "-2"])
 def test_stallings_enumerate_refuses_fewer_than_two_generators(capsys, m):
     code, out, err = run(capsys, "stallings", "enumerate", "--m", m,
@@ -265,8 +284,13 @@ def test_abstract_fillings_refuses_a_large_alphabet_at_once(tmp_path, capsys):
     path.write_text(abstract_to_json(AbstractDistortionDiagram(_one_face_abstract(6), 0, 0)))
     graph = tmp_path / "loop.txt"
     graph.write_text("V 1\nE 0 0 a\n")
-    code, out, err = run(capsys, "abstract", "fillings", "--in", str(path), "--m", "100",
-                         "--maxlen", "6", "--graph", str(graph))
+    # Past 26 letters the alphabet check refuses first; at 26 the search
+    # space of a hexagon is over the feasibility limit.
+    argv = ["abstract", "fillings", "--in", str(path), "--maxlen", "6", "--graph", str(graph)]
+    code, out, err = run(capsys, *argv, "--m", "100")
+    assert code == 1 and out == ""
+    assert err == "domain error: need m <= 26 to spell letters as a..z, got m=100\n"
+    code, out, err = run(capsys, *argv, "--m", "26")
     assert code == 3 and out == ""
     assert "feasibility guard" in err and "exceeds limit" in err
 
@@ -554,25 +578,40 @@ def test_density_sample_at_26_letters_runs_in_a_gigabyte():
 
 
 def _spelling_commands(m):
-    # density sample exited 0 or 1 by seed at m = 27 before the alphabet check.
+    # density sample exited 0 or 1 by seed at m = 27 before the alphabet check;
+    # abstract fillings listed its fillings before it failed to spell one.
     m = str(m)
     return [["words", "enumerate", "--m", m, "--maxlen", "1"],
             ["words", "sample", "--m", m, "--maxlen", "3"],
             ["stallings", "enumerate", "--m", m, "--max-edges", "1", "--max-betti", "1"],
             *(["--seed", str(seed), "density", "sample", "--model", "bernoulli", "--m", m,
-               "--maxlen", "3", "--d", "0.2"] for seed in range(1, 7))]
+               "--maxlen", "3", "--d", "0.2"] for seed in range(1, 7)),
+            ["abstract", "fillings", "--in", "{diagram}", "--m", m, "--maxlen", "2",
+             "--graph", "{graph}"]]
+
+
+def _with_files(tmp_path, argv):
+    """argv with {diagram} a one-face abstract diagram (a bigon) and {graph}
+    a loop, written under tmp_path."""
+    from freiheit.abstract_diagrams import AbstractDistortionDiagram, \
+        _one_face_abstract, abstract_to_json
+
+    diagram, graph = tmp_path / "one.json", tmp_path / "loop.txt"
+    diagram.write_text(abstract_to_json(AbstractDistortionDiagram(_one_face_abstract(2), 0, 0)))
+    graph.write_text("V 1\nE 0 0 a\n")
+    return [arg.format(diagram=diagram, graph=graph) for arg in argv]
 
 
 @pytest.mark.parametrize("argv", _spelling_commands(27))
-def test_spelling_commands_refuse_more_than_26_letters(capsys, argv):
-    code, out, err = run(capsys, *argv)
+def test_spelling_commands_refuse_more_than_26_letters(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *_with_files(tmp_path, argv))
     assert code == 1 and out == ""
     assert err == "domain error: need m <= 26 to spell letters as a..z, got m=27\n"
 
 
 @pytest.mark.parametrize("argv", _spelling_commands(26))
-def test_spelling_commands_run_at_26_letters(capsys, argv):
-    code, out, _ = run(capsys, *argv)
+def test_spelling_commands_run_at_26_letters(tmp_path, capsys, argv):
+    code, out, _ = run(capsys, *_with_files(tmp_path, argv))
     assert code == 0 and out
 
 

@@ -1,5 +1,6 @@
+import hashlib
 import random
-from itertools import product
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -56,16 +57,55 @@ def _random_wedge(rng):
     return wedge_of_words(words)
 
 
-def test_fold_matches_union_find_oracle():
-    rng = random.Random(99)
-    for _ in range(60):
-        g = _random_wedge(rng)
-        mine = fold(g)
-        oracle = union_find_fold(g)
-        if mine.num_edges == 0:
-            assert oracle.num_edges == 0
+def _fold_corpus():
+    """300 seeded connected graphs over two or three letters, each with a
+    random base: random multigraphs (a random spanning tree and up to four
+    more edges, loops among them) alternating with wedges of up to three
+    words."""
+    rng = random.Random(28)
+    graphs = []
+    for i in range(300):
+        m = rng.choice((2, 3))
+        letters = [x for x in range(-m, m + 1) if x]
+        if i % 2:
+            g = wedge_of_words([[rng.choice(letters) for _ in range(rng.randrange(1, 8))]
+                                for _ in range(rng.randrange(1, 4))])
+            n, edges = g.num_vertices, g.edges
         else:
-            assert canonical_code(mine) == canonical_code(oracle)
+            n = rng.randrange(1, 8)
+            edges = [(v, rng.randrange(v), rng.choice(letters)) for v in range(1, n)]
+            edges += [(rng.randrange(n), rng.randrange(n), rng.choice(letters))
+                      for _ in range(rng.randrange(5))]
+            rng.shuffle(edges)
+        graphs.append(LabeledGraph(n, edges, base=rng.randrange(n)))
+    return graphs
+
+
+@pytest.mark.parametrize("order", [None, 1, 2])
+def test_fold_output_is_pinned(order):
+    # The text pins the vertex numbering and the base, which canonical_code
+    # ignores, in the default order and in two shuffled ones. The conjugator
+    # is pinned wherever an edge remains: on a point every loop is trivial,
+    # so every path to the point's base conjugates correctly.
+    digest = hashlib.sha256()
+    points = 0
+    for g in _fold_corpus():
+        folded, c = fold(g, None if order is None else random.Random(order),
+                         with_conjugator=True)
+        points += folded.num_edges == 0
+        tail = repr(c.letters) if folded.num_edges else ""
+        digest.update(f"{graph_to_text(folded)}{tail}\n".encode())
+    assert points == 34
+    assert digest.hexdigest() == \
+        "a8108ac18de0bba64fb0826822609557998f51993330ac269a3ae2e14da66c26"
+
+
+def test_fold_matches_union_find_oracle():
+    # The text holds the vertex numbering and the base, which canonical_code
+    # ignores.
+    rng = random.Random(99)
+    for g in [*(_random_wedge(rng) for _ in range(60)), *_fold_corpus()]:
+        assert graph_to_text(fold(g)) == graph_to_text(union_find_fold(g))
 
 
 def test_fold_confluent_over_orders():
@@ -248,36 +288,53 @@ def test_topological_types():
         enumerate_topological_types(5)
 
 
-def brute_types_r2():
-    # Multigraphs with b1 = 2, min degree 3: v vertices, v+1 edges, v <= 2.
+def _relabelled(edges, perm):
+    return tuple(sorted(tuple(sorted((perm[a], perm[b]))) for (a, b) in edges))
+
+
+def brute_types(r):
+    """Multigraphs with b1 = r and min degree 3 (v <= 2(r-1) vertices, v+r-1
+    edges), connected, each as the least relabelling over all vertex
+    permutations."""
     found = set()
-    for v in (1, 2):
+    for v in range(1, 2 * (r - 1) + 1):
         slots = [(a, b) for a in range(v) for b in range(a, v)]
-        e = v + 1
-        for combo in product(range(e + 1), repeat=len(slots)):
-            if sum(combo) != e:
-                continue
-            edges = []
+        for edges in combinations_with_replacement(slots, v + r - 1):
             degs = [0] * v
-            for mult, (a, b) in zip(combo, slots):
-                edges += [(a, b)] * mult
-                degs[a] += mult * (2 if a == b else 1)
-                if a != b:
-                    degs[b] += mult
-            if any(d < 3 for d in degs):
+            for (a, b) in edges:
+                degs[a] += 1
+                degs[b] += 1
+            reach = {0}
+            for _ in range(v):
+                reach |= {x for (a, b) in edges if reach & {a, b} for x in (a, b)}
+            if min(degs) < 3 or len(reach) < v:
                 continue
-            if v == 2 and not any(a != b for (a, b) in edges):
-                continue  # disconnected
-            keys = set()
-            for perm in ([0], [0, 1], [1, 0])[:1] if v == 1 else ([0, 1], [1, 0]):
-                keys.add(tuple(sorted(tuple(sorted((perm[a], perm[b])))
-                                      for (a, b) in edges)))
-            found.add((v, min(keys)))
+            found.add((v, min(_relabelled(edges, perm) for perm in permutations(range(v)))))
     return found
 
 
-def test_types_r2_against_independent_brute_force():
-    assert len(brute_types_r2()) == len(enumerate_topological_types(2)) == 3
+@pytest.mark.parametrize("r", [2, 3])
+def test_types_against_independent_brute_force(r):
+    types = enumerate_topological_types(r)
+    assert len(types) == {2: 3, 3: 15}[r]
+    assert {(t.num_vertices, t.edge_multiset) for t in types} == brute_types(r)
+    # Each type is the least of its relabellings: the first member of its
+    # class in the search's lex order.
+    for t in types:
+        assert t.edge_multiset == min(_relabelled(t.edge_multiset, perm)
+                                      for perm in permutations(range(t.num_vertices)))
+
+
+TYPE_PINS = {1: (1, "53df2ed2441d06e6b2c0e25edff8942e63e795436fe9f70d73845be8e29dcac2"),
+             2: (3, "e61b4bee8e5550843e00805916d7dcff48423c1fe71977a803cae7c3b219f8a4"),
+             3: (15, "1011f2f8b54d96f3a354cbe6e16119a57a30c2e3ea8594b9b8bb8c7561039d23"),
+             4: (111, "031d8966ade54addce27a9b58d1de9e1f42b575c7bce987231ad1587bc022106")}
+
+
+@pytest.mark.parametrize("r", sorted(TYPE_PINS))
+def test_topological_types_are_pinned(r):
+    types = enumerate_topological_types(r)
+    assert (len(types), hashlib.sha256(repr(types).encode()).hexdigest()) == TYPE_PINS[r]
 
 
 def test_enumerate_reduced_graphs_single_edge():
