@@ -130,23 +130,34 @@ class LetterTable:
     lengths: dict[int, int]
 
 
+def _edge_refusal(first: tuple, second: tuple, length: int) -> str | None:
+    """Why no filling writes an edge decorated by ``first`` and ``second``,
+    ``(letter, dart)`` pairs in letter order, or None when one may;
+    ``length`` is the length of the first letter's relator.  These are
+    the two patterns of ``check_fillable_shape``."""
+    (i, j), dart = first
+    (i2, j2), dart2 = second
+    if (i, j) == (i2, j2):
+        return f"decorated twice by abstract letter {(i, j)}"
+    if i == i2 and dart != dart2 and j2 in (j + 1, j + length - 1):
+        cut = j if j2 == j + 1 else j2
+        return f"forces letter {cut}+1 of relator {i} to cancel letter {cut}"
+    return None
+
+
 def _checked_decorations(ad: AbstractDiagram) -> dict[int, list[DecorationEntry]]:
-    """``decorate``, then the two patterns of ``check_fillable_shape``."""
+    """``decorate``, then ``_edge_refusal`` on every edge with two
+    decorations."""
     decorations = decorate(ad)
     lengths = ad.lengths()
     for e, entries in decorations.items():
         if len(entries) == 1:
             continue
         first, second = entries
-        (i, j), (i2, j2) = first.letter, second.letter
-        if (i, j) == (i2, j2):
-            raise NotFillableError(
-                f"edge {e} decorated twice by abstract letter {first.letter}")
-        if i == i2 and first.dart != second.dart and j2 in (j + 1, j + lengths[i] - 1):
-            cut = j if j2 == j + 1 else j2
-            raise NotFillableError(
-                f"edge {e} forces letter {cut}+1 of relator {i} to "
-                f"cancel letter {cut}")
+        refusal = _edge_refusal((first.letter, first.dart), (second.letter, second.dart),
+                                lengths[first.letter[0]])
+        if refusal:
+            raise NotFillableError(f"edge {e} {refusal}")
     return decorations
 
 
@@ -499,17 +510,6 @@ def abstract_is_reduced(ad: AbstractDiagram) -> bool:
     return not has_mirror_pair(ad, ad.lengths().__getitem__)
 
 
-def _abstract_fillable_shaped(ad: AbstractDiagram) -> bool:
-    """The shape check alone, which also refuses every mirror pair (an edge
-    decorated twice by one letter); most candidates are dropped as
-    duplicates, so none of them is given a letter table."""
-    try:
-        _checked_decorations(ad)
-        return True
-    except DomainError:
-        return False
-
-
 def _face_infos(ad: AbstractDiagram) -> list:
     return [(label, len(cycle)) for label, cycle in zip(ad.face_labels, ad.complex.faces)]
 
@@ -544,7 +544,12 @@ def _class_of(entry: tuple) -> tuple[tuple, int]:
             1 if attained == {0, 1} else 2)
 
 
-def _abstract_glue_candidates(ad: AbstractDiagram, maxlen: int) -> Iterator[AbstractDiagram]:
+def _abstract_gluings(ad: AbstractDiagram, maxlen: int) -> Iterator[tuple]:
+    """Every way ``(length, a, s, omega, label)`` to glue one face onto a
+    diagram, in that order: a ``length``-gon, length <= maxlen, along the
+    ``s`` outer darts from outer position ``a`` on, the arc beginning at
+    position ``omega`` of its cycle, labelled by an index of that length
+    or the next new index, with either sign."""
     n = len(ad.complex.outer)
     lengths = ad.lengths()
     k = len(lengths)
@@ -555,9 +560,40 @@ def _abstract_glue_candidates(ad: AbstractDiagram, maxlen: int) -> Iterator[Abst
         for a in range(n):
             for s in range(1, min(length - 1, n) + 1):
                 for omega in range(length):
-                    glued = glue_face(ad.complex, a, s, length, omega)
                     for label in label_choices:
-                        yield AbstractDiagram(glued, ad.face_labels + (label,))
+                        yield length, a, s, omega, label
+
+
+def _fillable_shaped_children(ad: AbstractDiagram, maxlen: int
+                              ) -> Iterator[AbstractDiagram]:
+    """The gluings onto a fillable-shaped diagram that keep it
+    fillable-shaped, in the order of ``_abstract_gluings``, each built
+    only once it passes.
+
+    Only the arc's edges gain a decoration, so only they can fail: each
+    holds one decoration of the parent, read off its ``letter_table``, and
+    the new face's letter, and the pair must pass ``_edge_refusal``.  A
+    mirror pair decorates an edge twice with one letter, so it fails too.
+    The children of one arc and start share their map."""
+    decorations = ad.letter_table.decorations
+    outer = ad.complex.outer
+    n = len(outer)
+    place = glued = None
+    for gluing in _abstract_gluings(ad, maxlen):
+        length, a, s, omega, (idx, sign) = gluing
+        for i in range(s):
+            x = outer[(a + i) % n]
+            there = decorations[x >> 1][0]
+            # The new face holds x at position omega + i of its cycle.
+            j = (omega + i) % length
+            here = ((idx, j + 1), x) if sign > 0 else ((idx, length - j), x ^ 1)
+            if _edge_refusal(*sorted(((there.letter, there.dart), here)), length):
+                break
+        else:
+            if place != gluing[:4]:
+                place = gluing[:4]
+                glued = glue_face(ad.complex, a, s, length, omega)
+            yield AbstractDiagram(glued, ad.face_labels + ((idx, sign),))
 
 
 @dataclass(frozen=True)
@@ -571,13 +607,14 @@ def _mirror_classes(max_faces: int, maxlen: int
                     ) -> Iterator[tuple[AbstractDiagram, tuple, int]]:
     """The level search keyed by outer re-rooting and mirror: each new class
     as its first diagram, its isomorphism key and its number of labelled
-    classes (``_class_of``), every candidate canonicalized once."""
+    classes (``_class_of``). Only the fillable-shaped children of each
+    parent are built (``_fillable_shaped_children``), and each of them is
+    canonicalized once."""
     seeds = (_canonical(_one_face_abstract(length, sign))
              for length in range(1, maxlen + 1) for sign in (1, -1))
 
     def candidates(entry: tuple) -> Iterator[tuple]:
-        return (_canonical(cand) for cand in _abstract_glue_candidates(entry[0], maxlen)
-                if _abstract_fillable_shaped(cand))
+        return map(_canonical, _fillable_shaped_children(entry[0], maxlen))
 
     for entry in level_search(seeds, candidates, itemgetter(1), max_faces):
         yield (entry[0], *_class_of(entry))

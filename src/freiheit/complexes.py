@@ -245,7 +245,8 @@ def glue_face(c: PlanarComplex, start: int, arc_length: int, length: int,
 
     The child's face permutation is the parent's, relinked where the
     cycles changed: the new face, and the outer walk from the dart before
-    the fresh part to the dart after it.
+    the fresh part to the dart after it; its length is the child's dart
+    count.
     """
     outer = c.outer
     n = len(outer)
@@ -261,7 +262,8 @@ def glue_face(c: PlanarComplex, start: int, arc_length: int, length: int,
         phi[glued_cycle[i - 1]] = glued_cycle[i]
     for i in range(-1, len(fresh)):
         phi[new_outer[i]] = new_outer[(i + 1) % len(new_outer)]
-    vars(child)["phi"] = phi  # where cached_property keeps its value
+    vars(child)["phi"] = phi  # where cached_property keeps its values
+    vars(child)["num_darts"] = len(phi)
     return child
 
 
@@ -297,7 +299,12 @@ def level_search(seeds: Iterable, candidates: Callable[[object], Iterable],
 def has_mirror_pair(d: FaceLabelledMap, period: Callable[[int], int]) -> bool:
     """True iff two faces with one index share a dart at the same position
     of their positive boundaries, positions compared modulo
-    ``period(index)``: the faces are glued mirror-wise and cancel."""
+    ``period(index)``: the faces are glued mirror-wise and cancel.
+
+    The test over the whole map. The enumerations do not run it on the
+    maps they build: a parent has no mirror pair, so a child can only
+    gain one between its new face and the faces across its arc, and that
+    is screened before the child is glued."""
     by_index: dict[int, list[int]] = {}
     for i, (idx, _) in enumerate(d.face_labels):
         by_index.setdefault(idx, []).append(i)
@@ -408,18 +415,27 @@ def least_reading_codes(c: PlanarComplex, face_infos: Sequence[tuple],
     involution, the faces and the outer walk already fix them.  Every
     root's code starts with the same dart count, so only these roots can
     give the least code, and only they are serialized (``_rooted_code``);
-    the mirror map is built only if one of its roots is among them.  A map
-    the cycles do not partition raises DomainError before any root is
+    the mirror map is built only if one of its roots is among them.  The
+    least reading starts with the least element of the two readings, so
+    only the rotations that start there are compared, as in
+    ``words.min_cyclic_rotation``.  A map the cycles do not partition, or
+    with an empty outer walk, raises DomainError before any root is
     serialized, a disconnected one on the first root."""
     if c.phi is None:
         raise DomainError("cannot encode: darts not partitioned")
-    readings = _outer_readings(c, face_infos, dart_labels)
     n = len(c.outer)
+    if not n:
+        raise DomainError("cannot encode: empty outer walk")
+    readings = _outer_readings(c, face_infos, dart_labels)
+    first = min(min(readings[0]), min(readings[1]))
     least = None
     starts: list[tuple[int, int]] = []  # (variant, outer position) reading ``least``
     for variant in (0, 1):
-        doubled = readings[variant] * 2
-        for start_idx in range(n):
+        values = readings[variant]
+        doubled = values * 2
+        start_idx = -1
+        for _ in range(values.count(first)):
+            start_idx = values.index(first, start_idx + 1)
             rotated = doubled[start_idx:start_idx + n]
             if least is None or rotated < least:
                 least = rotated

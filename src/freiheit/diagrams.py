@@ -133,22 +133,52 @@ def diagram_canonical_key(d: VanKampenDiagram, relators: RelatorSet):
                               for idx, _ in d.face_labels})
 
 
-def _glue_candidates(d: VanKampenDiagram, relators: RelatorSet) -> Iterator[VanKampenDiagram]:
-    """All diagrams obtained by gluing one face along an arc of the boundary."""
-    outer = d.complex.outer
-    n = len(outer)
-    for idx in range(1, len(relators.relators) + 1):
-        rel = relators.relators[idx - 1]
+def _window_table(relators: RelatorSet) -> list[tuple]:
+    """Per oriented relator, in index then sign order, ``(index, sign,
+    word, windows)``, where ``windows[s]`` maps every cyclic subword of
+    ``s`` letters, 1 <= s < len(word), to its starts in ascending order."""
+    table = []
+    for idx, rel in enumerate(relators.relators, start=1):
         for sign in (1, -1):
             word = rel.letters if sign > 0 else rel.inverse().letters
             L = len(word)
-            doubled_word = word + word
-            for a in range(n):
-                for s in range(1, min(L - 1, n) + 1):
-                    arc_word = tuple(d.dart_labels[outer[(a + i) % n]] for i in range(s))
-                    for omega in range(L):
-                        if doubled_word[omega:omega + s] == arc_word:
-                            yield _glue_word(d, idx, sign, word, a, s, omega)
+            doubled = word + word
+            windows: list[dict] = [{}]
+            for s in range(1, L):
+                starts: dict[tuple[int, ...], list[int]] = {}
+                for omega in range(L):
+                    starts.setdefault(doubled[omega:omega + s], []).append(omega)
+                windows.append(starts)
+            table.append((idx, sign, word, windows))
+    return table
+
+
+def _gluings(d: VanKampenDiagram, table: list[tuple]) -> Iterator[tuple]:
+    """Every way ``(index, sign, word, a, s, omega)`` to glue one face along
+    an arc of the boundary, in that order: the ``s`` outer darts from outer
+    position ``a`` on read the face's word from position ``omega`` on."""
+    outer = d.complex.outer
+    n = len(outer)
+    labels = tuple([d.dart_labels[x] for x in outer]) * 2
+    longest = max((len(windows) for *_, windows in table), default=1)
+    arcs = [[labels[a:a + s] for s in range(min(longest, n + 1))] for a in range(n)]
+    for idx, sign, word, windows in table:
+        top = min(len(word) - 1, n) + 1
+        for a in range(n):
+            arc_words = arcs[a]
+            for s in range(1, top):
+                for omega in windows[s].get(arc_words[s], ()):
+                    yield idx, sign, word, a, s, omega
+
+
+def _faces_across(d: VanKampenDiagram) -> list[tuple]:
+    """For each outer position, the label of the inner face across its dart
+    and the position of the dart's inverse in that face's stored cycle."""
+    where: list = [None] * d.complex.num_darts
+    for cycle, label in zip(d.complex.faces, d.face_labels):
+        for q, x in enumerate(cycle):
+            where[x] = (label, q)
+    return [where[x ^ 1] for x in d.complex.outer]
 
 
 def _glue_word(d: VanKampenDiagram, idx: int, sign: int, word: tuple[int, ...],
@@ -167,10 +197,19 @@ def _glue_word(d: VanKampenDiagram, idx: int, sign: int, word: tuple[int, ...],
 def enumerate_reduced_disk_diagrams(relators: RelatorSet, max_faces: int
                                     ) -> Iterator[VanKampenDiagram]:
     """Every reduced disk diagram with <= max_faces faces built by successive
-    arc gluings, one per isomorphism class.
+    arc gluings, one per isomorphism class, each the first of its class in
+    the order of ``_gluings``.
 
     A new face is glued along a contiguous arc of the current boundary; the
     fresh part of its boundary is embedded without self-identifications.
+    The arcs are matched through ``_window_table``, built once per call,
+    each arc's word read once per parent.  Every match counts against
+    ``DEFAULT_CANDIDATE_LIMIT``, and only the reduced children are built:
+    a parent has no mirror pair and the new face's fresh darts border the
+    outer face, so the child is reduced unless the new face and a face
+    across its arc have one relator, opposite signs and one position
+    modulo the relator's period (``is_reduced`` on the child, read off the
+    parent's faces).
     """
     if max_faces > MAX_DIAGRAM_FACES:
         raise FeasibilityError(
@@ -184,20 +223,33 @@ def enumerate_reduced_disk_diagrams(relators: RelatorSet, max_faces: int
     built = count(1)
     periods = {idx: _word_period(rel.letters)
                for idx, rel in enumerate(relators.relators, start=1)}
+    table = _window_table(relators)
 
-    def reduced_candidates(diag: VanKampenDiagram) -> Iterator[VanKampenDiagram]:
-        for cand in _glue_candidates(diag, relators):
+    def reduced_children(diag: VanKampenDiagram) -> Iterator[VanKampenDiagram]:
+        across = _faces_across(diag)
+        n = len(across)
+        for gluing in _gluings(diag, table):
             if next(built) > DEFAULT_CANDIDATE_LIMIT:
                 raise FeasibilityError(
                     f"disk diagram enumeration exceeded {DEFAULT_CANDIDATE_LIMIT} "
                     f"candidates (upfront estimate {estimate:.3g})",
                     estimate=estimate)
-            if not has_mirror_pair(cand, periods.__getitem__):  # is_reduced, periods at hand
-                yield cand
+            idx, sign, _, a, s, omega = gluing
+            p = periods[idx]
+            # The new face holds arc dart i at position omega + i and the face
+            # across holds its inverse at q: with one relator and opposite
+            # signs, their positive boundaries meet at positions that agree
+            # modulo p exactly when omega + i + q + 1 is a multiple of p.
+            for i in range(s):
+                (face_idx, face_sign), q = across[(a + i) % n]
+                if face_idx == idx and face_sign != sign and (omega + i + q + 1) % p == 0:
+                    break
+            else:
+                yield _glue_word(diag, *gluing)
 
     seeds = (one_face_diagram(relators, idx, sign)
              for idx in range(1, len(relators.relators) + 1) for sign in (1, -1))
-    yield from level_search(seeds, reduced_candidates,
+    yield from level_search(seeds, reduced_children,
                             lambda diag: _canonical_key(diag, periods), max_faces)
 
 

@@ -343,10 +343,11 @@ def reduced_words(m: int, length: int) -> Iterator[tuple[int, ...]]:
 
 def cyclically_reduced_words(m: int, length: int) -> Iterator[Word]:
     """The cyclically reduced words of exactly ``length`` letters in ascending
-    signed lex order; the arguments are checked at the call, the words stream."""
+    signed lex order; the arguments are checked at the call, the words stream,
+    built without checking the letters again."""
     if m < 2 or length < 1:
         raise DomainError(f"need m >= 2 and length >= 1, got m={m}, length={length}")
-    return (Word(w) for w in reduced_words(m, length) if w[0] != -w[-1])
+    return (_trusted_word(w) for w in reduced_words(m, length) if w[0] != -w[-1])
 
 
 def enumerate_cyclically_reduced(m: int, maxlen: int) -> Iterator[Word]:

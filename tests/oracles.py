@@ -11,7 +11,8 @@ root of a map encoded in full instead of only the least-reading ones,
 every start vertex and subpath length instead of one read of a vertex set,
 a walk along every maximal arc instead of a sum of branch-vertex degrees,
 the whole product of the word pools labelled dart by dart instead of a join
-along shared edges.
+along shared edges, every gluing built and then tested whole instead of
+screened on its arc before it is built.
 """
 
 from __future__ import annotations
@@ -613,6 +614,79 @@ def full_canonical_map_code(c: PlanarComplex,
                for cc, infos in variants for start_idx in range(len(cc.outer)))
 
 
+def disk_glue_candidates(d, relators):
+    """Every diagram obtained by gluing one face along an arc of the
+    boundary, each built, in the enumeration's order (index, sign, arc
+    start, arc length, face start): the arc word is read afresh for each
+    oriented relator and matched against every rotation of it."""
+    from freiheit.diagrams import _glue_word
+
+    outer = d.complex.outer
+    n = len(outer)
+    for idx in range(1, len(relators.relators) + 1):
+        rel = relators.relators[idx - 1]
+        for sign in (1, -1):
+            word = rel.letters if sign > 0 else rel.inverse().letters
+            L = len(word)
+            doubled_word = word + word
+            for a in range(n):
+                for s in range(1, min(L - 1, n) + 1):
+                    arc_word = tuple(d.dart_labels[outer[(a + i) % n]] for i in range(s))
+                    for omega in range(L):
+                        if doubled_word[omega:omega + s] == arc_word:
+                            yield _glue_word(d, idx, sign, word, a, s, omega)
+
+
+def reference_disk_enumeration(relators, max_faces: int) -> list:
+    """``diagrams.enumerate_reduced_disk_diagrams`` by building every gluing
+    and keeping those ``is_reduced`` passes on the whole child."""
+    from freiheit.complexes import level_search
+    from freiheit.diagrams import diagram_canonical_key, is_reduced, one_face_diagram
+
+    def candidates(d):
+        return (cand for cand in disk_glue_candidates(d, relators)
+                if is_reduced(cand, relators))
+
+    seeds = (one_face_diagram(relators, idx, sign)
+             for idx in range(1, len(relators.relators) + 1) for sign in (1, -1))
+    return list(level_search(seeds, candidates,
+                             lambda d: diagram_canonical_key(d, relators), max_faces))
+
+
+def abstract_glue_candidates(ad, maxlen: int):
+    """Every abstract diagram obtained by gluing one face of length <=
+    maxlen onto ``ad``, each built, in the enumeration's order (length, arc
+    start, arc length, face start, label)."""
+    from freiheit.abstract_diagrams import AbstractDiagram
+    from freiheit.complexes import glue_face
+
+    n = len(ad.complex.outer)
+    lengths = ad.lengths()
+    k = len(lengths)
+    for length in range(1, maxlen + 1):
+        label_choices = [(idx, sign) for idx in lengths if lengths[idx] == length
+                         for sign in (1, -1)]
+        label_choices += [(k + 1, 1), (k + 1, -1)]
+        for a in range(n):
+            for s in range(1, min(length - 1, n) + 1):
+                for omega in range(length):
+                    glued = glue_face(ad.complex, a, s, length, omega)
+                    for label in label_choices:
+                        yield AbstractDiagram(glued, ad.face_labels + (label,))
+
+
+def abstract_fillable_shaped(ad) -> bool:
+    """The shape check on the whole diagram: every edge decorated, and no
+    edge with a pattern no filling can write."""
+    from freiheit.abstract_diagrams import _checked_decorations
+
+    try:
+        _checked_decorations(ad)
+        return True
+    except DomainError:
+        return False
+
+
 def labelled_abstract_enumeration(max_faces: int, maxlen: int):
     """``enumerate_abstract_diagrams`` by the labelled search: the level
     search keyed by the code without the mirror (a class per outer
@@ -620,9 +694,7 @@ def labelled_abstract_enumeration(max_faces: int, maxlen: int):
     one, and each of them then keyed by isomorphism (mirror and first-use
     renaming) to pick the representatives. Both keys are full minimums over
     every root. Returns ``(representatives, iso_count, labeled_count)``."""
-    from freiheit.abstract_diagrams import (_abstract_fillable_shaped,
-                                            _abstract_glue_candidates,
-                                            _one_face_abstract)
+    from freiheit.abstract_diagrams import _one_face_abstract
     from freiheit.complexes import level_search
 
     def infos(ad):
@@ -632,8 +704,8 @@ def labelled_abstract_enumeration(max_faces: int, maxlen: int):
         return full_canonical_map_code(ad.complex, infos(ad), use_mirror=False)
 
     def candidates(ad):
-        return (cand for cand in _abstract_glue_candidates(ad, maxlen)
-                if _abstract_fillable_shaped(cand))
+        return (cand for cand in abstract_glue_candidates(ad, maxlen)
+                if abstract_fillable_shaped(cand))
 
     seeds = (_one_face_abstract(length, sign)
              for length in range(1, maxlen + 1) for sign in (1, -1))

@@ -26,7 +26,8 @@ from freiheit.words import Word
 
 from fixtures import (fillable_aligned_pair, irreducible_mirror_pair,
                       reducible_pair, three_face_example, unfillable_pair)
-from oracles import (brute_letter_classes, full_canonical_map_code,
+from oracles import (abstract_fillable_shaped, abstract_glue_candidates,
+                     brute_letter_classes, full_canonical_map_code,
                      labelled_abstract_enumeration, product_filter_fillings)
 
 LOOP = LabeledGraph(1, [(0, 0, 1)])
@@ -350,24 +351,38 @@ def test_an_achiral_diagram_counts_one_labelled_class_and_a_chiral_one_two():
     assert _labelled_classes(chiral) == 2
 
 
-def test_shape_check_refuses_every_mirror_pair(monkeypatch):
+def _one_face_parents(maxlen):
+    """The one-face parents of the enumeration at face length <= maxlen, of
+    both signs: a superset of its level-one classes."""
+    return [_one_face_abstract(length, sign)
+            for length in range(1, maxlen + 1) for sign in (1, -1)]
+
+
+def test_shape_check_refuses_every_mirror_pair():
     # The enumeration keeps a candidate on the shape check alone: a mirror
     # pair is an edge decorated twice by one letter, which the check refuses.
-    seen = []
-    glue = abstract_diagrams._abstract_glue_candidates
-
-    def recording(ad, maxlen):
-        for cand in glue(ad, maxlen):
-            seen.append(cand)
-            yield cand
-
-    monkeypatch.setattr(abstract_diagrams, "_abstract_glue_candidates", recording)
-    for max_faces, maxlen in ((2, 4), (2, 5), (1, 6)):
-        enumerate_abstract_diagrams(max_faces, maxlen)
+    # At two faces the one-face seeds are the only parents, so these are all
+    # the candidates the enumerations at (2, 4) and (2, 5) consider, and more.
+    seen = [cand for maxlen in (4, 5) for parent in _one_face_parents(maxlen)
+            for cand in abstract_glue_candidates(parent, maxlen)]
     mirror_pairs = [cand for cand in seen if not abstract_is_reduced(cand)]
     assert mirror_pairs
-    assert not any(abstract_diagrams._abstract_fillable_shaped(cand)
-                   for cand in mirror_pairs)
+    assert not any(abstract_fillable_shaped(cand) for cand in mirror_pairs)
+
+
+@pytest.mark.parametrize("maxlen", [4, 5, 6])
+def test_the_screen_admits_what_the_whole_shape_check_admits(maxlen):
+    # The screen reads only the arc's edges off the parent's letter table;
+    # the reference builds every gluing and checks all of its edges. The
+    # admitted children must agree one for one, in order, from every parent.
+    refused = 0
+    for parent in _one_face_parents(maxlen):
+        gluings = list(abstract_glue_candidates(parent, maxlen))
+        admitted = [cand for cand in gluings if abstract_fillable_shaped(cand)]
+        screened = list(abstract_diagrams._fillable_shaped_children(parent, maxlen))
+        assert screened == admitted, parent
+        refused += len(gluings) - len(admitted)
+    assert refused > 100
 
 
 def test_enumeration_guards():

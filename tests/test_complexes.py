@@ -16,7 +16,8 @@ from freiheit.diagrams import (diagram_from_json, diagram_to_json,
 from freiheit.errors import DomainError
 from freiheit.words import word_from_text
 
-from oracles import abstract_iso_key, full_canonical_map_code
+from oracles import (abstract_fillable_shaped, abstract_glue_candidates, abstract_iso_key,
+                     full_canonical_map_code)
 
 
 def check_least_reading_codes(c, face_infos, codes):
@@ -71,9 +72,8 @@ def test_canonical_codes_match_the_full_minimum_on_abstract_diagrams(checked_cod
     enumeration = enumerate_abstract_diagrams(2, 4)
     assert len(enumeration.representatives) > 0
     gluings = sum(1 for length in range(1, 5)
-                  for cand in abstract_diagrams._abstract_glue_candidates(
-                      _one_face_abstract(length), 4)
-                  if abstract_diagrams._abstract_fillable_shaped(cand))
+                  for cand in abstract_glue_candidates(_one_face_abstract(length), 4)
+                  if abstract_fillable_shaped(cand))
     assert checked_codes["abstract"] == 8 + gluings > 400, checked_codes
 
 
@@ -169,6 +169,13 @@ def test_canonical_code_rejects_a_map_it_cannot_encode():
     overlapping = PlanarComplex(((0,),), (0,))
     with pytest.raises(DomainError, match="partitioned"):
         canonical_map_code(overlapping, [((1, 1), 1)])
+    # No outer walk to root a code at: one face holding both darts of an
+    # edge, and the empty map.
+    for c, infos in ((PlanarComplex(((0, 1),), ()), [((1, 1), 1)]),
+                     (PlanarComplex((), ()), [])):
+        for encode in (canonical_map_code, least_reading_codes):
+            with pytest.raises(DomainError, match="cannot encode: empty outer walk"):
+                encode(c, infos)
     # Two one-edge loops with no dart in common: the outer walk sees one.
     disconnected = PlanarComplex(((0,), (2,), (3,)), (1,))
     for encode in (canonical_map_code, least_reading_codes):

@@ -20,8 +20,8 @@ from freiheit.words import (Word, canonical_cyclic, cyclic_reduce_letters,
                             min_cyclic_rotation, sample_cyclically_reduced,
                             word_from_text)
 
-from oracles import (brute_readable_subpaths, reducible_pair_oracle, scan_bounded_triviality,
-                     scan_matches)
+from oracles import (brute_readable_subpaths, disk_glue_candidates, reducible_pair_oracle,
+                     reference_disk_enumeration, scan_bounded_triviality, scan_matches)
 
 COMMUTATOR = make_relator_set(2, 4, [Word((1, 2, -1, -2))])
 SMALL = make_relator_set(2, 4, [Word((1, 2)), Word((1, 1, 2)), Word((2, 2, -1))])
@@ -89,17 +89,52 @@ def test_is_reduced_matches_pair_oracle():
         assert not reducible_pair_oracle(d, SMALL)
     # Forced failure: glue a relator onto itself mirror-wise.
     square = make_relator_set(2, 4, [Word((1, 2, 1, 2))])
-    from freiheit.diagrams import _glue_candidates
     base = one_face_diagram(square, 1, 1)
-    reducible = [cand for cand in _glue_candidates(base, square)
+    reducible = [cand for cand in disk_glue_candidates(base, square)
                  if not is_reduced(cand, square)]
     assert reducible
     for cand in reducible[:5]:
         assert reducible_pair_oracle(cand, square)
-    irreducible = [cand for cand in _glue_candidates(base, square)
+    irreducible = [cand for cand in disk_glue_candidates(base, square)
                    if is_reduced(cand, square)]
     for cand in irreducible[:5]:
         assert not reducible_pair_oracle(cand, square)
+
+
+@pytest.mark.parametrize("words", [("aab", "bba", "abAB", "aaBB"), ("abAB",),
+                                   ("aab", "abb", "aaab"), ("abab", "aa", "bbb"),
+                                   ("aaa", "bbb", "abab", "aBaB"), ("abaBa", "ab")])
+def test_screened_enumeration_matches_building_every_gluing(words):
+    # The enumeration builds only the children its mirror screen passes; the
+    # reference builds every gluing and tests the whole child. Periodic
+    # relators (abab, aa, aBaB) compare positions modulo a period shorter
+    # than the relator. In abaBa the letters b and B sit where two faces of
+    # one sign meet at clashing positions, which is no mirror pair, since
+    # their positive boundaries hold opposite darts. Representatives are
+    # the first of their class, so the order must agree too.
+    relators = make_relator_set(2, 5, [word_from_text(w) for w in words])
+    for max_faces in (1, 2, 3):
+        assert list(enumerate_reduced_disk_diagrams(relators, max_faces)) == \
+            reference_disk_enumeration(relators, max_faces)
+
+
+def test_candidate_limit_counts_every_arc_match(monkeypatch):
+    # The limit counts the arc matches, screened or not, so it trips where
+    # it tripped when every match was built: after the same diagrams, with
+    # the same message. 2,478 matches reach the 983 diagrams at K = 3.
+    relators = make_relator_set(2, 4, [word_from_text(w)
+                                       for w in ("aab", "bba", "abAB", "aaBB")])
+    for limit, reached in ((100, 54), (1000, 552), (2477, 983)):
+        monkeypatch.setattr(diagrams, "DEFAULT_CANDIDATE_LIMIT", limit)
+        yielded = []
+        with pytest.raises(FeasibilityError) as refusal:
+            yielded.extend(enumerate_reduced_disk_diagrams(relators, 3))
+        assert len(yielded) == reached
+        assert str(refusal.value) == (f"disk diagram enumeration exceeded {limit} "
+                                      "candidates (upfront estimate 4.55e+08)")
+        assert refusal.value.estimate == 455196672
+    monkeypatch.setattr(diagrams, "DEFAULT_CANDIDATE_LIMIT", 2478)
+    assert sum(1 for _ in enumerate_reduced_disk_diagrams(relators, 3)) == 983
 
 
 def test_two_face_boundary_lengths():
