@@ -288,12 +288,15 @@ class CountReport:
     f labeled i, eta'_i <= |E_f ∩ p| and eta_i <= |E_f \\ p|, and the
     alpha-weighted global sums.  Their eta halves always hold: a free letter
     owns, in every face bearing it, a distinct preferred edge off p.  Their
-    eta' halves can fail when one abstract relator labels several faces
-    that share an edge: a letter minimal on all its edges may take its
-    p-certificate from one face while another face of the same relator
-    contributes nothing (two bigons over one relator glued along an edge
-    already do this).  When each abstract relator labels one face, both
-    halves hold.  The occurrence-summed forms
+    eta' halves can fail when one abstract relator labels several faces: a
+    letter minimal on all its edges may take its p-certificate from one
+    face while another face of the same relator contributes nothing.  Up to
+    MAX_ABSTRACT_FACES = 2, criterion 04's family, such faces share an edge
+    (two bigons over one relator glued along an edge already fail); that is
+    the shape of the two-face failures, not a characterization: at three
+    faces, three bigons in a chain labelled 1, 2, 1 fail with no edge shared
+    by two faces of one relator.  When each abstract relator labels one
+    face, both halves hold.  The occurrence-summed forms
     (``per_relator_ok``: eta'_i bounded by the sum of |E_f ∩ p| over all
     faces labeled i, and the unweighted global sums) are always valid and
     reported alongside.

@@ -19,8 +19,10 @@ prefix they read. The triviality probe needs one pass: the partner w of a
 relator R = x_i w (up to rotation) is one letter shorter, so it precedes R
 and has been seen by the time R is read. It finds w among the relators seen
 so far by a rotation-invariant integer key, a weighted sum over the cyclic
-bigrams of a word, and deleting x_i from R changes R's key by three table
-lookups; only a key hit computes canonical rotations, to confirm the match.
+bigrams of a word; deleting x_i from R changes R's key by one entry of a
+deletion table. Each relator is screened by those candidate keys first, and
+only a key hit runs the per-position search, which computes canonical
+rotations to confirm the match.
 
 When the expected relator count is too large to materialize, a Bernoulli
 trial's collapse event is simulated on its sub-universe (a count-model
@@ -246,7 +248,6 @@ class TrivialityEvidence:
         return any(w is not None for w in self.witnesses.values())
 
 
-@lru_cache(maxsize=None)
 def _bigram_weights(m: int) -> list[list[int]]:
     """Fixed pseudo-random 40-bit weights per bigram (a, b) of signed letters,
     indexed like ``weights[a][b]``: a negative letter reads from the end.
@@ -255,15 +256,16 @@ def _bigram_weights(m: int) -> list[list[int]]:
     return [[rng.getrandbits(40) for _ in range(2 * m + 1)] for _ in range(2 * m + 1)]
 
 
-def _cyclic_bigram_key(letters: tuple[int, ...], weights: list[list[int]]) -> int:
-    """The sum of the weights of the cyclic bigrams of ``letters``: the same
-    for every rotation, since rotating keeps the multiset of bigrams."""
-    key = 0
-    prev = letters[-1]
-    for x in letters:
-        key += weights[prev][x]
-        prev = x
-    return key
+@lru_cache(maxsize=None)
+def _key_tables(m: int) -> tuple[list[list[int]], list[list[list[int]]]]:
+    """The bigram weights at m and their deletion table, indexed the same
+    way: ``deltas[u][g][v] = weights[u][v] - weights[u][g] - weights[g][v]``
+    is the change in a key when g is deleted between u and v."""
+    weights = _bigram_weights(m)
+    n = 2 * m + 1
+    deltas = [[[weights[u][v] - weights[u][g] - weights[g][v] for v in range(n)]
+               for g in range(n)] for u in range(n)]
+    return weights, deltas
 
 
 def triviality_probe(relators: RelatorSet) -> TrivialityEvidence:
@@ -275,46 +277,71 @@ def triviality_probe(relators: RelatorSet) -> TrivialityEvidence:
     it is shorter than R and precedes it in the set's length-then-lex
     order: checking R's candidates against the relators before it, and
     adding R afterwards, finds the same first R as a lookup over the whole
-    set. Relators are looked up by the key of their cyclic bigrams, a
-    rotation-invariant integer; deleting x_i between letters u and v
-    changes the key by dropping the bigrams (u, x_i) and (x_i, v) and adding
-    (u, v), so a candidate's key costs three lookups. Keys can collide, so
-    a hit is confirmed by canonical rotations, and the partner is the first
-    relator in the bucket with the candidate's canonical rotation, as it
-    would be in a lookup by canonical rotation."""
-    m = relators.m
-    weights = _bigram_weights(m)
+    set. For the same reason a relator of length maxlen is never a partner
+    and is not stored.
+
+    Relators are looked up by the key of their cyclic bigrams, the sum of
+    the bigrams' weights: a rotation keeps the multiset of cyclic bigrams,
+    so the key is rotation-invariant. Deleting x_i between letters u and v
+    drops the bigrams (u, x_i) and (x_i, v) and adds (u, v), so it changes
+    the key by ``deltas[u][x_i][v]``, one entry of a deletion table built
+    once per m from the same weights. Most relators have no candidate at
+    all, so each is screened first: one pass over its cyclic triples
+    (u, x_i, v) for the generators still without a witness, and only a key
+    hit among them runs the per-position search, which computes the same
+    candidate keys. Keys can collide, so a hit is confirmed by canonical
+    rotations, and the partner is the first relator in the bucket with the
+    candidate's canonical rotation, as it would be in a lookup by
+    canonical rotation."""
+    m, maxlen = relators.m, relators.maxlen
+    weights, deltas = _key_tables(m)
     by_key: dict[int, list[Word]] = {}
     witnesses: dict[int, TrivialityWitness | None] = {i: None for i in range(1, m + 1)}
-    missing = set(witnesses)
+    # live[g] while generator g has no witness; a negative letter reads an
+    # entry past m, which stays False.
+    live = [False] + [True] * m + [False] * m
     for rel in relators.relators:
         letters = rel.letters
         k = len(letters)
-        key = _cyclic_bigram_key(letters, weights)
-        for pos in range(k):
-            gen = letters[pos]
-            if gen <= 0 or gen not in missing:
-                continue
-            if k == 1:
-                witnesses[gen] = TrivialityWitness(gen, rel, pos, None, 0)
-                missing.discard(gen)
-                continue
-            prev, nxt = letters[pos - 1], letters[pos + 1 - k]
-            bucket = by_key.get(key - weights[prev][gen] - weights[gen][nxt]
-                                + weights[prev][nxt])
-            if bucket is None:
-                continue
-            w = letters[pos + 1:] + letters[:pos]
-            canon = min_cyclic_rotation(w)
-            for partner in bucket:
-                if min_cyclic_rotation(partner.letters) == canon:
-                    shift = _rotation_offset(partner.letters, w)
-                    witnesses[gen] = TrivialityWitness(gen, rel, pos, partner, shift)
-                    missing.discard(gen)
+        key = 0
+        prev = letters[-1]
+        for x in letters:
+            key += weights[prev][x]
+            prev = x
+        # The screen: does any candidate key hit? A bare generator always
+        # goes on to the search.
+        hit = k == 1
+        if not hit:
+            for pos in range(k):
+                gen = letters[pos]
+                if (live[gen]
+                        and key + deltas[letters[pos - 1]][gen][letters[pos + 1 - k]] in by_key):
+                    hit = True
                     break
-        if not missing:
-            break
-        by_key.setdefault(key, []).append(rel)
+        if hit:
+            for pos in range(k):
+                gen = letters[pos]
+                if not live[gen]:
+                    continue
+                if k == 1:
+                    witnesses[gen] = TrivialityWitness(gen, rel, pos, None, 0)
+                    live[gen] = False
+                    continue
+                bucket = by_key.get(key + deltas[letters[pos - 1]][gen][letters[pos + 1 - k]])
+                if bucket is None:
+                    continue
+                w = letters[pos + 1:] + letters[:pos]
+                canon = min_cyclic_rotation(w)
+                for partner in bucket:
+                    if min_cyclic_rotation(partner.letters) == canon:
+                        shift = _rotation_offset(partner.letters, w)
+                        witnesses[gen] = TrivialityWitness(gen, rel, pos, partner, shift)
+                        live[gen] = False
+                        break
+            if not any(live):
+                break
+        if k < maxlen:
+            by_key.setdefault(key, []).append(rel)
     return TrivialityEvidence(witnesses)
 
 

@@ -2,7 +2,7 @@ import functools
 import math
 import random
 import sys
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -192,17 +192,89 @@ def _coverage(rel, ev) -> set[str]:
     return seen
 
 
+def _random_cyclically_reduced(rng, m: int, length: int) -> Word:
+    while True:
+        w = Word(tuple(rng.choice([1, -1]) * rng.randrange(1, m + 1) for _ in range(length)))
+        if w.is_cyclically_reduced():
+            return w
+
+
+def _planted_pair(rng, m: int, length: int) -> tuple[int, Word, Word]:
+    """A generator x_i and rotations of a word w of length - 1 and of x_i w."""
+    while True:
+        w = _random_cyclically_reduced(rng, m, length - 1)
+        gen = rng.randrange(1, m + 1)
+        pair = Word((gen,) + w.letters)
+        if pair.is_cyclically_reduced():
+            return (gen, _rotation(w, rng.randrange(len(w))),
+                    _rotation(pair, rng.randrange(len(pair))))
+
+
+def _boundary_relator_sets(seed: int, count: int):
+    """Sets whose one witnessed pair is a relator of length maxlen and its
+    partner of length maxlen - 1, among random words of every length up to
+    maxlen that witness nothing else."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        m, maxlen = rng.choice([2, 3]), rng.randrange(3, 8)
+        gen, w, pair = _planted_pair(rng, m, maxlen)
+        words = {w, pair} | {_random_cyclically_reduced(rng, m, rng.randrange(1, maxlen + 1))
+                             for _ in range(rng.randrange(12))}
+        rel = make_relator_set(m, maxlen, words)
+        found = {g: wit for g, wit in canonical_triviality_probe(rel).witnesses.items() if wit}
+        if list(found) == [gen] and found[gen].relator == pair and found[gen].partner == w:
+            made += 1
+            yield rel
+
+
+def _successive_relator_sets(seed: int, count: int):
+    """Sets in which one generator's pair precedes another's, and a later
+    pair for the first generator follows: the first pair must stay its
+    witness, and the second generator must still be searched for."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        m, maxlen = rng.choice([2, 3]), rng.randrange(5, 9)
+        short, longer = sorted(rng.sample(range(2, maxlen + 1), 2))
+        first, w1, pair1 = _planted_pair(rng, m, short)
+        second, w2, pair2 = _planted_pair(rng, m, longer)
+        again, w3, pair3 = _planted_pair(rng, m, rng.randrange(longer, maxlen + 1))
+        if second == first or again != first:
+            continue
+        words = {w1, pair1, w2, pair2, w3, pair3}
+        rel = make_relator_set(m, maxlen, words)
+        found = canonical_triviality_probe(rel).witnesses
+        if (found[first] and found[first].relator == pair1
+                and found[second] and found[second].relator == pair2):
+            made += 1
+            yield rel
+
+
+def _constant_bigram_weights(monkeypatch) -> None:
+    """Every bigram weight 1, so a key is a word's length. The probe's keys
+    and deletion table both come from the weights through a cache per m, so
+    the cache is swapped for a fresh one that reads the patched weights."""
+    monkeypatch.setattr(experiments, "_bigram_weights",
+                        lambda m: [[1] * (2 * m + 1)] * (2 * m + 1))
+    monkeypatch.setattr(experiments, "_key_tables",
+                        functools.lru_cache(experiments._key_tables.__wrapped__))
+
+
 @pytest.mark.parametrize("weights", ["pseudo-random", "constant"])
 def test_triviality_probe_matches_the_canonical_lookup(weights, monkeypatch):
     # Every witness, partners and shifts included, equals the one found by
     # canonicalizing the whole set first. With constant bigram weights every
     # relator of the candidate's length is a key hit, so only the
-    # confirmation by canonical rotation tells them apart.
+    # confirmation by canonical rotation tells them apart. The boundary sets
+    # pin that a relator of length maxlen, which the probe does not store,
+    # still finds its partner; the successive ones, that a found generator
+    # is no longer screened and the others still are.
     if weights == "constant":
-        monkeypatch.setattr(experiments, "_bigram_weights",
-                            lambda m: [[1] * (2 * m + 1)] * (2 * m + 1))
+        _constant_bigram_weights(monkeypatch)
     seen = set()
-    for rel in _planted_relator_sets(2024, 600):
+    for rel in chain(_planted_relator_sets(2024, 600), _boundary_relator_sets(30, 150),
+                     _successive_relator_sets(31, 150)):
         ev = triviality_probe(rel)
         assert ev == canonical_triviality_probe(rel), rel.relators
         seen |= _coverage(rel, ev)
@@ -212,8 +284,11 @@ def test_triviality_probe_matches_the_canonical_lookup(weights, monkeypatch):
 
 
 def test_triviality_probe_matches_the_canonical_lookup_on_sampled_sets():
-    for t, (m, maxlen, d) in enumerate([(2, 8, 0.6), (2, 10, 0.5), (3, 6, 0.6), (3, 8, 0.45)]
-                                       * 5):
+    # The last three shapes are the sweep's hot cells; at (3, 12, 0.45) most
+    # witnesses are relators of length maxlen.
+    shapes = ([(2, 8, 0.6), (2, 10, 0.5), (3, 6, 0.6), (3, 8, 0.45)] * 5
+              + [(3, 12, 0.45), (2, 12, 0.6), (2, 12, 0.75)] * 2)
+    for t, (m, maxlen, d) in enumerate(shapes):
         rel = sample_relator_set(m, maxlen, DensityModel("bernoulli", d, 0),
                                  rng_for(17, "probe", t))
         assert triviality_probe(rel) == canonical_triviality_probe(rel)
