@@ -20,9 +20,9 @@ relator R = x_i w (up to rotation) is one letter shorter, so it precedes R
 and has been seen by the time R is read. It finds w among the relators seen
 so far by a rotation-invariant integer key, a weighted sum over the cyclic
 bigrams of a word; deleting x_i from R changes R's key by one entry of a
-deletion table. Each relator is screened by those candidate keys first, and
-only a key hit runs the per-position search, which computes canonical
-rotations to confirm the match.
+deletion table. Most candidate keys miss, so a relator costs one table
+entry and one membership test per position, and only a key hit computes
+canonical rotations to confirm the match.
 
 When the expected relator count is too large to materialize, a Bernoulli
 trial's collapse event is simulated on its sub-universe (a count-model
@@ -285,11 +285,10 @@ def triviality_probe(relators: RelatorSet) -> TrivialityEvidence:
     so the key is rotation-invariant. Deleting x_i between letters u and v
     drops the bigrams (u, x_i) and (x_i, v) and adds (u, v), so it changes
     the key by ``deltas[u][x_i][v]``, one entry of a deletion table built
-    once per m from the same weights. Most relators have no candidate at
-    all, so each is screened first: one pass over its cyclic triples
-    (u, x_i, v) for the generators still without a witness, and only a key
-    hit among them runs the per-position search, which computes the same
-    candidate keys. Keys can collide, so a hit is confirmed by canonical
+    once per m from the same weights. So one pass over a relator's cyclic
+    triples (u, x_i, v), for the generators still without a witness, costs
+    one table entry and one membership test per position; most relators
+    hit no key at all. Keys can collide, so a hit is confirmed by canonical
     rotations, and the partner is the first relator in the bucket with the
     candidate's canonical rotation, as it would be in a lookup by
     canonical rotation."""
@@ -308,38 +307,31 @@ def triviality_probe(relators: RelatorSet) -> TrivialityEvidence:
         for x in letters:
             key += weights[prev][x]
             prev = x
-        # The screen: does any candidate key hit? A bare generator always
-        # goes on to the search.
-        hit = k == 1
-        if not hit:
-            for pos in range(k):
-                gen = letters[pos]
-                if (live[gen]
-                        and key + deltas[letters[pos - 1]][gen][letters[pos + 1 - k]] in by_key):
-                    hit = True
-                    break
-        if hit:
-            for pos in range(k):
-                gen = letters[pos]
-                if not live[gen]:
-                    continue
-                if k == 1:
-                    witnesses[gen] = TrivialityWitness(gen, rel, pos, None, 0)
+        found = False
+        for pos in range(k):
+            gen = letters[pos]
+            if not live[gen]:
+                continue
+            if k == 1:
+                witnesses[gen] = TrivialityWitness(gen, rel, pos, None, 0)
+                live[gen] = False
+                found = True
+                continue
+            cand = key + deltas[letters[pos - 1]][gen][letters[pos + 1 - k]]
+            if cand not in by_key:
+                continue
+            bucket = by_key[cand]
+            w = letters[pos + 1:] + letters[:pos]
+            canon = min_cyclic_rotation(w)
+            for partner in bucket:
+                if min_cyclic_rotation(partner.letters) == canon:
+                    shift = _rotation_offset(partner.letters, w)
+                    witnesses[gen] = TrivialityWitness(gen, rel, pos, partner, shift)
                     live[gen] = False
-                    continue
-                bucket = by_key.get(key + deltas[letters[pos - 1]][gen][letters[pos + 1 - k]])
-                if bucket is None:
-                    continue
-                w = letters[pos + 1:] + letters[:pos]
-                canon = min_cyclic_rotation(w)
-                for partner in bucket:
-                    if min_cyclic_rotation(partner.letters) == canon:
-                        shift = _rotation_offset(partner.letters, w)
-                        witnesses[gen] = TrivialityWitness(gen, rel, pos, partner, shift)
-                        live[gen] = False
-                        break
-            if not any(live):
-                break
+                    found = True
+                    break
+        if found and not any(live):
+            break
         if k < maxlen:
             by_key.setdefault(key, []).append(rel)
     return TrivialityEvidence(witnesses)

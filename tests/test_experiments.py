@@ -269,7 +269,7 @@ def test_triviality_probe_matches_the_canonical_lookup(weights, monkeypatch):
     # confirmation by canonical rotation tells them apart. The boundary sets
     # pin that a relator of length maxlen, which the probe does not store,
     # still finds its partner; the successive ones, that a found generator
-    # is no longer screened and the others still are.
+    # is no longer looked up and the others still are.
     if weights == "constant":
         _constant_bigram_weights(monkeypatch)
     seen = set()
