@@ -11,8 +11,7 @@ from .words import (Word, free_reduce, cyclic_reduce,
                     sample_cyclically_reduced, word_at_index,
                     word_from_text, word_to_text)
 from .density import (DensityModel, RelatorSet, make_relator_set,
-                      bernoulli_subset, bernoulli_index_subset,
-                      uniform_count_subset, uniform_count_index_subset,
+                      bernoulli_index_subset, uniform_count_index_subset,
                       density_estimate, sample_relator_set,
                       intersection_experiment)
 from .stallings import (LabeledGraph, wedge_of_words, fold, betti,

@@ -8,19 +8,24 @@ Two permutation-invariant models over a finite universe E:
   defined for d in [0, 1].
 
 Both are sampled by index, so the universe is never enumerated. A Bernoulli
-subset is drawn by geometric waiting times between successive members
-(Devroye, Non-Uniform Random Variate Generation, X.4): the positions they
-reach are the members, already sorted and distinct. Once |E| > 2^53 float
-gaps lose unit resolution, so there the waiting times give only the size
-and that many distinct indices are drawn uniformly: conditioned on its
-size, a Bernoulli subset is a uniform subset of that size (drawn by
-Floyd's algorithm past sys.maxsize). The cost is O(|A|), whatever |E|.
+subset is drawn per length layer of B_maxlen (a flat universe is one layer).
+Layers of mean size |layer| min(p, 1 - p) below 10 take their members from
+geometric waiting times (Devroye, Non-Uniform Random Variate Generation,
+X.4), which reach them sorted and distinct. Every other layer draws only its
+size k, by BTRS (Hormann, J. Statist. Comput. Simul. 46, 1993), and one draw
+then seeds a member stream: the caller's generator is not read again. A read
+that first reaches a sized layer draws its members from that stream, in
+layer order: waiting times at rate k/|layer|, then uniform removals or
+insertions to size k. Given its size a Bernoulli layer is a uniform subset of that size, and a
+fix-up that treats all indices alike keeps it so. The set thus depends only
+on the generator, its size costs nothing, and a probe pays for the layers it
+reads. Past 2^53 float gaps lose unit resolution, so there a layer's members
+are drawn uniformly for its size (by Floyd's algorithm past sys.maxsize).
 
-A sampled relator set holds the sorted index list and unranks its words
-lazily: the first access to a relator unranks every relator before it, in
-order, and the words are kept. The probes read the relators shortest first
-and stop once they have their witnesses, so a trial unranks only the prefix
-its probes read.
+A sampled relator set unranks its words lazily: the first access to a
+relator unranks every relator before it, in order, and the words are kept.
+The probes read the relators shortest first and stop once they have their
+witnesses, so a trial draws and unranks only the prefix its probes read.
 
 floor(|E|^d) is exact: where d = p/q in lowest terms has a denominator small
 enough for |E|^d to be an integer, it is the integer q-th root of |E|^p;
@@ -32,8 +37,10 @@ The density of a subset A of E is log_|E|(|A|), with -inf for the empty set.
 from __future__ import annotations
 
 import math
+import random
 import sys
-from collections.abc import Sequence
+from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Literal, get_args
@@ -125,41 +132,53 @@ class RelatorSet:
 
 
 class _SampledWords(Sequence):
-    """The words at sorted indices of B_maxlen, unranked on first access.
+    """The words at the sorted indices of a sampled subset of B_maxlen,
+    given as its size and an iterator over the indices of each length
+    layer, in order; layers are drawn and words unranked on first access.
 
-    Reading the word at position i unranks every word before it that is
-    not yet unranked, in order, and keeps them all; so does iteration, one
-    word at a time. Equality and hash are those of the tuple of the words,
-    which reading them all builds."""
+    Reading the word at position i draws every layer up to the one that
+    holds it and unranks every word before it that is not yet unranked, in
+    order, and keeps them all; so does iteration, one word at a time.
+    Equality and hash are those of the tuple of the words, which reading
+    them all builds."""
 
-    __slots__ = ("_indices", "_unrank", "_words")
+    __slots__ = ("_size", "_layers", "_indices", "_unrank", "_words")
 
-    def __init__(self, indices: list[int], unrank: Callable[[int], Word]):
-        self._indices = indices
+    def __init__(self, size: int, layers: Iterator[list[int]], unrank: Callable[[int], Word]):
+        self._size = size
+        self._layers = layers
+        self._indices: list[int] = []
         self._unrank = unrank
         self._words: list[Word] = []
 
     def __len__(self) -> int:
-        return len(self._indices)
+        return self._size
+
+    def _draw(self, count: int) -> list[int]:
+        """The indices, with at least the first ``count`` drawn."""
+        indices = self._indices
+        while len(indices) < count:
+            indices += next(self._layers)
+        return indices
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(self[k] for k in range(len(self._indices))[i])
-        n = len(self._indices)
+            return tuple(self[k] for k in range(self._size)[i])
+        n = self._size
         if i < 0:
             i += n
         if not 0 <= i < n:
             raise IndexError("relator index out of range")
         words = self._words
         if i >= len(words):
-            words.extend(map(self._unrank, self._indices[len(words):i + 1]))
+            words.extend(map(self._unrank, self._draw(i + 1)[len(words):i + 1]))
         return words[i]
 
     def __iter__(self):
         words, indices, unrank = self._words, self._indices, self._unrank
-        for k in range(len(indices)):
+        for k in range(self._size):
             if k == len(words):
-                words.append(unrank(indices[k]))
+                words.append(unrank((indices if k < len(indices) else self._draw(k + 1))[k]))
             yield words[k]
 
     def __eq__(self, other):
@@ -219,38 +238,141 @@ def floor_power(n: int, d: float) -> int:
     return min(n, math.floor(math.exp(d * math.log(n))))
 
 
-def bernoulli_subset(elements: Sequence, d: float, seed_or_rng) -> list:
-    """A Bernoulli subset of an explicit universe, in the universe's order."""
-    return [elements[i] for i in bernoulli_index_subset(len(elements), d, seed_or_rng)]
+# BTRS holds for a binomial of mean n min(p, 1 - p) >= 10.
+BTRS_MIN_MEAN = 10
 
 
-def bernoulli_index_subset(universe_size: int, d: float, seed_or_rng) -> list[int]:
-    """Bernoulli subset of range(universe_size), returned as a sorted index list.
+def _stirling_tail(k: int) -> float:
+    """log(k!) - (k + 1/2) log(k + 1) + k + 1 - log(2 pi)/2, by its series past 9."""
+    if k < 10:
+        return (math.log(math.factorial(k)) - (k + 0.5) * math.log(k + 1) + k + 1
+                - 0.5 * math.log(2 * math.pi))
+    inv = 1.0 / (k + 1)
+    return (1.0 / 12 - (1.0 / 360 - inv * inv / 1260) * inv * inv) * inv
 
-    The positions the waiting times reach are the members, in increasing
-    order. Float gaps lose unit resolution once universe_size > 2^53, so
-    there the waiting times give only the size and that many big-int
-    indices are drawn exactly.
-    """
-    rng = as_rng(seed_or_rng)
-    p = inclusion_probability(universe_size, d)
+
+def _binomial(n: int, p: float, rng) -> int:
+    """Binomial(n, p) for n min(p, 1 - p) >= BTRS_MIN_MEAN, by BTRS. Its exact
+    test takes the large factorials' ratio as (n + 1) log1p((k - mode)/(n - k
+    + 1)): near n = 1e14 lgamma(n + 1) has an ulp of 0.5, too coarse to subtract."""
+    if p > 0.5:
+        return n - _binomial(n, 1.0 - p, rng)
+    log, random = math.log, rng.random
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    r = p / (1.0 - p)
+    mode = math.floor((n + 1) * p)
+    head = ((mode + 0.5) * log((mode + 1) / (r * (n - mode + 1)))
+            + _stirling_tail(mode) + _stirling_tail(n - mode))
+    while True:
+        u = random() - 0.5
+        v = random()
+        us = 0.5 - abs(u)
+        k = math.floor((2 * a / us + b) * u + c)
+        if us >= 0.07 and v <= vr:
+            return k
+        if 0 <= k <= n and log(v * alpha / (a / (us * us) + b)) <= (
+                head + (n + 1) * math.log1p((k - mode) / (n - k + 1))
+                + (k + 0.5) * log(r * (n - k + 1) / (k + 1))
+                - _stirling_tail(k) - _stirling_tail(n - k)):
+            return k
+
+
+def _bernoulli_layers(bounds: Sequence[int], d: float, rng) -> tuple[int, Iterator[list[int]]]:
+    """A Bernoulli subset of range(bounds[-1]) at density d, drawn as the module
+    docstring says: its size, and its sorted members per layer range(bounds[i
+    - 1], bounds[i]), in order. Layer sizes never decrease, so the layers below
+    BTRS_MIN_MEAN are a prefix, drawn by one run of waiting times."""
+    n = bounds[-1]
+    p = inclusion_probability(n, d)
     if p >= 1.0:
-        return list(range(universe_size))
+        return n, iter([list(range(n))])
+    j = 1
+    while j < len(bounds) and (bounds[j] - bounds[j - 1]) * min(p, 1.0 - p) < BTRS_MIN_MEAN:
+        j += 1
+    prefix = _waiting_times(0, bounds[j - 1], p, rng)
+    sized = [(lo, hi, _binomial(hi - lo, p, rng)) for lo, hi in zip(bounds[j - 1:], bounds[j:])]
+    seed = rng.getrandbits(64) if sized else None
+    return len(prefix) + sum(k for _, _, k in sized), _layer_members(prefix, sized, seed)
+
+
+def _layer_members(prefix: list[int], sized: list[tuple[int, int, int]],
+                   seed: int | None) -> Iterator[list[int]]:
+    """The sorted members of each layer in turn: the prefix, then each (lo, hi,
+    k) layer of ``sized`` from the member stream, seeded on its first read."""
+    yield prefix
+    if sized:
+        stream = random.Random(seed)
+        for lo, hi, k in sized:
+            yield _sized_layer(lo, hi, k, stream)
+
+
+def _read_all(layers: Iterator[list[int]]) -> list[int]:
+    """The members of every layer, joined in order."""
+    members = next(layers)
+    for layer in layers:
+        members += layer
+    return members
+
+
+def _waiting_times(lo: int, hi: int, p: float, rng) -> list[int]:
+    """A Bernoulli(p) subset of range(lo, hi), sorted, for 0 < p <= 1."""
     log_q = math.log1p(-p)
     random, log = rng.random, math.log
     members: list[int] = []
-    i = -1
+    i = lo - 1
     while True:
         # Geometric(p) gap on {1, 2, ...}; 1 - random() lies in (0, 1].
         i += int(log(1.0 - random()) / log_q) + 1
-        if i >= universe_size:
+        if i >= hi:
             break
         members.append(i)
-    if universe_size <= 2 ** 53:
+    if hi - lo <= 2 ** 53:
         return members
-    if universe_size <= sys.maxsize:
-        return sorted(rng.sample(range(universe_size), len(members)))
-    return _floyd_subset(universe_size, len(members), rng)
+    return _uniform_subset(lo, hi, len(members), rng)
+
+
+def _sized_layer(lo: int, hi: int, k: int, rng) -> list[int]:
+    """A uniform k-subset of range(lo, hi), sorted: a Bernoulli layer given its
+    size k, by waiting times and a fix-up that treat all indices alike."""
+    if not k or hi - lo > 2 ** 53:
+        return _uniform_subset(lo, hi, k, rng)
+    members = _waiting_times(lo, hi, k / (hi - lo), rng)
+    # rng.randrange's draws, inlined: a uniform j < n is the first of
+    # getrandbits(n.bit_length()) that falls below n.
+    getrandbits, n = rng.getrandbits, len(members)
+    while n > k:
+        j = getrandbits(n.bit_length())
+        if j < n:
+            del members[j]
+            n -= 1
+    span, bits = hi - lo, (hi - lo).bit_length()
+    while n < k:
+        x = getrandbits(bits)
+        if x < span:
+            j = bisect_left(members, x + lo)
+            if j == n or members[j] != x + lo:
+                members.insert(j, x + lo)
+                n += 1
+    return members
+
+
+def bernoulli_index_subset(universe_size: int, d: float, seed_or_rng) -> list[int]:
+    """Bernoulli subset of range(universe_size), returned as a sorted index
+    list: the layered draw of a universe of one layer, read in full."""
+    return _read_all(_bernoulli_layers((0, universe_size), d, as_rng(seed_or_rng))[1])
+
+
+def _uniform_subset(lo: int, hi: int, k: int, rng) -> list[int]:
+    """A uniform k-subset of range(lo, hi), sorted: by rng.sample, or past
+    sys.maxsize, where range() has no length, by Floyd's algorithm."""
+    if hi - lo <= sys.maxsize:
+        return sorted(rng.sample(range(lo, hi), k))
+    return [lo + i for i in _floyd_subset(hi - lo, k, rng)]
 
 
 def _floyd_subset(universe_size: int, k: int, rng) -> list[int]:
@@ -265,19 +387,10 @@ def _floyd_subset(universe_size: int, k: int, rng) -> list[int]:
     return sorted(chosen)
 
 
-def uniform_count_subset(elements: Sequence, d: float, seed_or_rng) -> list:
-    """A uniformly random subset of exactly floor(|E|^d) elements."""
-    rng = as_rng(seed_or_rng)
-    k = floor_power(len(elements), d)
-    return rng.sample(list(elements), k)
-
-
 def uniform_count_index_subset(universe_size: int, d: float, seed_or_rng) -> list[int]:
-    rng = as_rng(seed_or_rng)
-    k = floor_power(universe_size, d)
-    if universe_size <= sys.maxsize:
-        return sorted(rng.sample(range(universe_size), k))
-    return _floyd_subset(universe_size, k, rng)
+    """A uniformly random subset of exactly floor(|E|^d) indices, sorted."""
+    return _uniform_subset(0, universe_size, floor_power(universe_size, d),
+                           as_rng(seed_or_rng))
 
 
 def density_estimate(subset_size: int, universe_size: int) -> float:
@@ -291,21 +404,21 @@ def density_estimate(subset_size: int, universe_size: int) -> float:
     return math.log(subset_size) / math.log(universe_size)
 
 
-def densable_window_flag(subset_size: int, universe_size: int, d: float, eps: float) -> bool:
-    """Whether |E|^(d-eps) <= |A| <= |E|^(d+eps): the conditioning event of
-    density estimation, exposed per trial."""
-    ln = math.log(universe_size)
-    lo = math.exp((d - eps) * ln)
-    hi = math.exp((d + eps) * ln)
-    return lo <= subset_size <= hi
+def _relator_layers(m: int, maxlen: int, model: DensityModel,
+                    seed_or_rng) -> tuple[int, Iterator[list[int]]]:
+    """The size of a sampled subset of B_maxlen and its indices by layer; a
+    count-model subset is drawn whole, as one layer."""
+    rng = as_rng(seed_or_rng)
+    if model.kind == "bernoulli":
+        return _bernoulli_layers(word_tables(m, maxlen).cumulative, model.d, rng)
+    indices = uniform_count_index_subset(count_cyclically_reduced_upto(m, maxlen), model.d, rng)
+    return len(indices), iter([indices])
 
 
 def sample_relator_indices(m: int, maxlen: int, model: DensityModel, seed_or_rng) -> list[int]:
-    """Indices into the length-then-lex order of B_maxlen."""
-    n = count_cyclically_reduced_upto(m, maxlen)
-    if model.kind == "bernoulli":
-        return bernoulli_index_subset(n, model.d, seed_or_rng)
-    return uniform_count_index_subset(n, model.d, seed_or_rng)
+    """Indices into the length-then-lex order of B_maxlen: those of
+    sample_relator_set for the same generator."""
+    return _read_all(_relator_layers(m, maxlen, model, seed_or_rng)[1])
 
 
 def expected_relator_count(m: int, maxlen: int, d: float) -> float:
@@ -319,8 +432,8 @@ def expected_relator_count(m: int, maxlen: int, d: float) -> float:
 
 def sample_relator_set(m: int, maxlen: int, model: DensityModel, seed_or_rng,
                        *, materialize_limit: int = MATERIALIZE_LIMIT) -> RelatorSet:
-    """A sampled relator set, guarded against huge expected sizes; its
-    words are unranked from the sorted indices on first access."""
+    """A sampled relator set, guarded against huge expected sizes; its size
+    is drawn now, its members and words on first access."""
     expected = expected_relator_count(m, maxlen, model.d)
     if expected > materialize_limit:
         raise FeasibilityError(
@@ -328,11 +441,11 @@ def sample_relator_set(m: int, maxlen: int, model: DensityModel, seed_or_rng,
             f"limit {materialize_limit}; use the statistical trial path",
             estimate=expected,
         )
-    indices = sample_relator_indices(m, maxlen, model, seed_or_rng)
+    size, layers = _relator_layers(m, maxlen, model, seed_or_rng)
     # Sorted distinct indices unrank to cyclically reduced words of B_maxlen
     # in strictly increasing length-then-lex order.
     return RelatorSet._trusted(
-        m, maxlen, _SampledWords(indices, word_tables(m, maxlen).unrank), model)
+        m, maxlen, _SampledWords(size, layers, word_tables(m, maxlen).unrank), model)
 
 
 @dataclass(frozen=True)
@@ -376,9 +489,7 @@ def intersection_experiment(d_a: float, d_b: float, m: int, lengths: Iterable[in
 __all__ = [
     "DensityModel", "RelatorSet", "IntersectionRow", "ModelKind", "MODEL_KINDS",
     "make_relator_set", "inclusion_probability", "floor_power",
-    "bernoulli_subset", "bernoulli_index_subset",
-    "uniform_count_subset", "uniform_count_index_subset",
-    "density_estimate", "densable_window_flag",
+    "bernoulli_index_subset", "uniform_count_index_subset", "density_estimate",
     "sample_relator_indices", "sample_relator_set", "expected_relator_count",
     "intersection_experiment",
 ]

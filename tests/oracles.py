@@ -321,6 +321,12 @@ def chi2_critical(df: int, alpha: float = 0.001) -> float:
     return df * (1.0 - h + z * math.sqrt(h)) ** 3
 
 
+def binomial_tail(k: int, n: int, p: float) -> float:
+    """Two-sided exact tail: min(P[X <= k], P[X >= k]) for X ~ Bin(n, p)."""
+    pmf = [math.comb(n, i) * p ** i * (1.0 - p) ** (n - i) for i in range(n + 1)]
+    return min(sum(pmf[:k + 1]), sum(pmf[k:]))
+
+
 def binomial_sigma(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 1e-12) / n)
 

@@ -573,8 +573,8 @@ def test_density_sample_at_26_letters_runs_in_a_gigabyte():
         env=dict(os.environ, PYTHONPATH=src), preexec_fn=_limit_address_space,
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[0].endswith(" size=49")
-    assert len(done.stdout.splitlines()) == 50
+    assert done.stdout.splitlines()[0].endswith(" size=45")
+    assert len(done.stdout.splitlines()) == 46
 
 
 def _spelling_commands(m):

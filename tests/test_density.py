@@ -2,20 +2,22 @@ import math
 import random
 import sys
 from bisect import bisect_left
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freiheit import density
 from freiheit.density import (DensityModel, RelatorSet, bernoulli_index_subset,
-                              bernoulli_subset, densable_window_flag,
                               density_estimate, expected_relator_count, floor_power,
                               inclusion_probability, intersection_experiment,
                               make_relator_set, sample_relator_indices,
                               sample_relator_set, uniform_count_index_subset,
-                              uniform_count_subset, _floyd_subset)
+                              _binomial, _floyd_subset)
 from freiheit.errors import DomainError, FeasibilityError
-from freiheit.words import Word, _WordTables, count_cyclically_reduced_upto, word_at_index
+from freiheit.words import (Word, _WordTables, count_cyclically_reduced_upto, word_at_index,
+                            word_tables)
 
 from oracles import chi2_critical
 
@@ -57,19 +59,34 @@ def test_relator_set_requires_strict_length_then_lex_order():
 
 
 def test_bernoulli_full_at_density_one():
-    universe = list(range(10))
-    assert bernoulli_subset(universe, 1.0, 1) == universe
+    assert bernoulli_index_subset(10, 1.0, 1) == list(range(10))
     assert bernoulli_index_subset(797_184, 1.0, 3) == list(range(797_184))
+
+
+def _binomial_pmf(n, p):
+    """Binomial(n, p) probabilities: by math.comb for small n; for large n
+    within 12 standard deviations of the mean, from the ratios
+    pmf(k + 1)/pmf(k) = (n - k) p/((k + 1)(1 - p)) read outward from the
+    mode and normalized, which stay exact to rounding where lgamma(n + 1)
+    does not."""
+    if n <= 1000:
+        return {k: math.comb(n, k) * p ** k * (1 - p) ** (n - k) for k in range(n + 1)}
+    mode, sd, r = math.floor((n + 1) * p), math.sqrt(n * p * (1 - p)), p / (1 - p)
+    logs = {mode: 0.0}
+    for k in range(mode, min(n, math.ceil(n * p + 12 * sd))):
+        logs[k + 1] = logs[k] + math.log((n - k) / (k + 1) * r)
+    for k in range(mode, max(0, math.floor(n * p - 12 * sd)), -1):
+        logs[k - 1] = logs[k] - math.log((n - k + 1) / k * r)
+    total = math.fsum(math.exp(v) for v in logs.values())
+    return {k: math.exp(v) / total for k, v in logs.items()}
 
 
 def _binomial_chi2(sizes, n, p, bins=20):
     """Chi-squared statistic of observed sizes against Binomial(n, p), over
     bins of about equal exact probability; the tails join the end bins."""
-    mean, sd = n * p, math.sqrt(n * p * (1 - p))
     uppers, probs, mass = [], [], 0.0
-    for k in range(max(0, int(mean - 9 * sd)), int(mean + 9 * sd) + 1):
-        mass += math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                         + k * math.log(p) + (n - k) * math.log1p(-p))
+    for k, q in sorted(_binomial_pmf(n, p).items()):
+        mass += q
         if mass >= 1.0 / bins:
             uppers.append(k)
             probs.append(mass)
@@ -87,25 +104,34 @@ def _binomial_chi2(sizes, n, p, bins=20):
 @pytest.mark.parametrize("m, maxlen, d", [(2, 10, 0.7), (2, 12, 0.6)])
 def test_bernoulli_size_law_is_exact_binomial(m, maxlen, d):
     # |B_10| = 88,592 and |B_12| = 797,184 at m = 2, with inclusion
-    # probabilities of about 3.3% and 0.44%.
+    # probabilities of about 3.3% and 0.44%. The flat draw is one layer;
+    # the relator set sizes its top layers by BTRS and reads no member.
     n = count_cyclically_reduced_upto(m, maxlen)
     p = inclusion_probability(n, d)
+    model = DensityModel("bernoulli", d, 0)
     rng = random.Random(2024)
-    sizes = []
+    sizes, set_sizes = [], []
     for _ in range(600):
         sub = bernoulli_index_subset(n, d, rng)
         sizes.append(len(sub))
         assert all(a < b for a, b in zip(sub, sub[1:]))
         assert 0 <= sub[0] and sub[-1] < n
-    stat, df = _binomial_chi2(sizes, n, p)
+        set_sizes.append(len(sample_relator_set(m, maxlen, model, rng)))
+    for observed in (sizes, set_sizes):
+        stat, df = _binomial_chi2(observed, n, p)
+        assert stat < chi2_critical(df, 0.001)
+
+
+@pytest.mark.parametrize("n, mean, draws, bins", [
+    (95_000_000_000_000, 100, 200_000, 73),  # the top layer of B_20 at m = 3, d = 0.15
+    (40, 12, 50_000, 21),
+    (40, 28, 50_000, 21),                    # p > 1/2 draws n - Binomial(n, 1 - p)
+])
+def test_btrs_draws_the_exact_binomial_law(n, mean, draws, bins):
+    rng = random.Random(n + mean)
+    p = mean / n
+    stat, df = _binomial_chi2([_binomial(n, p, rng) for _ in range(draws)], n, p, bins)
     assert stat < chi2_critical(df, 0.001)
-
-
-def test_bernoulli_subset_maps_the_index_sampler():
-    elements = [f"e{i}" for i in range(5000)]
-    indices = bernoulli_index_subset(len(elements), 0.6, random.Random(8))
-    assert indices
-    assert bernoulli_subset(elements, 0.6, random.Random(8)) == [elements[i] for i in indices]
 
 
 def test_bernoulli_mean_size():
@@ -126,30 +152,43 @@ def test_bernoulli_density_estimate_converges():
     assert abs(mean - 0.4) < 0.05
 
 
+def _assert_independent_coins(draws, n, p, pairs=True):
+    """Each index of range(n) is included with frequency p within 5 sd, and
+    no pair's empirical correlation exceeds 4 / sqrt(trials)."""
+    trials = len(draws)
+    singles = Counter(chain.from_iterable(draws))
+    sd = math.sqrt(p * (1 - p) / trials)
+    assert all(abs(singles[i] / trials - p) < 5 * sd for i in range(n))
+    if not pairs:
+        return
+    pair_hits = Counter(chain.from_iterable(combinations(drawn, 2) for drawn in draws))
+    worst = 0.0
+    for a, b in combinations(range(n), 2):
+        pa, pb, pab = singles[a] / trials, singles[b] / trials, pair_hits[a, b] / trials
+        worst = max(worst, abs(pab - pa * pb) / math.sqrt(pa * (1 - pa) * pb * (1 - pb)))
+    assert worst < 4 / math.sqrt(trials)
+
+
 def test_bernoulli_pairwise_independence():
     # On a 64-element universe the sampler's inclusions are independent
     # coins of probability p = 1/8: each index is included with frequency p
     # and the empirical pairwise correlation stays small.
-    n, d = 64, 0.5
-    trials = 40_000
     rng = random.Random(3)
-    p = inclusion_probability(n, d)
-    singles = [0] * n
-    pair_hits = {}
-    for _ in range(trials):
-        included = bernoulli_index_subset(n, d, rng)
-        for i in included:
-            singles[i] += 1
-        for a, b in combinations(included, 2):
-            pair_hits[(a, b)] = pair_hits.get((a, b), 0) + 1
-    sd = math.sqrt(p * (1 - p) / trials)
-    assert all(abs(hits / trials - p) < 5 * sd for hits in singles)
-    worst = 0.0
-    for (a, b), hits in pair_hits.items():
-        pa, pb, pab = singles[a] / trials, singles[b] / trials, hits / trials
-        denom = math.sqrt(pa * (1 - pa) * pb * (1 - pb))
-        worst = max(worst, abs(pab - pa * pb) / denom)
-    assert worst < 0.02
+    _assert_independent_coins([bernoulli_index_subset(64, 0.5, rng) for _ in range(40_000)],
+                              64, inclusion_probability(64, 0.5))
+
+
+@pytest.mark.parametrize("maxlen, d, pairs", [(3, 0.76, True), (3, 0.9, True), (4, 0.9, False)])
+def test_layered_draw_includes_each_word_independently(maxlen, d, pairs):
+    # m = 2: B_3 has 44 words in layers of 4, 12 and 28, and B_4 has 84 more.
+    # At d = 0.76 the top layer of B_3 (mean 11.3) is drawn by size; at
+    # d = 0.9, p > 1/2, which B_3 draws by waiting times alone and B_4 by
+    # sizing its top two layers with n - Binomial(n, 1 - p).
+    n = count_cyclically_reduced_upto(2, maxlen)
+    model = DensityModel("bernoulli", d, 0)
+    rng = random.Random(maxlen + d)
+    draws = [sample_relator_indices(2, maxlen, model, rng) for _ in range(12_000)]
+    _assert_independent_coins(draws, n, inclusion_probability(n, d), pairs)
 
 
 class _NoSampleRandom(random.Random):
@@ -176,6 +215,26 @@ def test_bernoulli_members_above_float_resolution():
         sub = bernoulli_index_subset(2 ** 53, 0.05, _NoSampleRandom(seed))
         assert all(a < b for a, b in zip(sub, sub[1:]))
         assert all(0 <= i < 2 ** 53 for i in sub)
+
+
+@pytest.mark.parametrize("maxlen", [24, 30])
+def test_sized_layers_past_float_resolution(maxlen):
+    # At m = 3, d = 0.1 BTRS sizes the top layer of B_24, past 2^53 (mean
+    # 38.9), and the top two of B_30, past sys.maxsize (means 20.5 and
+    # 102.3); their members are drawn uniformly for that size, by rng.sample
+    # and by Floyd's algorithm.
+    bounds = word_tables(3, maxlen).cumulative
+    model = DensityModel("bernoulli", 0.1, 0)
+    p = inclusion_probability(bounds[-1], 0.1)
+    rng = random.Random(maxlen)
+    trials, top = 200, 0
+    for _ in range(trials):
+        sub = sample_relator_indices(3, maxlen, model, rng)
+        assert all(a < b for a, b in zip(sub, sub[1:]))
+        assert 0 <= sub[0] and sub[-1] < bounds[-1]
+        top += sum(i >= bounds[-2] for i in sub)
+    mean = (bounds[-1] - bounds[-2]) * p
+    assert abs(top / trials - mean) < 5 * math.sqrt(mean / trials)
 
 
 @pytest.mark.parametrize("n, k", [(6, 3), (7, 2), (5, 5), (4, 0)])
@@ -214,7 +273,7 @@ def test_floor_power():
     # Integer values of n^d that the float estimate exp(d log n) floors one
     # too low: |B_2| = 16 at m = 2 gives 8 relators at d = 0.75, not 7.
     assert floor_power(count_cyclically_reduced_upto(2, 2), 0.75) == 8
-    assert len(uniform_count_subset(range(25), 0.5, 1)) == 5
+    assert len(uniform_count_index_subset(25, 0.5, 1)) == 5
     assert len(uniform_count_index_subset(64, 0.5, 1)) == 8
     assert floor_power(big, 0.5) == 5 ** 20
     assert floor_power(big, 0.75) == 5 ** 30
@@ -233,9 +292,8 @@ def test_floor_power():
 
 
 def test_uniform_count_exact_sizes():
-    universe = list(range(100))
-    assert len(uniform_count_subset(universe, 0.5, 4)) == 10
-    assert len(uniform_count_subset(universe, 0.0, 4)) == 1
+    assert len(uniform_count_index_subset(100, 0.5, 4)) == 10
+    assert len(uniform_count_index_subset(100, 0.0, 4)) == 1
     sub = uniform_count_index_subset(3 ** 10, 0.5, 7)
     assert len(sub) == floor_power(3 ** 10, 0.5)
     assert len(set(sub)) == len(sub)
@@ -247,7 +305,7 @@ def test_uniform_count_subsets_equally_likely():
     rng = random.Random(31)
     counts = {}
     for _ in range(trials):
-        pair = tuple(sorted(uniform_count_subset(range(6), 0.4, rng)))
+        pair = tuple(uniform_count_index_subset(6, 0.4, rng))
         assert len(pair) == 2  # floor(6^0.4) = 2
         counts[pair] = counts.get(pair, 0) + 1
     assert len(counts) == 15
@@ -261,7 +319,7 @@ def test_uniform_count_inclusion_symmetry():
     rng = random.Random(13)
     counts = [0] * 6
     for _ in range(trials):
-        for i in uniform_count_subset(range(6), 0.4, rng):
+        for i in uniform_count_index_subset(6, 0.4, rng):
             counts[i] += 1
     p = 2 / 6
     sigma = math.sqrt(trials * p * (1 - p))
@@ -284,11 +342,6 @@ def test_density_estimate_examples():
 def test_density_estimate_monotone(a, b, n):
     lo, hi = sorted((min(a, n), min(b, n)))
     assert density_estimate(lo, n) <= density_estimate(hi, n)
-
-
-def test_densable_window_flag():
-    assert densable_window_flag(729, 3 ** 12, 0.5, 0.05)
-    assert not densable_window_flag(2, 3 ** 12, 0.5, 0.05)
 
 
 def test_intersection_with_universe_is_identity():
@@ -390,6 +443,41 @@ def test_sampled_words_behave_as_their_tuple(monkeypatch):
     assert lazy == fresh() and lazy != eager[:-1] and lazy != list(eager)
     assert sample_relator_set(2, 8, model, 5) == RelatorSet(2, 8, eager)
     assert hash(sample_relator_set(2, 8, model, 5)) == hash(RelatorSet(2, 8, eager))
+
+
+def test_layered_set_is_a_function_of_its_seed(monkeypatch):
+    # m = 2, l = 12, d = 0.6 sizes its top five layers by BTRS. The
+    # set, and the caller's generator after the call, are the same whatever
+    # is read first; len() draws no layer and unranks no word.
+    model = DensityModel("bernoulli", 0.6, 0)
+    unranks = _counted_unrank(monkeypatch)
+    layers = []
+    sized_layer = density._sized_layer
+    monkeypatch.setattr(density, "_sized_layer", lambda *args: layers.append(args[:3])
+                        or sized_layer(*args))
+
+    def fresh():
+        rng = random.Random(44)
+        relators = sample_relator_set(2, 12, model, rng).relators
+        return relators, rng.getstate()
+
+    indices = sample_relator_indices(2, 12, model, random.Random(44))
+    assert len(layers) == 5
+    whole, state = fresh()
+    size = len(whole)
+    assert size == len(indices) and len(layers) == 5 and unranks == []
+    assert [w.letters for w in whole] == [word_at_index(2, 12, i).letters for i in indices]
+    assert len(layers) == 10 and layers[:5] == layers[5:]
+    whole = tuple(whole)
+    reads = [lambda lazy: (tuple(lazy),),
+             lambda lazy: (len(lazy), tuple(lazy)),
+             lambda lazy: (lazy[-1], tuple(lazy)),
+             lambda lazy: (lazy[size // 2], lazy[3], lazy[-size], tuple(lazy)),
+             lambda lazy: ([w for w in lazy], len(lazy), tuple(lazy))]
+    for read in reads:
+        lazy, after = fresh()
+        assert after == state
+        assert read(lazy)[-1] == whole and len(lazy) == size
 
 
 def test_expected_relator_count():

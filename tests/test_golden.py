@@ -1,16 +1,24 @@
 """Golden outputs of the two diagram enumerations, and a cross-check between
 them: concrete diagrams forget their letters into the abstract family;
-golden outputs of the sampled CLI commands for fixed seeds; and the
-freeness probe's reports on sampled sets.
+golden outputs of the sampled CLI commands for fixed seeds, under every
+installed supported interpreter; and the freeness probe's reports on
+sampled sets.
 
 The digests pin the byte-exact output of the enumerations and the JSON
 codecs, so any change to the gluing order, the canonical keys or the
 serialization shows up here. The sampled digests pin the random streams: a
 change that alters them must say so and re-pin."""
 
+import glob
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from freiheit.abstract_diagrams import (AbstractDistortionDiagram, abstract_to_json,
                                         enumerate_abstract_diagrams,
@@ -27,6 +35,21 @@ from freiheit.words import Word, word_from_text
 from oracles import abstract_iso_key
 
 DISK_RELATORS = ("aab", "bba", "abAB", "aaBB")
+
+# The sampled CLI commands and the sha256 of their standard output. A sweep
+# reads its config from a file; the README cell is the first cell (l = 12,
+# d = 0.05) of the README's transition sweep, on the same streams.
+DENSITY_SAMPLE = (["--seed", "7", "density", "sample", "--model", "bernoulli",
+                   "--d", "0.4", "--m", "2", "--maxlen", "10"],
+                  "06dfec198e0a60fd3e97d772c63cadbeaa2a12cfa9eb37da1afcf9ec3883ef18")
+WORDS_SAMPLE = (["--seed", "7", "words", "sample", "--m", "2", "--maxlen", "12", "--count", "5"],
+                "99494767f2e51b76db5afda3d1c8e773bed56baebdd831b6647e4c830c683bab")
+GOLDEN_SWEEP = ({"m": 2, "r": 1, "lengths": [8], "densities": [0.3, 0.6], "trials": 20,
+                 "seed": 5, "budgets": {"materialize_limit": 100}},
+                "fb7af3174f78b437a7d6b4712bcbfcc21321db261c11c799a5a88a04c1e1ecf8")
+README_SWEEP_CELL = ({"m": 3, "r": 2, "lengths": [12], "densities": [0.05], "trials": 100,
+                      "model": "bernoulli", "seed": 7},
+                     "a93b993ff3949578002c8382f5cdbfaf74091013909c8018538bea9c4f409d68")
 
 
 def test_disk_enumeration_cli_output_is_pinned(tmp_path, capsys):
@@ -77,27 +100,23 @@ def test_concrete_diagrams_forget_into_abstract_classes():
 
 
 def test_density_sample_cli_output_is_pinned(capsys):
-    argv = ["--seed", "7", "density", "sample", "--model", "bernoulli",
-            "--d", "0.4", "--m", "2", "--maxlen", "10"]
+    argv, digest = DENSITY_SAMPLE
     assert dispatch(argv) == 0
     out = capsys.readouterr().out
     assert out.startswith("# model=bernoulli d=0.4 m=2 maxlen=10 size=84\n")
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "ae79aa0170f9d1e5367720aee629431f1655bba550726915a5cb0376a513dff2"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sweep_cli_output_is_pinned(tmp_path, capsys):
     # |B_8| = 9856 at m = 2: |B_8|^0.3 ~ 16 relators are materialized, while
     # |B_8|^0.6 ~ 249 exceeds the limit and runs on the fast path.
-    config = {"m": 2, "r": 1, "lengths": [8], "densities": [0.3, 0.6], "trials": 20,
-              "seed": 5, "budgets": {"materialize_limit": 100}}
+    config, digest = GOLDEN_SWEEP
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(config))
     assert dispatch(["experiments", "sweep", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[2].endswith(",249.0120805278597,5")
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "56bf520b7e13e8076b12ee2f198dd2bd415a8eb04a5e2da96ba0b055a124a3e3"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sweep_trial_results_are_pinned():
@@ -108,10 +127,10 @@ def test_sweep_trial_results_are_pinned():
     results = [run_trial(3, 2, 8, d, "bernoulli", rng_for(5, "sweep", 0, di, t))
                for di, d in enumerate((0.1, 0.2)) for t in range(10)]
     assert not any(res.fast_path for res in results)
-    assert sum(res.relator_count for res in results) == 177
+    assert sum(res.relator_count for res in results) == 180
     digest = hashlib.sha256(b"".join(repr(res).encode() for res in results))
     assert digest.hexdigest() == \
-        "835a65f4efe7ecc0b39968cd1d1c41d7f66fc9cdf8ba9e6991d3733001460b11"
+        "69d163684955c803908333a458ed71d56fae09d07df84ab13b74d2fa842bd0c4"
 
 
 def test_words_enumerate_cli_output_is_pinned(capsys):
@@ -137,12 +156,64 @@ def test_stallings_enumerate_cli_output_is_pinned(capsys):
 
 def test_words_sample_cli_output_is_pinned(capsys):
     # The README's line: five uniform draws from B_12, one rng stream.
-    argv = ["--seed", "7", "words", "sample", "--m", "2", "--maxlen", "12", "--count", "5"]
+    argv, digest = WORDS_SAMPLE
     assert dispatch(argv) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "ABAbAABaBBAB"
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "99494767f2e51b76db5afda3d1c8e773bed56baebdd831b6647e4c830c683bab"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+SUPPORTED_PYTHONS = ("3.10", "3.11", "3.12", "3.13")  # requires-python >= 3.10
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# Runs each argv of its JSON argument through the CLI and prints the exit
+# code and the sha256 of the standard output, one line per command.
+HASH_CLI = """
+import contextlib, hashlib, io, json, sys
+from freiheit.cli import dispatch
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = dispatch(argv)
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def _interpreter(version: str) -> str | None:
+    """A command that runs CPython ``version``: this interpreter, pythonX.Y on
+    PATH or one under $PYENV_ROOT/versions, each tried by running it, since a
+    version manager's shim can be on PATH and still fail; None if none runs."""
+    root = os.environ.get("PYENV_ROOT", os.path.expanduser("~/.pyenv"))
+    candidates = [sys.executable, f"python{version}", *sorted(
+        glob.glob(os.path.join(root, "versions", version + ".*", "bin", "python3")))]
+    for command in candidates:
+        try:
+            done = subprocess.run([command, "-c", "import sys; print(*sys.version_info[:2], sep='.')"],
+                                  capture_output=True, text=True, timeout=60)
+        except OSError:
+            continue
+        if done.returncode == 0 and done.stdout.strip() == version:
+            return command
+    return None
+
+
+@pytest.mark.parametrize("version", SUPPORTED_PYTHONS)
+def test_sampled_cli_outputs_are_the_same_under_every_interpreter(tmp_path, version):
+    # The random streams, the samplers' float arithmetic and the CSV's
+    # float formatting must not depend on the interpreter; one subprocess
+    # per interpreter runs every sampled command.
+    command = _interpreter(version)
+    if command is None:
+        pytest.skip(f"CPython {version} is not installed")
+    runs = [DENSITY_SAMPLE, WORDS_SAMPLE]
+    for name, (config, digest) in (("golden", GOLDEN_SWEEP), ("readme", README_SWEEP_CELL)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        runs.append((["experiments", "sweep", "--config", str(path)], digest))
+    done = subprocess.run([command, "-c", HASH_CLI, json.dumps([argv for argv, _ in runs])],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [f"0 {digest}" for _, digest in runs]
 
 
 def test_freeness_probe_reports_are_pinned(sampled_freeness_probes):
@@ -182,11 +253,11 @@ def test_freeness_probe_verdicts_on_long_relators_are_pinned(monkeypatch):
                 sizes.append(len(relators))
                 reports.append(experiments.freeness_probe(
                     relators, graph, {"word_length": 4, "max_steps": 60}))
-    assert sizes == [6, 2, 2, 26, 22, 21, 123, 141, 129,
-                     8, 6, 4, 121, 139, 124, 3290, 3362, 3360]
+    assert sizes == [6, 2, 2, 24, 16, 16, 138, 129, 112,
+                     8, 6, 4, 121, 126, 110, 3391, 3178, 3303]
     assert len(verdicts) == 18 * 50
     digests = [hashlib.sha256(b"".join(repr(x).encode() for x in xs)).hexdigest()
                for xs in (reports, verdicts)]
     assert digests == [
         "017a3ae5d367fdc4417284ac73171a39746ee5629482e277f0ba45d3583655c3",
-        "e8ca0fb0ba7271544e5d2af63f300df7420d16f1c9807a408ca15db737ad824e"]
+        "e3d19203db2b520327a5cb59e0f47c8c368c5a60e423eadc49517fdda8bdfcdc"]
