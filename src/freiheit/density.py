@@ -16,16 +16,43 @@ size k, by BTRS (Hormann, J. Statist. Comput. Simul. 46, 1993), and one draw
 then seeds a member stream: the caller's generator is not read again. A read
 that first reaches a sized layer draws its members from that stream, in
 layer order: waiting times at rate k/|layer|, then uniform removals or
-insertions to size k. Given its size a Bernoulli layer is a uniform subset of that size, and a
-fix-up that treats all indices alike keeps it so. The set thus depends only
-on the generator, its size costs nothing, and a probe pays for the layers it
-reads. Past 2^53 float gaps lose unit resolution, so there a layer's members
-are drawn uniformly for its size (by Floyd's algorithm past sys.maxsize).
+insertions to size k. Given its size a Bernoulli layer is a uniform subset
+of that size, and a fix-up that treats all indices alike keeps it so. The
+set thus depends only on the generator, its size costs nothing, and a probe
+pays for the layers it reads. Past 2^53 float gaps lose unit resolution, so
+there a layer's members are drawn uniformly for its size (by Floyd's
+algorithm past sys.maxsize).
+
+The float operations that decide a draw, and so must round alike wherever a
+seed is to give the same set (the integers, and random()'s doubles, are
+exact):
+
+* ``inclusion_probability``: p = exp((d - 1) log |E|);
+* the split of the layers: |layer| min(p, 1 - p) < BTRS_MIN_MEAN picks
+  waiting times or a sized layer, and ``_binomial`` draws n - Binomial(n,
+  1 - p) for p > 1/2;
+* the waiting-time gap in ``_waiting_times``: int(log(1 - U) / log1p(-p)) + 1
+  for U = random(), with log1p(-1) taken as -inf, so every gap is 1 at p = 1;
+* the rate k / (hi - lo) at which ``_sized_layer`` runs those waiting times;
+* BTRS in ``_binomial``: its setup (spq, b, a, c, vr, alpha, the mode and the
+  Stirling tails), the candidate floor((2a/us + b) u + c), the squeeze us >=
+  0.07 and v <= vr, and the acceptance test log(v alpha / (a/us^2 + b)) <=
+  head + (n + 1) log1p((k - mode)/(n - k + 1)) + (k + 1/2) log(r (n - k + 1)/(k
+  + 1)) - tails;
+* the count model's floor(|E|^d) where d's denominator is too large for an
+  exact root: floor(exp(d log |E|));
+* outside this module, the fast path's ``experiments._class_success_probability``,
+  1 - exp(-exp(log C + log(-log1p(-p)))), compared with random(), and
+  ``expected_relator_count`` against the materialization budget, which picks
+  the fast path or a sampled set.
 
 A sampled relator set unranks its words lazily: the first access to a
 relator unranks every relator before it, in order, and the words are kept.
 The probes read the relators shortest first and stop once they have their
-witnesses, so a trial draws and unranks only the prefix its probes read.
+witnesses, so a trial draws and unranks only the prefix its probes read;
+the triviality probe reads the relators of length maxlen by the cyclic keys
+of their indices (``RelatorSet.longest``) and unranks only those whose key
+can have a partner.
 
 floor(|E|^d) is exact: where d = p/q in lowest terms has a denominator small
 enough for |E|^d to be an integer, it is the integer q-th root of |E|^p;
@@ -43,11 +70,13 @@ from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice, takewhile
 from typing import Callable, Iterable, Literal, get_args
 
 from .errors import DomainError, FeasibilityError
 from .seeds import as_rng, rng_for
-from .words import Word, count_cyclically_reduced_upto, word_tables
+from .words import (Word, _WordTables, count_cyclically_reduced_upto, cyclic_key, key_tables,
+                    word_tables)
 
 ModelKind = Literal["bernoulli", "count"]
 MODEL_KINDS: tuple[ModelKind, ...] = get_args(ModelKind)
@@ -130,6 +159,28 @@ class RelatorSet:
     def __iter__(self):
         return iter(self.relators)
 
+    def shorter(self) -> Iterator[Word]:
+        """The relators shorter than maxlen, in order. A sampled set reads
+        each one's index before its word, so it unranks none of length
+        maxlen."""
+        if isinstance(self.relators, _SampledWords):
+            return self.relators.shorter()
+        maxlen = self.maxlen
+        return takewhile(lambda w: len(w) < maxlen, self.relators)
+
+    def longest(self) -> tuple[Iterator[int], Callable[[int], Word]]:
+        """The relators of length maxlen, in order: their cyclic keys
+        (``words.cyclic_key``), computed as they are read, and a function
+        from j to the j-th of them. A sampled set computes the key of a word
+        it has not unranked from the word's index, and unranks only the
+        words asked for."""
+        if isinstance(self.relators, _SampledWords):
+            return self.relators.longest()
+        rels = self.relators
+        top = rels[bisect_left(rels, self.maxlen, key=len):]
+        weights = key_tables(self.m).weights
+        return (cyclic_key(w.letters, weights) for w in top), top.__getitem__
+
 
 class _SampledWords(Sequence):
     """The words at the sorted indices of a sampled subset of B_maxlen,
@@ -142,13 +193,13 @@ class _SampledWords(Sequence):
     Equality and hash are those of the tuple of the words, which reading
     them all builds."""
 
-    __slots__ = ("_size", "_layers", "_indices", "_unrank", "_words")
+    __slots__ = ("_size", "_layers", "_indices", "_tables", "_words")
 
-    def __init__(self, size: int, layers: Iterator[list[int]], unrank: Callable[[int], Word]):
+    def __init__(self, size: int, layers: Iterator[list[int]], tables: _WordTables):
         self._size = size
         self._layers = layers
         self._indices: list[int] = []
-        self._unrank = unrank
+        self._tables = tables
         self._words: list[Word] = []
 
     def __len__(self) -> int:
@@ -171,15 +222,45 @@ class _SampledWords(Sequence):
             raise IndexError("relator index out of range")
         words = self._words
         if i >= len(words):
-            words.extend(map(self._unrank, self._draw(i + 1)[len(words):i + 1]))
+            words.extend(map(self._tables.unrank, self._draw(i + 1)[len(words):i + 1]))
         return words[i]
 
     def __iter__(self):
-        words, indices, unrank = self._words, self._indices, self._unrank
+        return self._words_below(self._tables.total)
+
+    def shorter(self) -> Iterator[Word]:
+        """The words shorter than maxlen, as iteration reads them."""
+        return self._words_below(self._tables.cumulative[-2])
+
+    def _words_below(self, bound: int) -> Iterator[Word]:
+        """The words whose index is below ``bound``, in order, each unranked
+        and kept when first reached; the index is read before the word."""
+        words, indices, unrank = self._words, self._indices, self._tables.unrank
         for k in range(self._size):
+            if k == len(indices):
+                self._draw(k + 1)
+            if indices[k] >= bound:
+                return
             if k == len(words):
-                words.append(unrank((indices if k < len(indices) else self._draw(k + 1))[k]))
+                words.append(unrank(indices[k]))
             yield words[k]
+
+    def longest(self) -> tuple[Iterator[int], Callable[[int], Word]]:
+        """As ``RelatorSet.longest``: every layer is drawn now. A word that
+        iteration has kept is keyed from its letters and read from the kept
+        words; any other is keyed from its index as it is read, and unranked
+        alone, and not kept, when asked for."""
+        tables, words = self._tables, self._words
+        indices = self._draw(self._size)
+        start = bisect_left(indices, tables.cumulative[-2])
+        kept = words[start:]
+        weights = key_tables(tables.m).weights
+
+        def word(j: int) -> Word:
+            return kept[j] if j < len(kept) else tables.unrank(indices[start + j])
+
+        return chain((cyclic_key(w.letters, weights) for w in kept),
+                     tables.keys(islice(indices, start + len(kept), None))), word
 
     def __eq__(self, other):
         if isinstance(other, (tuple, _SampledWords)):
@@ -321,7 +402,8 @@ def _read_all(layers: Iterator[list[int]]) -> list[int]:
 
 def _waiting_times(lo: int, hi: int, p: float, rng) -> list[int]:
     """A Bernoulli(p) subset of range(lo, hi), sorted, for 0 < p <= 1."""
-    log_q = math.log1p(-p)
+    # math.log1p raises at -1; its limit -inf makes every gap 1.
+    log_q = math.log1p(-p) if p < 1.0 else -math.inf
     random, log = rng.random, math.log
     members: list[int] = []
     i = lo - 1
@@ -445,7 +527,7 @@ def sample_relator_set(m: int, maxlen: int, model: DensityModel, seed_or_rng,
     # Sorted distinct indices unrank to cyclically reduced words of B_maxlen
     # in strictly increasing length-then-lex order.
     return RelatorSet._trusted(
-        m, maxlen, _SampledWords(size, layers, word_tables(m, maxlen).unrank), model)
+        m, maxlen, _SampledWords(size, layers, word_tables(m, maxlen)), model)
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,15 @@ sampled set, whose words are unranked on first access, they unrank only the
 prefix they read. The triviality probe needs one pass: the partner w of a
 relator R = x_i w (up to rotation) is one letter shorter, so it precedes R
 and has been seen by the time R is read. It finds w among the relators seen
-so far by a rotation-invariant integer key, a weighted sum over the cyclic
-bigrams of a word; deleting x_i from R changes R's key by one entry of a
-deletion table. Most candidate keys miss, so a relator costs one table
-entry and one membership test per position, and only a key hit computes
-canonical rotations to confirm the match.
+so far by their cyclic key (``words.cyclic_key``), a weighted sum over the
+cyclic bigrams of a word; deleting x_i from R changes R's key by one entry
+of a deletion table, so a shorter relator costs one table entry and one
+membership test per position. Most relators have length maxlen, and their
+partners length maxlen - 1: the probe turns those partners once into the
+keys that inserting a generator gives, and a relator of length maxlen costs
+one membership test of its key. On a sampled set that key comes from the
+relator's index, so the probe unranks such a relator only on a hit. Only a
+hit computes canonical rotations to confirm the match.
 
 When the expected relator count is too large to materialize, a Bernoulli
 trial's collapse event is simulated on its sub-universe (a count-model
@@ -37,10 +41,8 @@ Triviality is not measured there: such a trial reports it as None.
 from __future__ import annotations
 
 import math
-import random
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .density import (DensityModel, ModelKind, RelatorSet, expected_relator_count,
@@ -49,7 +51,8 @@ from .diagrams import TrivialityVerdict, bounded_triviality, check_triviality_bu
 from .errors import DomainError, FeasibilityError
 from .seeds import rng_for
 from .stallings import LabeledGraph, iter_reduced_loops
-from .words import Word, count_cyclically_reduced_upto, cyclic_reduce, min_cyclic_rotation
+from .words import (Word, count_cyclically_reduced_upto, cyclic_key, cyclic_reduce, key_tables,
+                    min_cyclic_rotation)
 
 CROSSOVER_SCAN_LIMIT = 10_000_000
 
@@ -248,26 +251,6 @@ class TrivialityEvidence:
         return any(w is not None for w in self.witnesses.values())
 
 
-def _bigram_weights(m: int) -> list[list[int]]:
-    """Fixed pseudo-random 40-bit weights per bigram (a, b) of signed letters,
-    indexed like ``weights[a][b]``: a negative letter reads from the end.
-    Sums of up to 2^20 of them stay below 2^60."""
-    rng = random.Random(m)
-    return [[rng.getrandbits(40) for _ in range(2 * m + 1)] for _ in range(2 * m + 1)]
-
-
-@lru_cache(maxsize=None)
-def _key_tables(m: int) -> tuple[list[list[int]], list[list[list[int]]]]:
-    """The bigram weights at m and their deletion table, indexed the same
-    way: ``deltas[u][g][v] = weights[u][v] - weights[u][g] - weights[g][v]``
-    is the change in a key when g is deleted between u and v."""
-    weights = _bigram_weights(m)
-    n = 2 * m + 1
-    deltas = [[[weights[u][v] - weights[u][g] - weights[g][v] for v in range(n)]
-               for g in range(n)] for u in range(n)]
-    return weights, deltas
-
-
 def triviality_probe(relators: RelatorSet) -> TrivialityEvidence:
     """For each generator x_i, search for a pair (w, x_i w), both in the
     relator set up to cyclic rotation; a bare relator x_i also counts.
@@ -280,33 +263,41 @@ def triviality_probe(relators: RelatorSet) -> TrivialityEvidence:
     set. For the same reason a relator of length maxlen is never a partner
     and is not stored.
 
-    Relators are looked up by the key of their cyclic bigrams, the sum of
-    the bigrams' weights: a rotation keeps the multiset of cyclic bigrams,
-    so the key is rotation-invariant. Deleting x_i between letters u and v
-    drops the bigrams (u, x_i) and (x_i, v) and adds (u, v), so it changes
-    the key by ``deltas[u][x_i][v]``, one entry of a deletion table built
-    once per m from the same weights. So one pass over a relator's cyclic
-    triples (u, x_i, v), for the generators still without a witness, costs
-    one table entry and one membership test per position; most relators
-    hit no key at all. Keys can collide, so a hit is confirmed by canonical
-    rotations, and the partner is the first relator in the bucket with the
-    candidate's canonical rotation, as it would be in a lookup by
-    canonical rotation."""
-    m, maxlen = relators.m, relators.maxlen
-    weights, deltas = _key_tables(m)
+    Relators are looked up by their cyclic key (``words.cyclic_key``), which
+    a rotation keeps. Deleting x_i between letters u and v drops the bigrams
+    (u, x_i) and (x_i, v) and adds (u, v), so it changes the key by
+    ``deltas[u][x_i][v]`` (``words.key_tables``). So a relator shorter than
+    maxlen costs one table entry and one membership test per position whose
+    letter is a generator still without a witness. Keys can collide, so a
+    hit is confirmed by canonical rotations, and the partner is the first
+    relator in the bucket with the candidate's canonical rotation, as it
+    would be in a lookup by canonical rotation.
+
+    Most relators have length maxlen, and their partners have length
+    maxlen - 1. When the pass reaches them it builds, once, the insertion
+    keys: the key of every word made by inserting a generator g still
+    without a witness into a cyclic gap (u, v) of a stored relator of
+    length maxlen - 1, with u, v != g^-1 (for maxlen = 1, the keys of the
+    bare generators). A relator of length maxlen that pairs with a stored
+    one for such a g has one of those keys, so only a relator whose key is
+    among them gets the per-position search above, which decides its
+    witnesses. A sampled set computes those relators' keys from their
+    indices (``RelatorSet.longest``), so it unranks only the ones that
+    hit."""
+    m = relators.m
+    tables = key_tables(m)
+    weights, deltas = tables.weights, tables.deltas
     by_key: dict[int, list[Word]] = {}
     witnesses: dict[int, TrivialityWitness | None] = {i: None for i in range(1, m + 1)}
     # live[g] while generator g has no witness; a negative letter reads an
     # entry past m, which stays False.
     live = [False] + [True] * m + [False] * m
-    for rel in relators.relators:
+
+    def search(rel: Word, key: int) -> bool:
+        """Look up R's deletion keys for the live generators, recording a
+        witness for each that finds its partner; True if any did."""
         letters = rel.letters
         k = len(letters)
-        key = 0
-        prev = letters[-1]
-        for x in letters:
-            key += weights[prev][x]
-            prev = x
         found = False
         for pos in range(k):
             gen = letters[pos]
@@ -320,21 +311,45 @@ def triviality_probe(relators: RelatorSet) -> TrivialityEvidence:
             cand = key + deltas[letters[pos - 1]][gen][letters[pos + 1 - k]]
             if cand not in by_key:
                 continue
-            bucket = by_key[cand]
             w = letters[pos + 1:] + letters[:pos]
             canon = min_cyclic_rotation(w)
-            for partner in bucket:
+            for partner in by_key[cand]:
                 if min_cyclic_rotation(partner.letters) == canon:
                     shift = _rotation_offset(partner.letters, w)
                     witnesses[gen] = TrivialityWitness(gen, rel, pos, partner, shift)
                     live[gen] = False
                     found = True
                     break
-        if found and not any(live):
+        return found
+
+    for rel in relators.shorter():
+        key = cyclic_key(rel.letters, weights)
+        if search(rel, key) and not any(live):
+            return TrivialityEvidence(witnesses)
+        by_key.setdefault(key, []).append(rel)
+    keys, word = relators.longest()
+    hits = _insertion_keys(by_key, live, m, relators.maxlen - 1)
+    for j, key in enumerate(keys):
+        if key in hits and search(word(j), key) and not any(live):
             break
-        if k < maxlen:
-            by_key.setdefault(key, []).append(rel)
     return TrivialityEvidence(witnesses)
+
+
+def _insertion_keys(by_key: dict[int, list[Word]], live: list[bool], m: int,
+                    length: int) -> set[int]:
+    """The keys of the words made by inserting a live generator g into a
+    cyclic gap (u, v), u, v != g^-1, of a stored relator of ``length``
+    letters: its key - deltas[u][g][v]. For length 0, the keys of the bare
+    live generators."""
+    tables = key_tables(m)
+    gens = tuple(g for g in range(1, m + 1) if live[g])
+    if not length:
+        return {tables.weights[g][g] for g in gens}
+    gap = tables.insertion_deltas(gens)
+    partners = [(key, w.letters) for key, bucket in by_key.items() for w in bucket
+                if len(w.letters) == length]
+    return {key - d for key, w in partners for u, v in zip(w[-1:] + w[:-1], w)
+            for d in gap[u][v]}
 
 
 def _rotation_offset(base: tuple[int, ...], target: tuple[int, ...]) -> int:

@@ -25,17 +25,28 @@ by the samplers are valid by construction and skip the letter check;
 by the probes, compares only the rotations that start at the least
 letter, as slices of the doubled word.
 
+The cyclic key of a word is the sum of fixed pseudo-random weights of its
+cyclic bigrams, so a rotation keeps it; the triviality probe looks words
+up by it. ``cyclic_key`` reads it off the letters. ``_WordTables.keys``
+reads it off an index without unranking the word: the key descent takes
+the same block steps as the unranking and sums a key per block instead of
+joining the block's letters (the weight of the bigram that joins the block
+to the letter before it plus those of its own bigrams, one table per m
+beside the blocks, ``key_tables``), then adds the weight of the closing
+bigram, from the last letter back to the first.
+
 Text form: generators spell as ``a``..``z`` and inverses as ``A``..``Z``,
 e.g. ``aBa`` is x1 x2^-1 x1.
 """
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, FeasibilityError, MalformedWordError
 from .seeds import as_rng
@@ -179,10 +190,12 @@ def _block_tables(m: int):
 
     T is the largest t >= 1 with (2m)^2 (2m-1)^t <= ``_BLOCK_TABLE_LIMIT``.
     For t <= T, ``blocks[t][x]`` lists in ascending order the reduced blocks
-    of t letters allowed after the letter x.  For the first letter a,
-    ``by_first[a][t]`` holds three lists indexed by x: the number of the
-    first k of those blocks that end in a^-1, the same for a, and p_j - j
-    for the positions p_j of the blocks that end in a^-1.  Lists are
+    of t letters allowed after the letter x, and ``blocks[0][a]`` is the
+    first letter a alone; ``ends[t][x]`` lists the last letters of
+    ``blocks[t][x]``.  For the first letter a, ``by_first[a][t]``
+    holds three lists indexed by x: the number of the first k of those
+    blocks that end in a^-1, the same for a, and p_j - j for the
+    positions p_j of the blocks that end in a^-1.  Lists are
     indexed by signed letter, a negative one from the end, and equal
     tuples are stored once, which keeps T = 1 at O(m^2) entries."""
     n, q = 2 * m, 2 * m - 1
@@ -191,8 +204,9 @@ def _block_tables(m: int):
         size += 1
     letters = tuple(x for x in range(-m, m + 1) if x)
     single = {y: (y,) for y in letters}
-    blocks = [None, [None] * (n + 1)]
+    blocks = [[None] * (n + 1), [None] * (n + 1)]
     for x in letters:
+        blocks[0][x] = single[x]
         blocks[1][x] = tuple(single[y] for y in letters if y != -x)
     for t in range(2, size + 1):
         blocks.append([None] * (n + 1))
@@ -210,11 +224,13 @@ def _block_tables(m: int):
                 skip = tuple(p - j for j, p in enumerate(k for k, f in enumerate(ends) if f))
                 counts[t, e][x] = interned.setdefault(prefix, prefix)
                 skips[t, e][x] = interned.setdefault(skip, skip)
+    ends = [None] + [[row and tuple(c[-1] for c in row) for row in level]
+                     for level in blocks[1:]]
     by_first = [None] * (n + 1)
     for a in letters:
         by_first[a] = [None] + [(counts[t, -a], counts[t, a], skips[t, -a])
                                 for t in range(1, size + 1)]
-    return size, blocks, by_first
+    return size, blocks, ends, by_first
 
 
 class _WordTables:
@@ -244,7 +260,7 @@ class _WordTables:
             initial=0))
         n, q = 2 * m, 2 * m - 1
         weights = [q ** r - (q ** r - (-1) ** r) // n for r in range(maxlen)]
-        size, self.blocks, self.by_first = _block_tables(m)
+        size, self.blocks, self.ends, self.by_first = _block_tables(m)
         self.letters = tuple(x for x in range(-m, m + 1) if x)
         self.plans = [None]
         for length in range(1, maxlen + 1):
@@ -259,14 +275,33 @@ class _WordTables:
         """The index-th word in length-then-lex order, 0 <= index < total."""
         if not 0 <= index < self.total:
             raise DomainError(f"index {index} out of range [0, {self.total})")
+        return _trusted_word(self._descend(index, self.blocks)[0])
+
+    def keys(self, indices: Iterable[int]) -> Iterator[int]:
+        """The cyclic keys (``cyclic_key``) of the words at the given
+        indices, each summed over the blocks of the index's descent, which
+        unranks no word."""
+        tables = key_tables(self.m)
+        weights, block_keys = tables.weights, tables.blocks
+        descend = self._descend
+        for index in indices:
+            key, a, x = descend(index, block_keys)
+            yield key + weights[x][a]
+
+    def _descend(self, index: int, values) -> tuple:
+        """The descent to the index-th word, block by block, summing
+        ``values``, which is indexed like ``blocks``: ``values[0][a]`` for
+        the first letter a, then ``values[t][x][k]`` for the k-th block of
+        t letters after the letter x. Returns the sum with the word's first
+        and last letters."""
         cumulative = self.cumulative
         length = bisect_right(cumulative, index)
         start = cumulative[length - 1]
         i, offset = divmod(index - start, (cumulative[length] - start) // (2 * self.m))
         x = a = self.letters[i]
-        out = [a]
+        acc = values[0][a]
         steps, last = self.plans[length]
-        blocks, tables = self.blocks, self.by_first[a]
+        ends, tables = self.ends, self.by_first[a]
         for w, t, odd in steps:
             k, offset = divmod(offset, w)
             counts = tables[t][odd][x]
@@ -285,12 +320,90 @@ class _WordTables:
                     offset = v - w
                 else:
                     offset += counts[k]
-            block = blocks[t][x][k]
-            out += block
-            x = block[-1]
+            row = values[t][x]
+            x = ends[t][x][k]
+            acc += row[k]
         if last:
-            out += blocks[last][x][offset + bisect_right(tables[last][2][x], offset)]
-        return _trusted_word(tuple(out))
+            k = offset + bisect_right(tables[last][2][x], offset)
+            row = values[last][x]
+            x = ends[last][x][k]
+            acc += row[k]
+        return acc, a, x
+
+
+# ---------------------------------------------------------------------------
+# Cyclic keys.
+
+
+def _bigram_weights(m: int) -> list[list[int]]:
+    """Fixed pseudo-random 40-bit weights per bigram (a, b) of signed letters,
+    indexed like ``weights[a][b]``: a negative letter reads from the end.
+    Sums of up to 2^20 of them stay below 2^60."""
+    rng = random.Random(m)
+    return [[rng.getrandbits(40) for _ in range(2 * m + 1)] for _ in range(2 * m + 1)]
+
+
+class KeyTables(NamedTuple):
+    """The tables of the cyclic key at m, indexed by signed letters.
+
+    ``weights[a][b]`` weighs the bigram (a, b). ``deltas[u][g][v] =
+    weights[u][v] - weights[u][g] - weights[g][v]`` is the change in a key
+    when g is deleted between u and v. ``blocks`` is indexed like the
+    unranking blocks (``_block_tables``): the first letter alone weighs 0,
+    and ``blocks[t][x][k]``, the k-th block of t letters after x, weighs
+    the bigram that joins it to x plus the bigrams inside it. ``gaps``
+    keeps the tables ``insertion_deltas`` builds."""
+
+    weights: list[list[int]]
+    deltas: list[list[list[int]]]
+    blocks: list
+    gaps: dict
+
+    def insertion_deltas(self, gens: tuple[int, ...]) -> list[list[list[int]]]:
+        """By gap (u, v), ``deltas[u][g][v]`` for the generators g in
+        ``gens`` that may stand between u and v (u, v != g^-1): inserting
+        g there changes a key by minus that. Built once per ``gens``."""
+        table = self.gaps.get(gens)
+        if table is None:
+            n = len(self.weights)
+            signed = [x if 2 * x < n else x - n for x in range(n)]
+            table = self.gaps[gens] = [
+                [[self.deltas[u][g][v] for g in gens if g != -u and g != -v] for v in signed]
+                for u in signed]
+        return table
+
+
+@lru_cache(maxsize=None)
+def key_tables(m: int) -> KeyTables:
+    """The cyclic key's tables at m, built once from ``_bigram_weights``."""
+    weights = _bigram_weights(m)
+    n = 2 * m + 1
+    deltas = [[[weights[u][v] - weights[u][g] - weights[g][v] for v in range(n)]
+               for g in range(n)] for u in range(n)]
+    # Block keys in the order _block_tables builds the blocks: a block of t
+    # letters after x is one of t - 1 letters (for t = 1 the empty block,
+    # which ends in x) and then a letter y != e^-1 for its last letter e.
+    word_blocks, ends = _block_tables(m)[1:3]
+    letters = [y for y in range(-m, m + 1) if y]
+    blocks = [[0] * n] + [[None] * n for _ in word_blocks[1:]]
+    for x in letters:
+        keys, last = (0,), (x,)
+        for t in range(1, len(word_blocks)):
+            keys = tuple(key + weights[e][y] for key, e in zip(keys, last)
+                         for y in letters if y != -e)
+            blocks[t][x], last = keys, ends[t][x]
+    return KeyTables(weights, deltas, blocks, {})
+
+
+def cyclic_key(letters: tuple[int, ...], weights: list[list[int]]) -> int:
+    """The key of a nonempty word up to rotation: the sum of the weights of
+    its cyclic bigrams, whose multiset a rotation keeps."""
+    key = 0
+    prev = letters[-1]
+    for x in letters:
+        key += weights[prev][x]
+        prev = x
+    return key
 
 
 @lru_cache(maxsize=64)

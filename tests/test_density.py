@@ -63,6 +63,43 @@ def test_bernoulli_full_at_density_one():
     assert bernoulli_index_subset(797_184, 1.0, 3) == list(range(797_184))
 
 
+class _FixedRandom:
+    """A generator whose random() cycles through the given doubles."""
+
+    def __init__(self, values):
+        self.values, self.calls = values, 0
+
+    def random(self):
+        self.calls += 1
+        return self.values[(self.calls - 1) % len(self.values)]
+
+
+def test_inclusion_probability_and_gaps_at_the_float_boundaries():
+    # The float operations that decide a draw (the density module docstring
+    # lists them), pinned where p meets its ends: p = 1, the double one ulp
+    # below 1, and 2^-53. A gap is int(log(1 - U) / log1p(-p)) + 1.
+    below_one = 1.0 - 2.0 ** -53
+    assert inclusion_probability(2, 1.0) == inclusion_probability(797_184, 1.0) == 1.0
+    assert inclusion_probability(2, below_one) == inclusion_probability(3, below_one) == below_one
+    # 1/|E| at |E| = 2^53 comes out of exp(-log |E|) three ulps above 2^-53.
+    assert inclusion_probability(2 ** 53, 2.0 ** -1074).hex() == "0x1.0000000000003p-53"
+    us = [0.0, 0.5, below_one]
+    # At p = 1 every gap is 1, log1p(-1) being taken as -inf, and a sized
+    # layer drawn full, whose rate k / |layer| is 1, is every index.
+    assert density._waiting_times(3, 9, 1.0, _FixedRandom(us)) == list(range(3, 9))
+    assert density._sized_layer(0, 20, 20, random.Random(1)) == list(range(20))
+    # One ulp below 1, log(1 - U) / log1p(-p) is below 1 but at U = 1 - 2^-53,
+    # where the two logs are equal: a gap of 2.
+    assert density._waiting_times(0, 6, below_one, _FixedRandom(us)) == [0, 1, 3, 4, 5]
+    # At p = 2^-53, log1p(-p) = -2^-53 exactly, so a gap is floor(2^53 ln(1 /
+    # (1 - U))) + 1 to the unit: ln 2 2^53 = 6243314768165359.3, ln(4/3)
+    # 2^53 = 2591209748590025.3, and U = 0.9 overshoots.
+    assert density._waiting_times(0, 2 ** 53, 2.0 ** -53, _FixedRandom(us)) == [
+        0, 6243314768165360]
+    assert density._waiting_times(10, 2 ** 53, 2.0 ** -53, _FixedRandom([0.5, 0.25, 0.9])) == [
+        6243314768165369, 8834524516755395]
+
+
 def _binomial_pmf(n, p):
     """Binomial(n, p) probabilities: by math.comb for small n; for large n
     within 12 standard deviations of the mean, from the ratios

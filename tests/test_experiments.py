@@ -6,8 +6,9 @@ from itertools import chain, product
 
 import pytest
 
-from freiheit import experiments
-from freiheit.density import DensityModel, RelatorSet, make_relator_set, sample_relator_set
+from freiheit import density, experiments, words
+from freiheit.density import (DensityModel, RelatorSet, make_relator_set, sample_relator_indices,
+                              sample_relator_set)
 from freiheit.errors import DomainError, FeasibilityError
 from freiheit.experiments import (CollapseResult, SweepBudgets, TransitionConfig,
                                   collapse_probe, collapse_success_probability,
@@ -19,7 +20,7 @@ from freiheit.experiments import (CollapseResult, SweepBudgets, TransitionConfig
 from freiheit.seeds import rng_for
 from freiheit.stallings import LabeledGraph, wedge_of_words
 from freiheit.words import (Word, _WordTables, count_cyclically_reduced_upto,
-                            enumerate_cyclically_reduced)
+                            enumerate_cyclically_reduced, word_tables)
 
 from oracles import canonical_triviality_probe, chi2_critical
 
@@ -253,12 +254,14 @@ def _successive_relator_sets(seed: int, count: int):
 
 def _constant_bigram_weights(monkeypatch) -> None:
     """Every bigram weight 1, so a key is a word's length. The probe's keys
-    and deletion table both come from the weights through a cache per m, so
-    the cache is swapped for a fresh one that reads the patched weights."""
-    monkeypatch.setattr(experiments, "_bigram_weights",
+    and its deletion and insertion keys all come from the weights through a
+    cache per m, so every module that reads the cache gets a fresh one that
+    reads the patched weights."""
+    monkeypatch.setattr(words, "_bigram_weights",
                         lambda m: [[1] * (2 * m + 1)] * (2 * m + 1))
-    monkeypatch.setattr(experiments, "_key_tables",
-                        functools.lru_cache(experiments._key_tables.__wrapped__))
+    fresh = functools.lru_cache(words.key_tables.__wrapped__)
+    for module in (words, density, experiments):
+        monkeypatch.setattr(module, "key_tables", fresh)
 
 
 @pytest.mark.parametrize("weights", ["pseudo-random", "constant"])
@@ -294,29 +297,126 @@ def test_triviality_probe_matches_the_canonical_lookup_on_sampled_sets():
         assert triviality_probe(rel) == canonical_triviality_probe(rel)
 
 
+def _small_relator_sets(seed: int, count: int):
+    """Random sets at maxlen 1 to 4 built from words: a Bernoulli choice from
+    B_maxlen, from its words of length maxlen alone, or from the shorter
+    ones alone."""
+    rng = random.Random(seed)
+    universes = {(m, l): list(enumerate_cyclically_reduced(m, l))
+                 for m in (2, 3) for l in (1, 2, 3, 4)}
+    for _ in range(count):
+        (m, maxlen), universe = rng.choice(sorted(universes.items()))
+        p = rng.choice([0.05, 0.15, 0.4])
+        keep = rng.choice([None, True, False])  # None keeps every length
+        yield make_relator_set(m, maxlen, [
+            w for w in universe
+            if (keep is None or (len(w) == maxlen) == keep) and rng.random() < p])
+
+
+def _top_layer_cases(rel, ev) -> set[str]:
+    """The edges of the keyed top layer (the relators of length maxlen) that
+    a set and its evidence exercise."""
+    maxlen = rel.maxlen
+    lengths = {len(w) for w in rel.relators}
+    found = [wit for wit in ev.witnesses.values() if wit]
+    top = any(len(wit.relator) == maxlen for wit in found)
+    seen = set()
+    if lengths and maxlen not in lengths:
+        seen.add("no relator of length maxlen")
+    if lengths == {maxlen}:
+        seen.add("only relators of length maxlen")
+    if top and any(len(wit.relator) < maxlen for wit in found):
+        seen.add("a generator witnessed before the top layer, another in it")
+    if top and maxlen == 1:
+        seen.add("bare generator in the top layer")
+    if top and maxlen == 2:
+        seen.add("partner of length 1")
+    return seen
+
+
+def test_triviality_probe_keys_the_top_layer_exactly():
+    # The relators of length maxlen are searched only when their key is an
+    # insertion key, so the edges of that layer are checked against the
+    # canonical lookup: a sampled set (of either model, the count model's
+    # indices being one layer) before anything has read it, the same set
+    # with its first two thirds read and kept, whose kept words are keyed
+    # from their letters, and the set of its words; and small sets built
+    # from words. A generator with a witness before the top layer gets no
+    # insertion keys.
+    shapes = [(2, 1, 0.6), (3, 1, 0.5), (2, 2, 0.3), (2, 2, 0.6), (3, 2, 0.5),
+              (2, 3, 0.2), (2, 3, 0.5), (3, 3, 0.55), (3, 4, 0.5), (2, 6, 0.55)]
+    seen = {"sampled": set(), "words": set()}
+    for t, (m, maxlen, d) in enumerate(shapes * 20):
+        model = DensityModel("count" if t % 3 == 2 else "bernoulli", d, 0)
+        rel = sample_relator_set(m, maxlen, model, rng_for(23, "top layer", t))
+        ev = triviality_probe(rel)
+        assert ev == canonical_triviality_probe(rel), rel.relators
+        read = sample_relator_set(m, maxlen, model, rng_for(23, "top layer", t))
+        if len(read):
+            read.relators[len(read) * 2 // 3]
+        assert triviality_probe(read) == ev
+        assert triviality_probe(make_relator_set(m, maxlen, rel.relators)) == ev
+        seen["sampled"] |= _top_layer_cases(rel, ev)
+    for rel in _small_relator_sets(29, 400):
+        ev = triviality_probe(rel)
+        assert ev == canonical_triviality_probe(rel), rel.relators
+        seen["words"] |= _top_layer_cases(rel, ev)
+    cases = {"no relator of length maxlen", "only relators of length maxlen",
+             "a generator witnessed before the top layer, another in it",
+             "bare generator in the top layer", "partner of length 1"}
+    assert seen == {"sampled": cases, "words": cases}
+
+
 def test_trial_unranks_only_the_relators_its_probes_read(monkeypatch):
-    calls = 0
+    unranked = []
     unrank = _WordTables.unrank
 
     def counted(self, index):
-        nonlocal calls
-        calls += 1
+        unranked.append(index)
         return unrank(self, index)
 
+    inserted = set()
+    insertion_keys = experiments._insertion_keys
+
+    def recorded(*args):
+        keys = insertion_keys(*args)
+        inserted.update(keys)
+        return keys
+
     monkeypatch.setattr(_WordTables, "unrank", counted)
+    monkeypatch.setattr(experiments, "_insertion_keys", recorded)
     lazy = run_trial(2, 1, 12, 0.75, "bernoulli", rng_for(5, "early stop"))
     assert lazy.collapse and lazy.trivial and not lazy.fast_path
-    assert lazy.relator_count > 20_000 and calls < lazy.relator_count / 20
+    assert lazy.relator_count > 20_000 and len(unranked) < lazy.relator_count / 20
+
+    # At (3, 2, 12, 0.45) the triviality probe reads most of the set, four
+    # fifths of it of length 12. It unranks the shorter relators it reads,
+    # in order, and of those of length 12 only the ones whose key, computed
+    # from the index, is an insertion key.
+    unranked.clear()
+    hot = run_trial(3, 2, 12, 0.45, "bernoulli", rng_for(5, "hot cell"))
+    indices = sample_relator_indices(3, 12, DensityModel("bernoulli", 0.45, 0),
+                                     rng_for(5, "hot cell"))
+    tables = word_tables(3, 12)
+    bound = tables.cumulative[11]
+    shorter = [i for i in indices if i < bound]
+    longest = [i for i in indices if i >= bound]
+    hits = sum(key in inserted for key in tables.keys(longest))
+    read = [i for i in unranked if i < bound]
+    assert read == shorter[:len(read)] and len(longest) > 3 * len(shorter)
+    assert all(key in inserted for key in tables.keys(i for i in unranked if i >= bound))
+    assert 0 < hits < len(longest) / 20 and len(unranked) <= len(shorter) + hits
 
     def eager_sample(*args, **kwargs):
         rel = sample_relator_set(*args, **kwargs)
         return RelatorSet(rel.m, rel.maxlen, tuple(rel.relators), rel.provenance)
 
     monkeypatch.setattr(experiments, "sample_relator_set", eager_sample)
-    calls = 0
+    unranked.clear()
     eager = run_trial(2, 1, 12, 0.75, "bernoulli", rng_for(5, "early stop"))
-    assert calls == eager.relator_count
+    assert len(unranked) == eager.relator_count
     assert eager == lazy
+    assert run_trial(3, 2, 12, 0.45, "bernoulli", rng_for(5, "hot cell")) == hot
 
 
 def test_rewrite_presentation_examples():

@@ -10,8 +10,8 @@ from freiheit.errors import DomainError, FeasibilityError, MalformedWordError
 from freiheit.words import (Word, _WordTables, canonical_cyclic,
                             count_cyclically_reduced_exact,
                             count_cyclically_reduced_upto, count_reduced_exact,
-                            cyclic_reduce, cyclically_reduced_words,
-                            enumerate_cyclically_reduced, free_reduce,
+                            cyclic_key, cyclic_reduce, cyclically_reduced_words,
+                            enumerate_cyclically_reduced, free_reduce, key_tables,
                             min_cyclic_rotation, reduced_words, sample_cyclically_reduced,
                             word_at_index, word_from_text, word_tables, word_to_text)
 
@@ -131,18 +131,40 @@ def test_rank_inverts_unrank(m, maxlen):
     counts = end_state_counts(m, maxlen)
     tables = word_tables(m, maxlen)
     rng = random.Random(m * maxlen)
-    indices = [rng.randrange(tables.total) for _ in range(300)]
-    # Both ends of every (length, first letter) block: every block step of
-    # the first word takes its least branch, every step of the last its
-    # greatest.
-    for length in range(1, maxlen + 1):
-        start, end = tables.cumulative[length - 1], tables.cumulative[length]
-        per_letter = (end - start) // (2 * m)
-        for j in range(2 * m):
-            indices += [start + j * per_letter, start + (j + 1) * per_letter - 1]
+    indices = [rng.randrange(tables.total) for _ in range(300)] + _block_ends(tables)
     for i in indices:
         word = word_at_index(m, maxlen, i)
         assert word.is_cyclically_reduced() and length_lex_rank(counts, word) == i, i
+
+
+def _block_ends(tables) -> list[int]:
+    """Both ends of every (length, first letter) block: every block step of
+    the first word takes its least branch, every step of the last its
+    greatest."""
+    ends, letters = [], 2 * tables.m
+    for start, end in zip(tables.cumulative, tables.cumulative[1:]):
+        per_letter = (end - start) // letters
+        for j in range(letters):
+            ends += [start + j * per_letter, start + (j + 1) * per_letter - 1]
+    return ends
+
+
+@pytest.mark.parametrize("m, maxlen", [(2, 6), (3, 5), (2, 12), (3, 12), (3, 20), (26, 40)])
+def test_index_keys_are_the_letter_keys(m, maxlen):
+    # Every index of the small universes; elsewhere random indices and the
+    # ends of every block. At m = 26 every step reads one letter. The
+    # reference sums each cyclic bigram's weight, read off the word.
+    tables = word_tables(m, maxlen)
+    if tables.total < 10_000:
+        indices = list(range(tables.total))
+    else:
+        rng = random.Random(m * maxlen)
+        indices = [rng.randrange(tables.total) for _ in range(300)] + _block_ends(tables)
+    weights = key_tables(m).weights
+    words = [tables.unrank(i).letters for i in indices]
+    expected = [sum(weights[w[k - 1]][x] for k, x in enumerate(w)) for w in words]
+    assert list(tables.keys(indices)) == expected
+    assert [cyclic_key(w, weights) for w in words] == expected
 
 
 def test_unrank_tables_stay_small():
